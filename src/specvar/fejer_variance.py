@@ -118,8 +118,10 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     Any origin atom contributes ``atom_at_zero * n**2`` and atoms in (0, pi]
     contribute ``I_n(loc) * mass`` exactly.  Density pieces use oscillation-
     aware quadrature up to n = 2**14; beyond that their contribution is
-    assembled from closed-form cosine transforms instead, which is both
-    cheaper and tighter at that scale.
+    assembled from closed-form cosine transforms instead.  That is cheaper
+    but not tighter: against the quadratic measure's closed form the
+    relative error grows from about 3e-15 at n = 2**14 to 1.9e-11 at
+    n = 2**14 + 1.
     """
     n = _validate_n(n)
     total = m.atom_at_zero * float(n) ** 2

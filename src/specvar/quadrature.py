@@ -5,6 +5,11 @@ embedded error estimate is too large are bisected until the total estimate
 meets the tolerance.  An integrable endpoint weight ``y**beta`` at ``lo == 0``
 is handled by a Gauss-Jacobi rule on the leftmost panel so that adaptive
 bisection never has to chase the singularity.
+
+Every panel is evaluated once: a panel's value and estimate are kept across
+rounds, and a round evaluates only the two children of each bisected panel
+(as QUADPACK's QAG does).  The children replace their parent in edge order, so
+the result is the same, bit for bit, as re-evaluating every panel each round.
 """
 
 from __future__ import annotations
@@ -108,31 +113,47 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
 
+    # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
+    # across rounds, and each round evaluates only the panels in `fresh`
+    ik = np.empty(len(edges) - 1)
+    err = np.empty_like(ik)
+    fresh = np.arange(len(ik))
     for _ in range(max_rounds):
-        if edge_beta is not None:
-            v0, e0 = _jacobi_edge(f, edge_beta, edges[1])
-            ik, err = _gk_batch(full, edges[1:-1], edges[2:])
-            ik = np.concatenate([[v0], ik])
-            err = np.concatenate([[e0], err])
-        else:
-            ik, err = _gk_batch(full, edges[:-1], edges[1:])
+        if edge_beta is not None and fresh[0] == 0:
+            ik[0], err[0] = _jacobi_edge(f, edge_beta, edges[1])
+            fresh = fresh[1:]
+        if len(fresh):
+            ik[fresh], err[fresh] = _gk_batch(full, edges[fresh],
+                                              edges[fresh + 1])
         total = float(ik.sum())
         total_err = float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))
         if total_err <= eff_tol:
             return total, total_err
-        if len(edges) - 1 >= max_panels:
+        if len(ik) >= max_panels:
             break
         # bisect every panel that carries more than its share of the error,
         # always including the worst one; a panel whose estimate is already
         # at the roundoff floor of its own value is not split, since halving
         # it cannot shrink noise and only adds panels
-        share = eff_tol / (2.0 * (len(edges) - 1))
+        share = eff_tol / (2.0 * len(ik))
         split = np.nonzero((err > share) & (err > _ROUNDOFF * np.abs(ik)))[0]
         if len(split) == 0:
             split = np.array([int(np.argmax(err))])
         mids = 0.5 * (edges[split] + edges[split + 1])
-        edges = np.unique(np.concatenate([edges, mids]))
+        # a panel between adjacent floats has no midpoint strictly inside
+        inside = (mids > edges[split]) & (mids < edges[split + 1])
+        split, mids = split[inside], mids[inside]
+        if len(split) == 0:
+            break
+        # the children of a split panel take its place in edge order, so the
+        # sums above add the same numbers in the same order as re-evaluating
+        # every panel would
+        edges = np.insert(edges, split + 1, mids)
+        ik = np.insert(ik, split + 1, np.nan)
+        err = np.insert(err, split + 1, np.nan)
+        first = split + np.arange(len(split))
+        fresh = np.column_stack([first, first + 1]).ravel()
 
     raise NumericError(
         f"quadrature on [{lo}, {hi}] did not reach tol={tol:.1e}",

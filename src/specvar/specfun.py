@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,8 +80,13 @@ def _tail_pair(q: float, x: np.ndarray):
     return tc, ts
 
 
+@lru_cache(maxsize=4096)
 def _base_pair_small(mu: float, x: float):
-    """Base moments at exponent mu in (-1, 0) for one x below the cut."""
+    """Base moments at exponent mu in (-1, 0) for one x below the cut.
+
+    Memoized: the points ``k * hi`` below the cut depend on the density piece
+    only, so every n of a scan asks for the same few again.
+    """
     cuts = np.arange(1, int(2.0 * x / math.pi) + 2) * (math.pi / 2.0)
     c, _ = integrate(np.cos, 0.0, x, points=cuts, tol=1e-13, edge_beta=mu)
     s, _ = integrate(np.sin, 0.0, x, points=cuts, tol=1e-13, edge_beta=mu)

@@ -35,6 +35,13 @@ PI = math.pi
 _PI_SLACK = 1e-12  # how far beyond float pi interval bounds may stray
 
 
+def _finite(x, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _clamp_pi(x: float, what: str) -> float:
     if x > PI:
         if x > PI + _PI_SLACK:
@@ -56,10 +63,10 @@ class PowerDensity:
     exponent: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", _clamp_pi(float(self.hi), "density hi"))
-        object.__setattr__(self, "coef", float(self.coef))
-        object.__setattr__(self, "exponent", float(self.exponent))
+        for name in ("lo", "hi", "coef", "exponent"):
+            object.__setattr__(self, name, _finite(getattr(self, name),
+                                                   f"power density {name}"))
+        object.__setattr__(self, "hi", _clamp_pi(self.hi, "density hi"))
         if not 0.0 <= self.lo < self.hi:
             raise DomainError(
                 f"power density needs 0 <= lo < hi <= pi, got ({self.lo}, {self.hi})")
@@ -129,8 +136,8 @@ class TableDensity:
     vals: tuple
 
     def __post_init__(self):
-        ys = tuple(float(v) for v in self.ys)
-        vals = tuple(float(v) for v in self.vals)
+        ys = tuple(_finite(v, "table density grid point") for v in self.ys)
+        vals = tuple(_finite(v, "table density value") for v in self.vals)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "vals", vals)
         if len(ys) < 2 or len(ys) != len(vals):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specvar.errors import NumericError
-from specvar.quadrature import integrate
+from specvar.quadrature import _ROUNDOFF, _gk_batch, _jacobi_edge, integrate
 
 
 def test_polynomial_exact():
@@ -51,3 +51,50 @@ def test_budget_exhaustion_raises_with_achieved():
 
 def test_empty_interval():
     assert integrate(np.sin, 1.0, 1.0) == (0.0, 0.0)
+
+
+def _every_panel_each_round(f, lo, hi, tol=1e-10, edge_beta=None,
+                            max_rounds=30):
+    """The adaptive loop without memory: each round evaluates every panel."""
+    full = f if edge_beta is None else (lambda y: y ** edge_beta * f(y))
+    edges = np.array([lo, hi])
+    for _ in range(max_rounds):
+        if edge_beta is None:
+            ik, err = _gk_batch(full, edges[:-1], edges[1:])
+        else:
+            v0, e0 = _jacobi_edge(f, edge_beta, edges[1])
+            ik, err = _gk_batch(full, edges[1:-1], edges[2:])
+            ik, err = np.r_[v0, ik], np.r_[e0, err]
+        total, total_err = float(ik.sum()), float(err.sum())
+        eff_tol = max(tol, _ROUNDOFF * abs(total))
+        if total_err <= eff_tol:
+            return total, total_err
+        share = eff_tol / (2.0 * len(ik))
+        split = np.nonzero((err > share) & (err > _ROUNDOFF * np.abs(ik)))[0]
+        if len(split) == 0:
+            split = np.array([int(np.argmax(err))])
+        edges = np.unique(np.r_[edges, 0.5 * (edges[split] + edges[split + 1])])
+    raise AssertionError("reference loop did not converge")
+
+
+# at tol=1e-13 one panel of cos(23 y) converges a round before the others
+@pytest.mark.parametrize("f, hi, edge_beta, tol", [
+    (lambda y: np.cos(23 * y), 1.0, None, 1e-13),
+    (lambda y: np.cos(40 * y), 3.0, -0.5, 1e-10),
+])
+def test_no_panel_is_evaluated_twice(f, hi, edge_beta, tol):
+    seen = []
+
+    def recording(y):
+        seen.append(np.array(y, copy=True))
+        return f(y)
+
+    got = integrate(recording, 0.0, hi, tol=tol, edge_beta=edge_beta)
+    ys = np.concatenate(seen)
+    assert len(seen) > 3  # several rounds of bisection
+    if edge_beta is not None:
+        # the Jacobi edge rule ran on more than one edge panel
+        assert sum(len(y) == 31 for y in seen) > 1
+    assert len(np.unique(ys)) == len(ys)
+    assert got == _every_panel_each_round(f, 0.0, hi, tol=tol,
+                                          edge_beta=edge_beta)

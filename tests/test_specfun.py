@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specvar import specfun
 from specvar.errors import DomainError
+from specvar.quadrature import integrate
 from specvar.specfun import (cos_power_moment, gamma_fn, sin_sq_moment,
                              trig_power_moments)
 
@@ -83,6 +85,29 @@ def test_trig_moments_zero_endpoint():
     c, s = trig_power_moments(-0.5, np.array([0.0, 1.0]))
     assert c[0] == 0.0 and s[0] == 0.0
     assert c[1] > 0.0
+
+
+def test_small_x_moments_memo_changes_nothing_but_cost(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "integrate", counting)
+    specfun._base_pair_small.cache_clear()
+    p = 0.37
+    x = np.array([0.25, 1.5, 7.0, 30.0, 44.5])  # all below the 45 cut
+    c1, s1 = trig_power_moments(p, x)
+    first = len(calls)
+    c2, s2 = trig_power_moments(p, x)
+    assert first == 2 * len(x)  # one cos and one sin integral per point
+    assert len(calls) == first
+    assert c1.tobytes() == c2.tobytes() and s1.tobytes() == s2.tobytes()
+    # and the memoized base moments are what the bare function computes
+    for xi in x:
+        assert (specfun._base_pair_small(p - 1.0, float(xi))
+                == specfun._base_pair_small.__wrapped__(p - 1.0, float(xi)))
 
 
 def test_trig_moments_domain():

@@ -65,6 +65,38 @@ def test_table_density_validation():
         TableDensity(ys=(0.0,), vals=(1.0,))
 
 
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name", ("lo", "hi", "coef", "exponent"))
+def test_power_density_rejects_nonfinite(name, bad):
+    args = dict(lo=0.5, hi=2.0, coef=1.0, exponent=0.5)
+    args[name] = bad
+    with pytest.raises(DomainError, match="finite"):
+        PowerDensity(**args)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name, i", [("ys", 0), ("ys", 1), ("ys", 2),
+                                     ("vals", 0), ("vals", 1)])
+def test_table_density_rejects_nonfinite(name, i, bad):
+    grid = {"ys": [0.0, 1.0, 2.0], "vals": [1.0, 2.0, 1.0]}
+    grid[name][i] = bad
+    with pytest.raises(DomainError, match="finite"):
+        TableDensity(ys=tuple(grid["ys"]), vals=tuple(grid["vals"]))
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_json_nonfinite_keeps_key_path(bad):
+    with pytest.raises(ValidationError, match=r"density\[0\]\.ys\[1\]"):
+        measure_from_dict({"density": [{"type": "table", "ys": [0.0, bad, 1.0],
+                                        "vals": [1.0, 1.0, 1.0]}]})
+    with pytest.raises(ValidationError, match=r"density\[0\]\.coef"):
+        measure_from_dict({"density": [{"type": "power", "coef": bad,
+                                        "exp": 0.5}]})
+
+
 # --- g_eval ------------------------------------------------------------------
 
 def test_g_eval_counterexample_example():
