@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_int
 from .fejer_variance import variance_profile, variance_spectral
 from .spectral_measure import SpectralMeasure, g_eval
 from .specfun import gamma_fn, sin_sq_moment
@@ -172,19 +172,6 @@ class ScanReport:
             vals = [None if c == "" else float(c) for c in cells[1:]]
             rows.append(ScanRow(int(cells[0]), *vals))
         return tuple(rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [{name: getattr(row, name) for name in _SCAN_COLUMNS}
-                     for row in self.rows],
-            "tolerance": self.tolerance,
-            "var_ratio_sup": self.var_ratio_sup,
-            "var_ratio_inf": self.var_ratio_inf,
-            "g_ratio_sup": self.g_ratio_sup,
-            "g_ratio_inf": self.g_ratio_inf,
-            "var_ratio_converged": self.var_ratio_converged,
-            "g_ratio_converged": self.g_ratio_converged,
-        }
 
 
 def theorem_check(m: SpectralMeasure, model: RegularVariationModel, n_grid,
@@ -356,17 +343,17 @@ class FitResult:
 def gamma_fit(points) -> FitResult:
     """Least squares of log Var against log n: growth index and scale.
 
-    Needs at least three points with increasing n and positive variances;
-    returns the slope as gamma_hat, exp(intercept) as K0_hat and the RMS log
-    residual.
+    Needs at least three points with increasing integer n >= 1 and finite
+    positive variances; returns the slope as gamma_hat, exp(intercept) as
+    K0_hat and the RMS log residual.
     """
-    pts = [(int(n), float(v)) for n, v in points]
+    pts = [(check_int(n, "gamma_fit n", 1), float(v)) for n, v in points]
     if len(pts) < 3:
         raise DomainError("gamma_fit needs at least 3 points")
     if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
         raise DomainError("gamma_fit points must have strictly increasing n")
-    if any(v <= 0.0 for _, v in pts):
-        raise DomainError("gamma_fit variances must be positive")
+    if not all(0.0 < v < math.inf for _, v in pts):  # also rejects NaN
+        raise DomainError("gamma_fit variances must be finite and positive")
     lx = np.log([n for n, _ in pts])
     ly = np.log([v for _, v in pts])
     vx = lx - lx.mean()

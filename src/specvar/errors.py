@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
 
 
 class SpecvarError(Exception):
@@ -35,3 +35,15 @@ class NumericError(SpecvarError, RuntimeError):
         if achieved is not None:
             message = f"{message} (achieved tolerance {achieved:.3e})"
         super().__init__(message)
+
+
+def check_int(value, what: str, minimum: int) -> int:
+    """``value`` as an int >= minimum, else DomainError (also for NaN, +-inf
+    and non-integral or non-numeric values)."""
+    try:
+        ok = value == int(value) and int(value) >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

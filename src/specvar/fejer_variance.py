@@ -2,10 +2,12 @@
 
 The spectral route integrates the Fejer kernel ``I_n(y) = sin(ny/2)**2 /
 sin(y/2)**2`` against the folded measure:  ``Var(S_n) = int_[0,pi] I_n dG``.
-Atoms are summed exactly; density pieces are integrated with panels seeded at
-the kernel's oscillation zeros.  The covariance route assembles the same
-quantity from autocovariances, ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``,
-and serves as an independent cross-check.
+Atoms are summed in double-double and rounded once; density pieces are
+integrated with panels seeded at the kernel's oscillation zeros.  The
+covariance route assembles the same quantity from autocovariances,
+``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
+cross-check; on atoms it sums the lags per atom, also in double-double, so
+the two routes return the same float there.
 
 ``sandwich`` evaluates the two-sided bracket
 
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_int
 from .quadrature import integrate
 from .spectral_measure import (PI, OpaqueDensity, SpectralMeasure,
-                               autocovariance_batch, g_eval)
+                               atom_covariance_sums, atom_fejer_sums, g_eval)
 
 # beyond this the density contribution switches from kernel quadrature to the
 # closed-form covariance route (cost control at very large n)
@@ -62,12 +64,6 @@ class BoundsReport:
         return rows
 
 
-def _validate_n(n) -> int:
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _kernel_raw(n: int, y: np.ndarray) -> np.ndarray:
     """Fejer kernel values without domain checks; y is an ndarray."""
     out = np.empty_like(y)
@@ -82,10 +78,10 @@ def _kernel_raw(n: int, y: np.ndarray) -> np.ndarray:
 
 def fejer_kernel(n: int, y):
     """``I_n(y) = sin(ny/2)**2 / sin(y/2)**2`` on [0, pi], ``I_n(0) = n**2``."""
-    n = _validate_n(n)
+    n = check_int(n, "n", 1)
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y < 0.0) or np.any(y > PI):
+    if not np.all((y >= 0.0) & (y <= PI)):  # also rejects NaN
         raise DomainError("fejer_kernel argument must lie in [0, pi]")
     out = _kernel_raw(n, y)
     return float(out[0]) if scalar else out
@@ -123,16 +119,8 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     relative error grows from about 3e-15 at n = 2**14 to 1.9e-11 at
     n = 2**14 + 1.
     """
-    n = _validate_n(n)
-    total = m.atom_at_zero * float(n) ** 2
-    if m.atoms:
-        # extended precision keeps the angle rounding of n*loc/2 out of the
-        # oracle comparison against the covariance route
-        locs, masses = m.atom_arrays()
-        ld_locs = locs.astype(np.longdouble)
-        num = np.sin(np.longdouble(n) * ld_locs / 2.0) ** 2
-        den = np.sin(ld_locs / 2.0) ** 2
-        total += float((num / den * masses.astype(np.longdouble)).sum())
+    n = check_int(n, "n", 1)
+    total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, [n])[0])
     for piece in m.density:
         # opaque pieces have no cheap cosine transform, so they always take
         # the quadrature route
@@ -144,13 +132,18 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
 
 
 def variance_covariance(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
-    """Var(S_n) via the triangular covariance sum (independent oracle)."""
-    n = _validate_n(n)
-    r = autocovariance_batch(m, n, tol=min(tol, 1e-12))
-    if n == 1:
-        return float(r[0])
-    k = np.arange(1, n)
-    return n * float(r[0]) + 2.0 * float(((n - k) * r[1:]).sum())
+    """Var(S_n) via the triangular covariance sum (independent oracle).
+
+    Every term is a covariance: the origin atom's are constant, so its lags
+    sum to ``atom_at_zero * n**2``; the other atoms' lags are summed per atom
+    in double-double (``atom_covariance_sums``); each density piece sums its
+    cosine transforms.
+    """
+    n = check_int(n, "n", 1)
+    total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)
+    for piece in m.density:
+        total += _piece_variance_covariance(piece, n, min(tol, 1e-12))
+    return total
 
 
 def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
@@ -160,19 +153,9 @@ def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
     covariance identity with cumulative sums, which yields the entire profile
     in O(n_max) after one batch of cosine transforms.
     """
-    n_max = _validate_n(n_max)
+    n_max = check_int(n_max, "n_max", 1)
     n = np.arange(1, n_max + 1, dtype=float)
-    out = m.atom_at_zero * n ** 2
-    if m.atoms:
-        locs, masses = m.atom_arrays()
-        ld_locs = locs.astype(np.longdouble)
-        ld_masses = masses.astype(np.longdouble)
-        s2 = np.sin(ld_locs / 2.0) ** 2
-        for i0 in range(0, n_max, 32768):
-            nn = n[i0:i0 + 32768, None].astype(np.longdouble)
-            block = (np.sin(nn * ld_locs[None, :] / 2.0) ** 2
-                     / s2[None, :] * ld_masses[None, :]).sum(axis=1)
-            out[i0:i0 + 32768] += np.asarray(block, dtype=float)
+    out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, n)
     for piece in m.density:
         if n_max == 1:
             out += piece.mass
@@ -189,7 +172,7 @@ def sandwich(m: SpectralMeasure, n, A: float = 1.0,
              tol: float = 1e-10) -> BoundsReport:
     """Bracket Var(S_n) between the kernel's main-lobe lower bound and the
     split upper bound with free parameter A (0 < A <= n)."""
-    n = _validate_n(n)
+    n = check_int(n, "n", 1)
     A = float(A)
     if not 0.0 < A <= n:
         raise DomainError(f"sandwich requires 0 < A <= n, got A={A}, n={n}")

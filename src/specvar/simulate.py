@@ -25,7 +25,7 @@ from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import toeplitz as _toeplitz
 from scipy.special import ndtri
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_int
 from .spectral_measure import SpectralMeasure, autocovariance_batch
 
 MAX_PATH_LENGTH = 2 ** 16
@@ -77,14 +77,10 @@ def _draw_normals(seed: int, P: int, count: int, level_var: float):
 def simulate(m: SpectralMeasure, N: int, P: int, seed: int,
              tol: float = 1e-10) -> PathBatch:
     """Draw P exact sample paths of length N; bit-reproducible in all inputs."""
-    N = int(N)
-    P = int(P)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    N = check_int(N, "N", 1)
+    P = check_int(P, "P", 1)
     if N > MAX_PATH_LENGTH:
         raise DomainError(f"N must be <= {MAX_PATH_LENGTH}, got {N}")
-    if P < 1:
-        raise DomainError(f"P must be >= 1, got {P}")
 
     level_var = m.atom_at_zero
     base = SpectralMeasure(atom_at_zero=0.0, atoms=m.atoms, density=m.density)
@@ -143,8 +139,8 @@ def empirical_variance(batch: PathBatch, n: int) -> EmpiricalVariance:
     Returns the mean of S_n**2 across paths and its standard error; with a
     single path the standard error is reported as +inf.
     """
-    n = int(n)
-    if n < 1 or n > batch.length:
+    n = check_int(n, "n", 1)
+    if n > batch.length:
         raise DomainError(
             f"n must lie in [1, {batch.length}], got {n}")
     s = batch.paths[:, :n].sum(axis=1)

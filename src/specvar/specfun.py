@@ -138,11 +138,6 @@ def trig_power_moments(p: float, x):
     return c, s
 
 
-def cos_power_moment(p: float, x):
-    """``int_0^x u**p cos(u) du`` (see trig_power_moments)."""
-    return trig_power_moments(p, x)[0]
-
-
 def sin_sq_moment(gamma: float) -> float:
     """``int_0^inf sin(y)**2 / y**(1+gamma) dy`` for gamma in (0, 2).
 

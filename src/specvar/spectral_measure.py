@@ -27,7 +27,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError, SerializationError, ValidationError
+from . import ddouble as dd
+from .errors import DomainError, SerializationError, ValidationError, check_int
 from .quadrature import integrate
 from .specfun import trig_power_moments
 
@@ -323,9 +324,7 @@ class SpectralMeasure:
 
     def atom_arrays(self):
         """Atom locations and masses as float arrays (possibly empty)."""
-        if not self.atoms:
-            return np.empty(0), np.empty(0)
-        arr = np.asarray(self.atoms, dtype=float)
+        arr = np.asarray(self.atoms, dtype=float).reshape(-1, 2)
         return arr[:, 0], arr[:, 1]
 
     @property
@@ -341,17 +340,94 @@ def g_eval(m: SpectralMeasure, x):
     """Cumulative mass G(x) of [0, x]; x may be a scalar or an array."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0) or np.any(x > PI + _PI_SLACK):
+    if not np.all((x >= 0.0) & (x <= PI + _PI_SLACK)):  # also rejects NaN
         raise DomainError("g_eval argument must lie in [0, pi]")
     x = np.minimum(x, PI)
-    out = np.full_like(x, m.atom_at_zero)
-    if m.atoms:
-        locs, masses = m.atom_arrays()
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        out += cum[np.searchsorted(locs, x, side="right")]
+    locs, masses = m.atom_arrays()
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    out = m.atom_at_zero + cum[np.searchsorted(locs, x, side="right")]
     for piece in m.density:
         out += piece.mass_upto(x)
     return float(out[0]) if scalar else out
+
+
+_ATOM_CELLS = 1 << 16  # (n x atoms) cells per block; bounds the temporaries
+
+
+def _atom_sums(ns, z, term):
+    """Per integer n in ns, the atoms' sum of ``term(z**n)`` (a double-double
+    pair of (rows, atoms) arrays), rounded once.  z holds exp(i t) for some
+    angle t per atom; its powers come from ``ddouble.cpow``, so no angle
+    n*t is ever rounded."""
+    try:
+        ns = np.asarray(ns, dtype=np.int64)
+    except OverflowError:
+        raise DomainError("atom sums need n < 2**63") from None
+    out = np.zeros(len(ns))
+    if not z.shape[1]:  # spares density measures the double-double work
+        return out
+    step = max(1, _ATOM_CELLS // z.shape[1])
+    for i0 in range(0, len(ns), step):
+        hi, lo = dd.total(np.stack(term(dd.cpow(z, ns[i0:i0 + step]))), axis=2)
+        out[i0:i0 + step] = hi + lo
+    return out
+
+
+def atom_cos_sums(m: SpectralMeasure, ks):
+    """``sum mass cos(k loc)`` over the atoms in (0, pi], per integer k:
+    the real parts of exp(i loc)**k, summed in double-double."""
+    locs, masses = m.atom_arrays()
+    mass = (masses, np.zeros_like(masses))
+    return _atom_sums(ks, dd.cis(locs), lambda p: dd.mul(p[0:2], mass))
+
+
+def atom_fejer_sums(m: SpectralMeasure, ns):
+    """``sum mass sin(n loc/2)**2 / sin(loc/2)**2`` over the atoms in (0, pi],
+    per integer n; sin(n loc/2) is the imaginary part of exp(i loc/2)**n.
+
+    Every term is positive, so the sum carries about 2**-100 relative error
+    before its one rounding: it is the correctly rounded value unless that
+    lies within 2**-100 of a tie or the sum nearly vanishes.
+    """
+    locs, masses = m.atom_arrays()
+    h = dd.cis(locs / 2.0)
+    w = dd.div((masses, np.zeros_like(masses)), dd.mul(h[2:4], h[2:4]))
+    return _atom_sums(ns, h, lambda p: dd.mul(dd.mul(p[2:4], p[2:4]), w))
+
+
+def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
+    """``sum_{|k|<n} (n-|k|) sum mass cos(k loc)`` over the atoms in (0, pi]:
+    their share of the triangular covariance sum, rounded once.
+
+    Per atom the lag sum is ``2 Re W - n`` with ``W = sum_{k<n} (n-k) z**k``
+    and z = exp(i loc), taken in double-double on the grid k = a*B + b
+    (b < B, B*B >= n): ``W = sum_a z**(aB) ((n - aB) U - V)`` with
+    ``U = sum_b z**b`` and ``V = sum_b b z**b``, the last row summing only
+    its first L = n - (A-1)B lags.  The powers come from repeated squaring,
+    so no cos(k loc) is ever rounded, and the cost is O(sqrt(n)) per atom.
+    The error before the one rounding is about 2**-100 * n**1.5 * mass, so
+    this equals ``atom_fejer_sums`` bit for bit unless the variance nearly
+    vanishes or lies within that of a tie.
+    """
+    locs, masses = m.atom_arrays()
+    if not len(locs):
+        return 0.0
+    B = 1 << ((n - 1).bit_length() + 1) // 2
+    A = -(-n // B)
+    L = n - (A - 1) * B
+    zb, zB = dd.cpowers(dd.cis(locs), B)
+    za, _ = dd.cpowers(zB, A)
+    bzb = dd.cscale(zb, np.arange(B, dtype=float)[:, None])
+    rows = dd.stack_add(dd.cscale(dd.total(zb)[:, None],
+                                  n - B * np.arange(A, dtype=float)[:, None]),
+                        -dd.total(bzb)[:, None])
+    rows[:, -1] = dd.stack_add(dd.cscale(dd.total(zb[:, :L]), np.float64(L)),
+                               -dd.total(bzb[:, :L]))
+    w = dd.total(dd.cmul(za, rows))
+    per_atom = dd.mul(dd.add((2.0 * w[0], 2.0 * w[1]), (-float(n), 0.0)),
+                      (masses, 0.0))
+    hi, lo = dd.total(np.stack(per_atom))
+    return float(hi + lo)
 
 
 def autocovariance(m: SpectralMeasure, k: int, tol: float = 1e-12) -> float:
@@ -360,18 +436,10 @@ def autocovariance(m: SpectralMeasure, k: int, tol: float = 1e-12) -> float:
     Folded form: ``r_k = atom_at_zero + sum cos(k loc) mass
     + int cos(k y) density(y) dy``; in particular r_0 is the total mass.
     """
-    if k != int(k) or k < 0:
-        raise DomainError(f"lag must be a nonnegative integer, got {k!r}")
-    k = int(k)
+    k = check_int(k, "lag", 0)
     if k == 0:
         return float(g_eval(m, PI))
-    total = m.atom_at_zero
-    if m.atoms:
-        locs, masses = m.atom_arrays()
-        # extended precision: the angle rounding of k*loc at double would
-        # otherwise be amplified by the weights of covariance sums
-        ld_cos = np.cos(np.longdouble(k) * locs.astype(np.longdouble))
-        total += float((masses.astype(np.longdouble) * ld_cos).sum())
+    total = m.atom_at_zero + float(atom_cos_sums(m, [k])[0])
     for piece in m.density:
         total += float(piece.cos_transform(np.array([k]), tol=tol)[0])
     return total
@@ -379,24 +447,13 @@ def autocovariance(m: SpectralMeasure, k: int, tol: float = 1e-12) -> float:
 
 def autocovariance_batch(m: SpectralMeasure, n: int, tol: float = 1e-12):
     """Array of r_0 .. r_{n-1} (vectorized over lags)."""
-    if n < 1:
-        raise DomainError(f"batch length must be >= 1, got {n}")
+    n = check_int(n, "batch length", 1)
     r = np.empty(n)
     r[0] = g_eval(m, PI)
     if n == 1:
         return r
     k = np.arange(1, n)
-    acc = np.full(n - 1, m.atom_at_zero)
-    if m.atoms:
-        # extended precision for the same reason as in autocovariance()
-        locs, masses = m.atom_arrays()
-        ld_locs = locs.astype(np.longdouble)
-        ld_masses = masses.astype(np.longdouble)
-        for i0 in range(0, n - 1, 32768):
-            kk = k[i0:i0 + 32768, None].astype(np.longdouble)
-            block = (np.cos(kk * ld_locs[None, :])
-                     * ld_masses[None, :]).sum(axis=1)
-            acc[i0:i0 + 32768] += np.asarray(block, dtype=float)
+    acc = m.atom_at_zero + atom_cos_sums(m, k)
     for piece in m.density:
         acc += piece.cos_transform(k, tol=tol)
     r[1:] = acc
@@ -411,10 +468,8 @@ def robinson_integral(m: SpectralMeasure) -> float:
     """
     if m.atom_at_zero > 0.0:
         return math.inf
-    total = 0.0
-    if m.atoms:
-        locs, masses = m.atom_arrays()
-        total += float((masses / locs ** 2).sum())
+    locs, masses = m.atom_arrays()
+    total = float((masses / locs ** 2).sum())
     for piece in m.density:
         part = piece.robinson_part()
         if math.isinf(part):

@@ -23,19 +23,37 @@ _PI_EXACT = Fraction(Decimal(
     "3.14159265358979323846264338327950288419716939937510"))
 
 
+def _reduce(x: Fraction, period: Fraction) -> float:
+    """x modulo period, to the nearest representative, as a float."""
+    return float(x - round(x / period) * period)
+
+
 def atomic_variance_oracle(m: SpectralMeasure, n: int) -> float:
     """Independent direct sum over atoms, no shared code with the package.
 
     Each n * loc / 2 is formed exactly as a fraction and reduced modulo pi
-    (the period of sin**2) against a 50-digit pi, so the sum keeps full
-    float accuracy for n far beyond 2**18.
+    (the period of sin**2) against a 50-digit pi, and the terms are added
+    with math.fsum, so the sum keeps full float accuracy for n far beyond
+    2**18.
     """
-    total = m.atom_at_zero * float(n) ** 2
+    terms = [m.atom_at_zero * float(n) ** 2]
     for loc, mass in m.atoms:
-        x = Fraction(n) * Fraction(loc) / 2
-        r = float(x - round(x / _PI_EXACT) * _PI_EXACT)
-        total += (math.sin(r) / math.sin(loc / 2.0)) ** 2 * mass
-    return total
+        r = _reduce(Fraction(n) * Fraction(loc) / 2, _PI_EXACT)
+        terms.append((math.sin(r) / math.sin(loc / 2.0)) ** 2 * mass)
+    return math.fsum(terms)
+
+
+def atomic_autocovariance_oracle(m: SpectralMeasure, k: int) -> float:
+    """Lag-k autocovariance of an atomic measure by an independent direct sum.
+
+    Each k * loc is formed exactly as a fraction and reduced modulo 2 pi
+    against the same 50-digit pi; the terms are added with math.fsum.
+    """
+    terms = [m.atom_at_zero]
+    for loc, mass in m.atoms:
+        r = _reduce(Fraction(k) * Fraction(loc), 2 * _PI_EXACT)
+        terms.append(math.cos(r) * mass)
+    return math.fsum(terms)
 
 
 def covariance_variance_oracle(r: np.ndarray, n: int) -> float:

@@ -1,0 +1,53 @@
+"""Integer and NaN arguments on the library path raise DomainError.
+
+Every integer argument goes through one validator, so NaN, +-inf and
+non-integral values fail the same way wherever they enter.
+"""
+
+import math
+
+import pytest
+
+from specvar import (DomainError, autocovariance, autocovariance_batch,
+                     empirical_variance, fejer_kernel, g_eval, gamma_fit,
+                     nonergodic, quadratic, sandwich, simulate,
+                     variance_covariance, variance_profile, variance_spectral,
+                     white_noise)
+
+NAN, INF = math.nan, math.inf
+BAD_INTEGERS = [NAN, INF, -INF, 2.5]
+
+_M = nonergodic()
+
+INTEGER_ARGS = {
+    "variance_spectral": lambda v: variance_spectral(_M, v),
+    "variance_covariance": lambda v: variance_covariance(_M, v),
+    "variance_profile": lambda v: variance_profile(_M, v),
+    "sandwich": lambda v: sandwich(_M, v),
+    "fejer_kernel": lambda v: fejer_kernel(v, 0.5),
+    "autocovariance": lambda v: autocovariance(_M, v),
+    "autocovariance_batch": lambda v: autocovariance_batch(_M, v),
+    "simulate N": lambda v: simulate(white_noise(), N=v, P=2, seed=1),
+    "simulate P": lambda v: simulate(white_noise(), N=8, P=v, seed=1),
+    "empirical_variance": lambda v: empirical_variance(
+        simulate(white_noise(), N=8, P=2, seed=1), v),
+    "gamma_fit n": lambda v: gamma_fit([(v, 1.0), (4, 2.0), (8, 3.0)]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("call", sorted(INTEGER_ARGS))
+def test_integer_argument_rejected(call, bad):
+    with pytest.raises(DomainError, match="integer"):
+        INTEGER_ARGS[call](bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fejer_kernel(8, NAN),
+    lambda: g_eval(quadratic(), NAN),
+    lambda: g_eval(nonergodic(), NAN),
+    lambda: g_eval(nonergodic(), [0.5, NAN]),
+], ids=["fejer_kernel", "g_eval density", "g_eval atoms", "g_eval array"])
+def test_nan_point_rejected(call):
+    with pytest.raises(DomainError):
+        call()

@@ -97,6 +97,16 @@ def test_estimate_roundtrip(tmp_path):
     assert result["K0_hat"] == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_estimate_nonfinite_variance_exits_1(tmp_path, bad):
+    # used to print {"K0_hat": NaN, ...}, which is not JSON, and exit 0
+    csv_path = tmp_path / "scan.csv"
+    csv_path.write_text(f"n,variance\n2,{bad}\n4,2.0\n8,4.0\n")
+    rc, out, err = run_cli(["estimate", "--input", str(csv_path)])
+    assert rc == 1 and out == ""
+    assert "finite" in err
+
+
 def test_measure_file_loading(tmp_path):
     path = tmp_path / "measure.json"
     path.write_text(measure_to_json(quadratic()))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import atomic_variance_oracle, covariance_variance_oracle, scale_measure
-from specvar import (DomainError, SpectralMeasure,
-                     autocovariance_batch, fejer_kernel, power_law, quadratic,
-                     sandwich, variance_covariance, variance_profile,
-                     variance_spectral, white_noise, with_origin_atom)
+from conftest import (atomic_autocovariance_oracle, atomic_variance_oracle,
+                      covariance_variance_oracle, scale_measure)
+from specvar import (DomainError, SpectralMeasure, autocovariance,
+                     autocovariance_batch, counterexample, fejer_kernel,
+                     nonergodic, power_law, quadratic, sandwich,
+                     variance_covariance, variance_profile, variance_spectral,
+                     white_noise, with_origin_atom)
 from specvar.fejer_variance import KERNEL_QUAD_MAX_N, _piece_variance_covariance, _piece_variance_quad
 
 PI = math.pi
@@ -110,6 +112,65 @@ def test_variance_atomic_against_independent_oracle(gallery_measures):
         for n in (1, 2, 37, 1024):
             assert variance_spectral(m, n) == pytest.approx(
                 atomic_variance_oracle(m, n), rel=1e-11, abs=1e-11)
+
+
+ATOMIC = {"counterexample": counterexample(), "nonergodic": nonergodic(),
+          "nonergodic+origin": with_origin_atom(nonergodic(), 0.3)}
+
+
+@pytest.mark.parametrize("name", sorted(ATOMIC))
+def test_atom_sums_exact_to_2_26(name):
+    # seeded n up to 2**26, every power of two (where the nonergodic atoms
+    # cancel) and the C6b alternating-bit witnesses; the oracles reduce the
+    # angle exactly, so only float64 rounding of the terms is left
+    m = ATOMIC[name]
+    rng = np.random.default_rng(20261018)
+    ns = sorted({*rng.integers(1, 2 ** 26, size=100, endpoint=True).tolist(),
+                 *(2 ** j for j in range(27)), 11184810, 44739242})
+    mass = m.atom_at_zero + sum(v for _, v in m.atoms)
+    for n in ns:
+        var = atomic_variance_oracle(m, n)
+        assert abs(variance_spectral(m, n) - var) <= 2e-15 * var, n
+        assert abs(autocovariance(m, n)
+                   - atomic_autocovariance_oracle(m, n)) <= 1e-15 * mass, n
+
+
+def test_atom_sums_exact_beyond_float_n():
+    # n and the lag stay exact integers, also above 2**53
+    m = ATOMIC["nonergodic+origin"]
+    mass = m.atom_at_zero + sum(v for _, v in m.atoms)
+    for n in (2 ** 53 + 1, 3 ** 38, 2 ** 63 - 1):
+        var = atomic_variance_oracle(m, n)
+        assert abs(variance_spectral(m, n) - var) <= 2e-15 * var, n
+        assert abs(autocovariance(m, n)
+                   - atomic_autocovariance_oracle(m, n)) <= 1e-15 * mass, n
+    for f in (variance_spectral, autocovariance):
+        with pytest.raises(DomainError):
+            f(m, 2 ** 63)
+
+
+@pytest.mark.parametrize("name", sorted(ATOMIC))
+def test_atom_routes_agree_exactly(name):
+    # both routes round the atom sum once from double-double, so the
+    # covariance oracle returns the spectral value bit for bit
+    m = ATOMIC[name]
+    rng = np.random.default_rng(11)
+    ns = sorted({1, 2, 3, 16, 17, 2 ** 14, 2 ** 16 - 1, 2 ** 18,
+                 *rng.integers(1, 2 ** 18, size=20).tolist()})
+    for n in ns:
+        assert variance_covariance(m, n) == variance_spectral(m, n), n
+
+
+@pytest.mark.parametrize("name", sorted(ATOMIC))
+def test_atom_profile_rows_equal_pointwise(name):
+    # both are rounded once from double-double: rows agree exactly, across
+    # kernel blocks too
+    m = ATOMIC[name]
+    prof = variance_profile(m, 2 ** 16)
+    rng = np.random.default_rng(7)
+    picks = rng.integers(1, 2 ** 16, size=60, endpoint=True).tolist()
+    for n in (1, 2, 3, 32767, 32768, 32769, 2 ** 16, *picks):
+        assert prof[n - 1] == variance_spectral(m, n), n
 
 
 def test_variance_density_against_independent_sum():

@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from specvar import specfun
 from specvar.errors import DomainError
 from specvar.quadrature import integrate
-from specvar.specfun import (cos_power_moment, gamma_fn, sin_sq_moment,
-                             trig_power_moments)
+from specvar.specfun import gamma_fn, sin_sq_moment, trig_power_moments
 
 # thirty reference points across the range the package actually uses
 _GAMMA_GRID = np.linspace(0.05, 3.0, 30)
@@ -114,7 +113,7 @@ def test_trig_moments_domain():
     with pytest.raises(DomainError):
         trig_power_moments(-1.0, np.array([1.0]))
     with pytest.raises(DomainError):
-        cos_power_moment(0.5, np.array([-2.0]))
+        trig_power_moments(0.5, np.array([-2.0]))
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 1.75])

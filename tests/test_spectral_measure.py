@@ -12,7 +12,8 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      ValidationError, autocovariance, autocovariance_batch,
                      counterexample, g_eval, measure_from_dict,
                      measure_from_json, measure_to_dict, measure_to_json,
-                     power_law, quadratic, robinson_integral, white_noise)
+                     nonergodic, power_law, quadratic, robinson_integral,
+                     white_noise, with_origin_atom)
 
 PI = math.pi
 
@@ -219,6 +220,13 @@ def test_autocovariance_batch_matches_scalar():
     r = autocovariance_batch(m, 80)
     for k in (0, 1, 2, 40, 79):
         assert r[k] == pytest.approx(autocovariance(m, k), abs=1e-12)
+    # atoms: both are rounded once from double-double, so the values agree
+    # exactly, also across the kernel's blocks of lags
+    for m in (counterexample(), nonergodic(),
+              with_origin_atom(nonergodic(), 0.3)):
+        r = autocovariance_batch(m, 40000)
+        for k in (0, 1, 2, 40, 79, 32767, 32768, 32769, 39999):
+            assert r[k] == autocovariance(m, k), k
 
 
 def test_autocovariance_bounded_by_r0(gallery_measures):
