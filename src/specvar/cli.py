@@ -184,6 +184,7 @@ def _cmd_simulate(args, out):
         "seed": batch.seed,
         "method": batch.method,
         "embedding_min_eigenvalue": batch.embedding_min_eigenvalue,
+        "jitter": batch.jitter,
         "checks": [],
     }
     if args.check_n:

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from conftest import run_cli
-from specvar import ScanReport, measure_to_json, quadratic
+from specvar import (ScanReport, SpectralMeasure, TableDensity,
+                     measure_to_json, quadratic)
 
 PI = math.pi
 
@@ -132,6 +133,7 @@ def test_simulate_json_and_csv(tmp_path):
     assert rc == 0
     report = json.loads(out)
     assert report["method"] == "circulant"
+    assert report["jitter"] == 0.0
     assert report["paths"] == 5 and report["N"] == 64
     check = report["checks"][0]
     assert check["n"] == 16
@@ -163,8 +165,13 @@ def test_exit_code_io_error():
     assert rc == 3
 
 
-def test_exit_code_numeric_error():
-    rc, _, err = run_cli(["simulate", "--measure", "gallery:counterexample",
+def test_exit_code_numeric_error(tmp_path):
+    # a flat density on (0, 0.3] has an indefinite circulant embedding, and
+    # N = 8192 is beyond the dense fallback
+    path = tmp_path / "flat.json"
+    path.write_text(measure_to_json(SpectralMeasure(
+        density=(TableDensity((0.0, 0.3), (1.0, 1.0)),))))
+    rc, _, err = run_cli(["simulate", "--measure", f"file:{path}",
                           "--N", "8192", "--paths", "1", "--seed", "1"])
     assert rc == 2
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from specvar import (DomainError, NumericError, SpectralMeasure,
-                     autocovariance, counterexample, empirical_variance,
-                     quadratic, simulate, variance_spectral, white_noise,
+                     TableDensity, autocovariance, counterexample,
+                     empirical_variance, nonergodic, power_law, quadratic,
+                     simulate, variance_spectral, white_noise,
                      with_origin_atom)
+from specvar.simulate import _embedding_length
 
 PI = math.pi
+# flat density on (0, 0.3]: its circulant embedding is indefinite at every N
+# used here (min eigenvalue -0.87 r0 at N = 512, -0.47 r0 at 8192)
+FLAT = SpectralMeasure(density=(TableDensity((0.0, 0.3), (1.0, 1.0)),))
+MIXED = with_origin_atom(
+    SpectralMeasure(atoms=((1.0, 0.5), (PI, 0.25)),
+                    density=quadratic().density), 0.3)
 
 
 def test_bit_exact_reproducibility():
@@ -60,13 +68,82 @@ def test_empirical_matches_spectral_quadratic():
     assert abs(est - variance_spectral(m, 256)) <= 4.0 * se
 
 
-def test_counterexample_uses_dense_fallback():
+def test_counterexample_uses_harmonics():
     m = counterexample()
     batch = simulate(m, N=512, P=50, seed=17)
-    assert batch.method == "cholesky"
+    assert batch.method == "harmonic"
     assert batch.embedding_min_eigenvalue is None
+    assert batch.jitter == 0.0
     est, se = empirical_variance(batch, 64)
     assert abs(est - variance_spectral(m, 64)) <= 4.0 * se
+
+
+def test_indefinite_density_uses_dense_fallback():
+    batch = simulate(FLAT, N=512, P=50, seed=17)
+    assert batch.method == "cholesky"
+    assert batch.embedding_min_eigenvalue < 0.0
+    # the density's Toeplitz matrix is singular to working precision, and
+    # the diagonal jitter that lets it factor is reported
+    assert 0.0 < batch.jitter <= 1e-8 * FLAT.total_mass
+    est, se = empirical_variance(batch, 64)
+    assert abs(est - variance_spectral(FLAT, 64)) <= 4.0 * se
+
+
+def test_embedding_length_is_fast():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(1, 16)
+                    for b in range(10) for c in range(7))
+    for N in range(1, 5000):
+        want = next(M for M in smooth if M >= max(2, 2 * (N - 1)))
+        assert _embedding_length(N) == want
+    assert _embedding_length(4096) == 8192
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 1000, 4096, 4097])
+def test_gallery_densities_stay_circulant(N):
+    for m in (white_noise(), quadratic(), power_law(0.25), power_law(0.5),
+              power_law(1.0), power_law(1.5), power_law(1.75)):
+        batch = simulate(m, N=N, P=1, seed=1)
+        assert batch.method == "circulant"
+        assert batch.jitter == 0.0
+
+
+@pytest.mark.parametrize("m", [counterexample(), quadratic(), MIXED],
+                         ids=["atomic", "density", "mixed"])
+def test_paths_do_not_depend_on_batch_size(m):
+    full = simulate(m, N=300, P=8, seed=2718).paths
+    for P in (1, 5):
+        assert np.array_equal(simulate(m, N=300, P=P, seed=2718).paths,
+                              full[:P])
+
+
+@pytest.mark.parametrize("m", [counterexample(), quadratic(), MIXED],
+                         ids=["atomic", "density", "mixed"])
+def test_pair_paths_independent(m):
+    # paths 2q and 2q+1 share a stream (and for densities one complex FFT
+    # row); their sums must still be uncorrelated
+    batch = simulate(m, N=64, P=4000, seed=4242)
+    s = batch.paths.sum(axis=1)
+    corr = np.corrcoef(s[0::2], s[1::2])[0, 1]
+    assert abs(corr) <= 4.0 / math.sqrt(2000)
+
+
+def test_nonergodic_long_paths_covariances():
+    m = nonergodic()
+    N = 8192
+    batch = simulate(m, N=N, P=400, seed=8192)
+    assert batch.method == "harmonic"
+    for lag in range(0, 9):
+        per_path = (batch.paths[:, : N - lag] * batch.paths[:, lag:]).mean(axis=1)
+        se = per_path.std(ddof=1) / math.sqrt(batch.n_paths)
+        assert abs(per_path.mean() - autocovariance(m, lag)) <= 5.0 * se
+
+
+def test_mixed_measure_variance():
+    batch = simulate(MIXED, N=1024, P=2000, seed=5150)
+    assert batch.method == "circulant"
+    for n in (16, 1024):
+        est, se = empirical_variance(batch, n)
+        assert abs(est - variance_spectral(MIXED, n)) <= 4.0 * se
 
 
 def test_origin_atom_random_level():
@@ -105,11 +182,11 @@ def test_simulate_domain():
 
 
 def test_indefinite_embedding_large_n_raises():
-    # the staircase measure has an indefinite embedding; beyond the dense
-    # fallback limit this must surface as a numeric error telling the caller
-    # to reduce N
+    # the flat density has an indefinite embedding at N = 8192 (min
+    # eigenvalue -0.47 r0); beyond the dense fallback limit this must
+    # surface as a numeric error telling the caller to reduce N
     with pytest.raises(NumericError):
-        simulate(counterexample(), N=8192, P=1, seed=1)
+        simulate(FLAT, N=8192, P=1, seed=1)
 
 
 def test_path_length_one():
