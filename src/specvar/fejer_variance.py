@@ -2,12 +2,21 @@
 
 The spectral route integrates the Fejer kernel ``I_n(y) = sin(ny/2)**2 /
 sin(y/2)**2`` against the folded measure:  ``Var(S_n) = int_[0,pi] I_n dG``.
-Atoms are summed in double-double and rounded once; density pieces are
-integrated with panels seeded at the kernel's oscillation zeros.  The
-covariance route assembles the same quantity from autocovariances,
+Atoms are summed in double-double and rounded once.  A density piece is
+integrated in two parts, at a cost of O(log n) for every n < 2**63: its
+head, the part of (0, 32 pi/n], on Gauss-Kronrod panels over the half-arcs
+of I_n (with a Gauss-Jacobi rule at a singular origin), and its tail on
+dyadic panels [a, 2a] (broken at a table's grid points) by Filon-Clenshaw-
+Curtis: with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the smooth factor
+``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points per
+panel and ``g cos(ny)`` is integrated through the modified moments
+``int T_j(x) exp(i omega x) dx`` (QUADPACK QAWO's method; Piessens et al.
+1983, error bounds in Dominguez, Graham & Smyshlyaev 2011).
+
+The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
-cross-check; on atoms it sums the lags per atom, also in double-double, so
-the two routes return the same float there.
+cross-check at every n; on atoms it sums the lags per atom, also in
+double-double, so the two routes return the same float there.
 
 ``sandwich`` evaluates the two-sided bracket
 
@@ -24,14 +33,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_int
-from .quadrature import integrate
-from .spectral_measure import (PI, OpaqueDensity, SpectralMeasure,
-                               atom_covariance_sums, atom_fejer_sums, g_eval)
+from .errors import DomainError, NumericError, ValidationError, check_int
+from .quadrature import _ROUNDOFF, integrate
+from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
+                               atom_fejer_sums, g_eval)
 
-# beyond this the density contribution switches from kernel quadrature to the
-# closed-form covariance route (cost control at very large n)
+# no longer read here; the benchmark workloads (perfbench/workloads.py)
+# still import it
 KERNEL_QUAD_MAX_N = 2 ** 14
+
+# A density piece's part of (0, _HEAD_ARCS pi/n] is integrated over the
+# half-arcs of I_n (the head), the rest on dyadic Chebyshev panels (the tail)
+_HEAD_ARCS = 32
+
+
+def _chebyshev_rule(deg: int):
+    """The points x_k = cos(k pi/deg) of [-1, 1], the DCT-I matrix that takes
+    values there to Chebyshev coefficients (``values @ dct.T``), and the
+    Clenshaw-Curtis weights on the coefficients, int T_j = 2/(1 - j**2)."""
+    k = np.arange(deg + 1)
+    dct = np.cos(np.pi * np.outer(k, k) / deg) * (2.0 / deg)
+    dct[:, [0, deg]] *= 0.5
+    dct[[0, deg]] *= 0.5
+    cc = np.zeros(deg + 1)
+    cc[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
+    return np.cos(np.pi * k / deg), dct, cc
+
+
+# a tail panel interpolates g at 25 Chebyshev points
+_DEG = 24
+_CHEB_X, _DCT, _CC = _chebyshev_rule(_DEG)
+# the forward moment recurrence is stable from this frequency on; below it
+# the moments come from a 129-point Clenshaw-Curtis rule, exact to rounding
+# on T_j(x) exp(i omega x) there
+_RECURRENCE_MIN_OMEGA = 24.0
+_FINE_X, _dct, _cc = _chebyshev_rule(128)
+_FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
+           * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
+# a tail panel that fails its estimate is integrated over its half-arcs,
+# unless it has more than this many (the memory they need grows with n)
+_FALLBACK_MAX_ARCS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -96,10 +137,89 @@ def _kernel_breakpoints(n: int, lo: float, hi: float) -> np.ndarray:
     return np.arange(j0, j1 + 1) * (PI / n)
 
 
-def _piece_variance_quad(piece, n: int, tol: float) -> float:
-    points = _kernel_breakpoints(n, piece.lo, piece.hi)
-    return piece.integrate_against(lambda y: _kernel_raw(n, y), points=points,
-                                   tol=tol, max_panels=4 * n + 64)
+def _cheb_moments(omega):
+    """``int_{-1}^1 T_j(x) exp(i omega x) dx`` for j = 0 .. _DEG, one row per
+    omega >= 0 (Piessens & Branders' forward recurrence)."""
+    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
+    small = omega < _RECURRENCE_MIN_OMEGA
+    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
+    w = omega[~small]
+    s, c = np.sin(w), np.cos(w)
+    m = mu[~small]
+    m[:, 0] = 2.0 * s / w
+    m[:, 1] = 2j * (s - w * c) / w ** 2
+    m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
+    # exp(i w) - (-1)**j exp(-i w) is 2i sin w for even j, 2 cos w for odd j
+    edge = (2j * s, 2.0 * c)
+    for j in range(2, _DEG):
+        m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
+                       + ((j + 1) / (j - 1)) * m[:, j - 1]
+                       + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
+    mu[~small] = m
+    return mu
+
+
+def _tail_edges(piece, start):
+    """Dyadic panel edges start, 2 start, 4 start, .. up to piece.hi, broken
+    at a table's grid points."""
+    doublings = math.ceil(math.log2(piece.hi / start))
+    edges = start * 2.0 ** np.arange(doublings + 1)
+    knots = np.asarray(getattr(piece, "ys", ()), dtype=float)
+    inner = np.concatenate([edges, knots[knots > start]])
+    return np.unique(np.append(inner[inner < piece.hi], piece.hi))
+
+
+def _piece_tail(piece, n: int, start: float, tol: float) -> float:
+    """``int_start^hi density I_n`` by Filon-Clenshaw-Curtis on dyadic panels.
+
+    With ``g = density / (2 sin(y/2)**2)`` the integrand is
+    ``g (1 - cos ny)``.  On each panel g is interpolated at 25 Chebyshev
+    points; ``int g`` takes Clenshaw-Curtis weights and ``int g cos(ny)``
+    the modified moments at omega = n h (h the half-width), so a panel costs
+    the same at any n.  The phase n c of the panel centre c is a plain float
+    product: its error eps n c multiplies an oscillatory part of size
+    g(c)/n.  A panel whose Chebyshev tail (|c_23| + |c_24|) h misses its
+    share of the tolerance is integrated over its half-arcs instead.
+    """
+    edges = _tail_edges(piece, start)
+    a, b = edges[:-1], edges[1:]
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    y = c[:, None] + h[:, None] * _CHEB_X
+    f = piece.formula(y.ravel()).reshape(y.shape)
+    g = f / (2.0 * np.sin(0.5 * y) ** 2)
+    coef = g @ _DCT.T
+    flat = h * (coef @ _CC)
+    osc = h * (np.exp(1j * (float(n) * c))
+               * (coef * _cheb_moments(float(n) * h)).sum(axis=1)).real
+    value = flat - osc
+    est = h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+    share = np.maximum(tol / len(a), _ROUNDOFF * np.abs(flat))
+    for i in np.nonzero(~(est <= share))[0]:  # NaN estimates fail too
+        arcs = _kernel_breakpoints(n, a[i], b[i])
+        if len(arcs) > _FALLBACK_MAX_ARCS:
+            raise NumericError(
+                f"density not smooth on [{a[i]}, {b[i]}] and too many "
+                f"half-arcs of I_n there to integrate them at n={n}",
+                achieved=float(est[i]))
+        value[i] = integrate(lambda t: piece.formula(t) * _kernel_raw(n, t),
+                             a[i], b[i], points=arcs, tol=float(share[i]),
+                             max_panels=4 * len(arcs) + 64)[0]
+    return float(value.sum())
+
+
+def _piece_variance(piece, n: int, tol: float) -> float:
+    """``int density I_n`` for one density piece: head plus tail."""
+    cut = _HEAD_ARCS * PI / n
+    total = 0.0
+    if piece.lo < cut:
+        hi = min(cut, piece.hi)
+        total += piece.integrate_against(
+            lambda y: _kernel_raw(n, y),
+            points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * tol,
+            max_panels=4 * _HEAD_ARCS + 64, hi=hi)
+    if piece.hi > cut:
+        total += _piece_tail(piece, n, max(cut, piece.lo), 0.5 * tol)
+    return total
 
 
 def _piece_variance_covariance(piece, n: int, tol: float) -> float:
@@ -112,22 +232,20 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     """Var(S_n) by integrating the Fejer kernel against the measure.
 
     Any origin atom contributes ``atom_at_zero * n**2`` and atoms in (0, pi]
-    contribute ``I_n(loc) * mass`` exactly.  Density pieces use oscillation-
-    aware quadrature up to n = 2**14; beyond that their contribution is
-    assembled from closed-form cosine transforms instead.  That is cheaper
-    but not tighter: against the quadratic measure's closed form the
-    relative error grows from about 3e-15 at n = 2**14 to 1.9e-11 at
-    n = 2**14 + 1.
+    contribute ``I_n(loc) * mass`` exactly.  A density piece's part of
+    (0, 32 pi/n] is integrated with Gauss-Kronrod panels on the half-arcs of
+    I_n, the rest with Filon-Clenshaw-Curtis panels on dyadic intervals, so
+    its cost is O(log n) and no array grows with n, for every n < 2**63.
+    Against exact references (white noise, the quadratic measure) the
+    relative error stays below 1e-15 from n = 1 to 2**62.  A tail panel
+    on which the density is not smooth enough for its Chebyshev estimate
+    is integrated over the half-arcs of I_n instead; NumericError when
+    that fails or needs more than 2**18 of them.
     """
     n = check_int(n, "n", 1)
     total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, [n])[0])
     for piece in m.density:
-        # opaque pieces have no cheap cosine transform, so they always take
-        # the quadrature route
-        if n <= KERNEL_QUAD_MAX_N or isinstance(piece, OpaqueDensity):
-            total += _piece_variance_quad(piece, n, tol)
-        else:
-            total += _piece_variance_covariance(piece, n, tol)
+        total += _piece_variance(piece, n, tol)
     return total
 
 
@@ -137,7 +255,10 @@ def variance_covariance(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     Every term is a covariance: the origin atom's are constant, so its lags
     sum to ``atom_at_zero * n**2``; the other atoms' lags are summed per atom
     in double-double (``atom_covariance_sums``); each density piece sums its
-    cosine transforms.
+    cosine transforms.  A density's sum is ill-conditioned: n r_0 cancels
+    down to Var(S_n) (to about 4 ln n on the quadratic measure), so even
+    with exact c_k its relative error grows like n/ln n times their
+    rounding, and it costs O(n).
     """
     n = check_int(n, "n", 1)
     total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)
@@ -146,12 +267,26 @@ def variance_covariance(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     return total
 
 
+def _blocked_cumsum(x, block: int = 512):
+    """Cumulative sum of x, summed within blocks and then across them: a
+    long run of tiny alternating terms is not added one by one to a large
+    running total, whose rounding would drift."""
+    rows = np.concatenate([x, np.zeros(-len(x) % block)]).reshape(-1, block)
+    np.cumsum(rows, axis=1, out=rows)
+    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return rows.ravel()[:len(x)]
+
+
 def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
     """Array of Var(S_n) for n = 1 .. n_max in one vectorized pass.
 
     Atoms are evaluated against the kernel exactly; the density part uses the
     covariance identity with cumulative sums, which yields the entire profile
-    in O(n_max) after one batch of cosine transforms.
+    in O(n_max) after one batch of cosine transforms.  Its conditioning is
+    that of ``variance_covariance``: n r_0 cancels down to Var(S_n), so even
+    with exact c_k the relative error of a density row grows like n/ln n
+    times the c_k's rounding (a few 1e-10 at n = 2**18 on the quadratic
+    measure).
     """
     n_max = check_int(n_max, "n_max", 1)
     n = np.arange(1, n_max + 1, dtype=float)
@@ -162,8 +297,9 @@ def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
             continue
         k = np.arange(1, n_max)
         c = piece.cos_transform(k, tol=min(tol, 1e-12))
-        s1 = np.concatenate([[0.0], np.cumsum(c)])          # sum_{k<=j} c_k
-        s2c = np.concatenate([[0.0], np.cumsum(k * c)])     # sum_{k<=j} k c_k
+        # s1[j] = sum_{k<=j} c_k and s2c[j] = sum_{k<=j} k c_k
+        s1 = np.concatenate([[0.0], _blocked_cumsum(c)])
+        s2c = np.concatenate([[0.0], _blocked_cumsum(k * c)])
         out += n * piece.mass + 2.0 * (n * s1[:n_max] - s2c[:n_max])
     return out
 

@@ -21,31 +21,42 @@ from scipy.special import roots_jacobi
 
 from .errors import DomainError, NumericError
 
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1].  The 7-point Gauss
-# weights are zero-padded onto the Kronrod nodes so both rules share one
-# function evaluation batch.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1], QUADPACK qk15's
+# 33-digit values (float64 rounds each once).  The 7-point Gauss weights are
+# zero-padded onto the Kronrod nodes so both rules share one function
+# evaluation batch.
+_XK_HALF = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
 ])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+_WK_HALF = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
 ])
-_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277,
-    0.0, 0.381830050505119, 0.0, 0.417959183673469,
-    0.0, 0.381830050505119, 0.0, 0.279705391489277,
-    0.0, 0.129484966168870, 0.0,
+_WK_MID = 0.209482141084727828012999174891714
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
 ])
+_WG_MID = 0.417959183673469387755102040816327
+
+_XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
+_WK = np.concatenate([_WK_HALF, [_WK_MID], _WK_HALF[::-1]])
+_WG = np.zeros(15)
+_WG[1:7:2] = _WG_HALF
+_WG[7] = _WG_MID
+_WG[9:15:2] = _WG_HALF[::-1]
 
 # relative roundoff floor of a quadrature sum: no estimate is asked to go
 # below it, for the total or for a single panel

@@ -6,6 +6,7 @@
   analogue, evaluated by direct quadrature for small ``x`` and by
   constant-minus-asymptotic-tail for large ``x``.  These give closed-form
   cosine transforms of power-law densities for arbitrarily large frequency,
+* sin and cos of an angle given as a TwoProduct pair (``sin_cos``),
 * the improper integral ``int_0^inf sin(y)**2 / y**(1+gamma) dy``.
 """
 
@@ -53,14 +54,21 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * ser
 
 
-def _tail_pair(q: float, x: np.ndarray):
-    """``int_x^inf u**q {cos,sin}(u) du`` for scalar q < 0 and large x.
+def sin_cos(x, x_lo=0.0):
+    """sin and cos of the angle x + x_lo, with |x_lo| at most an ulp of x
+    (a TwoProduct pair), to first order in x_lo."""
+    sx, cx = np.sin(x), np.cos(x)
+    return sx + x_lo * cx, cx - x_lo * sx
+
+
+def _tail_pair(q: float, x: np.ndarray, sx, cx):
+    """``int_x^inf u**q {cos,sin}(u) du`` for scalar q < 0 and large x,
+    given sx = sin x and cx = cos x.
 
     Repeated integration by parts; terms shrink like (|q|+2i)/x per step, so
     for x >= _ASYMPTOTIC_CUT and |q| <= 3 the series bottoms out well below
     1e-16 absolute.
     """
-    sx, cx = np.sin(x), np.cos(x)
     tc = np.zeros_like(x)
     ts = np.zeros_like(x)
     coef = 1.0
@@ -93,10 +101,14 @@ def _base_pair_small(mu: float, x: float):
     return c, s
 
 
-def trig_power_moments(p: float, x):
+def trig_power_moments(p: float, x, x_lo=0.0):
     """``(int_0^x u**p cos u du, int_0^x u**p sin u du)`` for p > -1.
 
     ``x`` may be an array; both moments are returned with matching shape.
+    The endpoint is ``x + x_lo`` when the low part ``x_lo`` of a TwoProduct
+    pair is given: sines and cosines then take the exact angle, which keeps
+    the moments' absolute error near 1e-16 relative to x**p even where x is
+    large.
     """
     p = float(p)
     if not p > -1.0:
@@ -110,14 +122,15 @@ def trig_power_moments(p: float, x):
     c = np.zeros_like(x)
     s = np.zeros_like(x)
     pos = x > 0.0
+    sx, cx = sin_cos(x, x_lo)
     if mu == 0.0:
-        c[pos] = np.sin(x[pos])
-        s[pos] = 1.0 - np.cos(x[pos])
+        c[pos] = sx[pos]
+        s[pos] = 1.0 - cx[pos]
     else:
         big = pos & (x >= _ASYMPTOTIC_CUT)
         small = pos & ~big
         if big.any():
-            tc, ts = _tail_pair(mu, x[big])
+            tc, ts = _tail_pair(mu, x[big], sx[big], cx[big])
             gam = gamma_fn(mu + 1.0)
             c[big] = gam * math.cos(math.pi * (mu + 1.0) / 2.0) - tc
             s[big] = gam * math.sin(math.pi * (mu + 1.0) / 2.0) - ts
@@ -126,7 +139,6 @@ def trig_power_moments(p: float, x):
 
     # raise the exponent back up from mu to p
     q = mu
-    sx, cx = np.sin(x), np.cos(x)
     for _ in range(d):
         q += 1.0
         xq = np.where(pos, x, 1.0) ** q
@@ -160,6 +172,7 @@ def sin_sq_moment(gamma: float) -> float:
                        edges[0], edges[-1], points=edges[1:-1], tol=1e-13)
     y_cut = float(edges[-1])
     tail_mean = y_cut ** (-gamma) / (2.0 * gamma)
-    tc, _ = _tail_pair(-1.0 - gamma, np.array([2.0 * y_cut]))
+    x_cut = np.array([2.0 * y_cut])
+    tc, _ = _tail_pair(-1.0 - gamma, x_cut, *sin_cos(x_cut))
     tail_osc = 0.5 * 2.0 ** gamma * float(tc[0])
     return head + mid + tail_mean - tail_osc

@@ -30,7 +30,7 @@ import numpy as np
 from . import ddouble as dd
 from .errors import DomainError, SerializationError, ValidationError, check_int
 from .quadrature import integrate
-from .specfun import trig_power_moments
+from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
 _PI_SLACK = 1e-12  # how far beyond float pi interval bounds may stray
@@ -81,7 +81,7 @@ class PowerDensity:
         y = np.asarray(y, dtype=float)
         inside = (y > self.lo) & (y <= self.hi)
         out = np.zeros_like(y)
-        out[inside] = self.coef * y[inside] ** self.exponent
+        out[inside] = self.formula(y[inside])
         return out
 
     def mass_upto(self, x):
@@ -99,21 +99,28 @@ class PowerDensity:
         """``int cos(k y) * density(y) dy`` for an array of integers k >= 1."""
         k = np.asarray(k, dtype=float)
         p = self.exponent
-        hi_m, _ = trig_power_moments(p, k * self.hi)
+        hi_m, _ = trig_power_moments(p, *dd.two_prod(k, self.hi))
         if self.lo > 0.0:
-            lo_m, _ = trig_power_moments(p, k * self.lo)
+            lo_m, _ = trig_power_moments(p, *dd.two_prod(k, self.lo))
         else:
             lo_m = 0.0
         return self.coef * k ** (-(p + 1.0)) * (hi_m - lo_m)
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000):
-        """``int density(y) * g(y) dy`` for smooth (piecewise) vectorized g."""
+    def formula(self, y):
+        """The density at y in [lo, hi], both ends included."""
+        return self.coef * np.asarray(y, dtype=float) ** self.exponent
+
+    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
+                          hi=None):
+        """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
+        support) for smooth (piecewise) vectorized g."""
         p = self.exponent
+        hi = self.hi if hi is None else hi
         if self.lo == 0.0 and p != 0.0 and not p.is_integer():
-            return integrate(lambda y: self.coef * g(y), 0.0, self.hi,
+            return integrate(lambda y: self.coef * g(y), 0.0, hi,
                              points=points, tol=tol, edge_beta=p,
                              max_panels=max_panels)[0]
-        return integrate(lambda y: self.coef * y ** p * g(y), self.lo, self.hi,
+        return integrate(lambda y: self.formula(y) * g(y), self.lo, hi,
                          points=points, tol=tol, max_panels=max_panels)[0]
 
     def robinson_part(self) -> float:
@@ -165,9 +172,8 @@ class TableDensity:
 
     def eval(self, y):
         y = np.asarray(y, dtype=float)
-        ys, vals = self._arrays()
-        out = np.interp(y, ys, vals)
-        out[(y < ys[0]) | (y > ys[-1])] = 0.0
+        out = self.formula(y)
+        out[(y < self.ys[0]) | (y > self.ys[-1])] = 0.0
         return out
 
     def mass_upto(self, x):
@@ -196,16 +202,24 @@ class TableDensity:
         s = (fb - fa) / (b - a)
         for i0 in range(0, len(k), 8192):
             kk = k[i0:i0 + 8192, None]
-            term = (fb[None, :] * np.sin(kk * b[None, :])
-                    - fa[None, :] * np.sin(kk * a[None, :])) / kk
-            term += s[None, :] * (np.cos(kk * b[None, :])
-                                  - np.cos(kk * a[None, :])) / kk ** 2
+            # sin and cos of the exact angles k*y, as in trig_power_moments
+            sb, cb = sin_cos(*dd.two_prod(kk, b[None, :]))
+            sa, ca = sin_cos(*dd.two_prod(kk, a[None, :]))
+            term = (fb[None, :] * sb - fa[None, :] * sa) / kk
+            term += s[None, :] * (cb - ca) / kk ** 2
             out[i0:i0 + 8192] = term.sum(axis=1)
         return out
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000):
+    def formula(self, y):
+        """The density at y in [lo, hi], both ends included."""
+        ys, vals = self._arrays()
+        return np.interp(y, ys, vals)
+
+    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
+                          hi=None):
         pts = np.concatenate([np.asarray(points, dtype=float), np.asarray(self.ys)])
-        return integrate(lambda y: self.eval(y) * g(y), self.lo, self.hi,
+        return integrate(lambda y: self.eval(y) * g(y), self.lo,
+                         self.hi if hi is None else hi,
                          points=pts, tol=tol, max_panels=max_panels)[0]
 
     def robinson_part(self) -> float:
@@ -245,7 +259,7 @@ class OpaqueDensity:
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         inside = (y > self.lo) & (y <= self.hi)
-        out[inside] = np.asarray(self.fn(y[inside]), dtype=float)
+        out[inside] = self.formula(y[inside])
         return out
 
     def mass_upto(self, x):
@@ -271,10 +285,15 @@ class OpaqueDensity:
                                self.lo, self.hi, points=pts, tol=tol)[0]
         return out
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000):
-        return integrate(lambda y: np.asarray(self.fn(y)) * g(y),
-                         self.lo, self.hi, points=points, tol=tol,
-                         max_panels=max_panels)[0]
+    def formula(self, y):
+        """The density at y in [lo, hi], both ends included."""
+        return np.asarray(self.fn(np.asarray(y, dtype=float)), dtype=float)
+
+    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
+                          hi=None):
+        return integrate(lambda y: self.formula(y) * g(y), self.lo,
+                         self.hi if hi is None else hi, points=points,
+                         tol=tol, max_panels=max_panels)[0]
 
     def robinson_part(self) -> float:
         # divergence at a 0 endpoint cannot be decided symbolically; adaptive

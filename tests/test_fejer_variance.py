@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, polygamma
 
 from conftest import (atomic_autocovariance_oracle, atomic_variance_oracle,
                       covariance_variance_oracle, scale_measure)
-from specvar import (DomainError, SpectralMeasure, autocovariance,
-                     autocovariance_batch, counterexample, fejer_kernel,
-                     nonergodic, power_law, quadratic, sandwich,
-                     variance_covariance, variance_profile, variance_spectral,
-                     white_noise, with_origin_atom)
-from specvar.fejer_variance import KERNEL_QUAD_MAX_N, _piece_variance_covariance, _piece_variance_quad
+from specvar import (DomainError, NumericError, OpaqueDensity,
+                     SpectralMeasure, autocovariance, autocovariance_batch,
+                     counterexample, fejer_kernel, nonergodic, power_law,
+                     quadratic, sandwich, variance_covariance,
+                     variance_profile, variance_spectral, white_noise,
+                     with_origin_atom)
+from specvar.fejer_variance import (_cheb_moments, _kernel_breakpoints,
+                                    _kernel_raw, _piece_variance,
+                                    _piece_variance_covariance)
+from specvar.quadrature import integrate
 
 PI = math.pi
+
+
+def quadratic_exact(n):
+    """Var(S_n) of the quadratic measure: the sum over its J = n // 2 odd
+    lags in closed form, 2 n psi1(J + 1/2) + 4 (psi(J + 1/2) - psi(1/2))."""
+    j = n // 2 + 0.5
+    return 2.0 * n * polygamma(1, j) + 4.0 * (digamma(j) - digamma(0.5))
 
 
 # --- kernel ------------------------------------------------------------------
@@ -194,14 +206,82 @@ def test_oracle_equivalence_spot(gallery_measures):
 
 
 def test_large_n_route_continuity():
-    # the kernel-quadrature and cosine-moment routes must agree where the
-    # dispatch switches over
+    # the piece rule and the cosine-transform sum are independent at every n
     for m in (power_law(0.5), power_law(1.5), quadratic()):
         piece = m.density[0]
-        n = KERNEL_QUAD_MAX_N
-        a = _piece_variance_quad(piece, n, 1e-10)
-        b = _piece_variance_covariance(piece, n, 1e-12)
-        assert a == pytest.approx(b, rel=1e-9)
+        for n in (2 ** 14, 2 ** 16, 2 ** 18):
+            a = _piece_variance(piece, n, 1e-10)
+            b = _piece_variance_covariance(piece, n, 1e-12)
+            assert a == pytest.approx(b, rel=1e-9), n
+
+
+@pytest.mark.parametrize("n", [2 ** 20, 2 ** 30, 2 ** 40, 2 ** 53 + 1,
+                               2 ** 62])
+def test_density_exact_at_any_n(n):
+    # the dyadic tail costs O(log n), so exact references can be met far
+    # beyond any n the covariance sum reaches
+    v = variance_spectral(quadratic(), n)
+    assert abs(v - quadratic_exact(n)) <= 1e-14 * v
+    assert abs(variance_spectral(white_noise(), n) - n) <= 1e-14 * n
+
+
+def test_cheb_moments_against_composite_gauss():
+    # both sides of the switch from the Clenshaw-Curtis rule to the forward
+    # recurrence at omega = 24, against 12-point Gauss-Legendre on each of
+    # 128 subintervals, summed exactly
+    omega = [0.7, 23.9, 24.0, 30.0, 100.0]
+    x, w = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(-1.0, 1.0, 129)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    xs = (mid[:, None] + half[:, None] * x).ravel()
+    ws = (half[:, None] * w).ravel()
+    cheb = np.polynomial.chebyshev.chebvander(xs, 24)
+    got = _cheb_moments(np.array(omega))
+    for row, om in zip(got, omega):
+        terms = (ws * np.exp(1j * om * xs))[:, None] * cheb
+        for j, value in enumerate(row):
+            want = complex(math.fsum(terms[:, j].real),
+                           math.fsum(terms[:, j].imag))
+            assert abs(value - want) <= 1.5e-15, (om, j)
+
+
+@pytest.mark.parametrize("n", [64, 2 ** 14 + 1, 2 ** 20])
+def test_opaque_density_matches_power_piece(n):
+    piece = OpaqueDensity(0.0, PI, lambda y: 2.0 * y)
+    opaque = SpectralMeasure(density=(piece,))
+    assert variance_spectral(opaque, n) == pytest.approx(
+        variance_spectral(quadratic(), n), rel=1e-13)
+
+
+def test_kinked_density_falls_back_to_half_arcs():
+    # |y - 1| + 0.5 has a kink inside the tail panel [0.785, 1.571] at
+    # n = 128, whose Chebyshev estimate then fails; that panel is integrated
+    # over its half-arcs, so the result is that of half-arc quadrature over
+    # the whole support
+    fn = lambda y: np.abs(y - 1.0) + 0.5  # noqa: E731
+    n = 128
+    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, fn),))
+    points = np.append(_kernel_breakpoints(n, 0.0, PI), 1.0)
+    whole, _ = integrate(lambda y: fn(y) * _kernel_raw(n, y), 0.0, PI,
+                         points=points, tol=1e-12)
+    assert variance_spectral(m, n) == pytest.approx(whole, rel=1e-12)
+    # at n = 2**30 that panel spans ~2**28 half-arcs: refused before any
+    # of them is allocated
+    with pytest.raises(NumericError):
+        variance_spectral(m, 2 ** 30)
+
+
+def test_quadratic_profile_against_closed_form():
+    # blocked cumulative sums: the rounding of 2**18 tiny alternating terms
+    # does not drift
+    n_max = 2 ** 18
+    prof = variance_profile(quadratic(), n_max)
+    rng = np.random.default_rng(2026)
+    rows = {1, 2, 3, 511, 512, 513, n_max - 1, n_max,
+            *rng.integers(1, n_max, size=200, endpoint=True).tolist()}
+    for n in sorted(rows):
+        want = quadratic_exact(n)
+        assert abs(prof[n - 1] - want) <= 1e-9 * want, n
 
 
 def test_variance_domain():

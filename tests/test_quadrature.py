@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from specvar.errors import NumericError
-from specvar.quadrature import _ROUNDOFF, _gk_batch, _jacobi_edge, integrate
+from specvar.quadrature import (_ROUNDOFF, _WG, _WK, _XK, _gk_batch,
+                                _jacobi_edge, integrate)
 
 
 def test_polynomial_exact():
     val, err = integrate(lambda y: 3.0 * y ** 2, 0.0, 2.0)
     assert val == pytest.approx(8.0, abs=1e-12)
     assert err < 1e-10
+
+
+def test_gauss_kronrod_constants_are_exact_on_monomials():
+    # K15 is exact to degree 22 and G7 to degree 13; with the constants
+    # rounded once from 33 digits, float64 misses 2/(k+1) (or 0) by ulps
+    for rule, degree in ((_WK, 22), (_WG, 13)):
+        for k in range(degree + 1):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = math.fsum(rule * _XK ** k)
+            assert abs(got - want) <= 4 * np.finfo(float).eps, (degree, k)
 
 
 def test_oscillatory_with_breakpoints():

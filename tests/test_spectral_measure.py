@@ -1,11 +1,14 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+
+from conftest import _PI_EXACT, _reduce
 
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SerializationError, SpectralMeasure, TableDensity,
@@ -185,6 +188,51 @@ def test_autocovariance_quadratic_closed_form():
         assert autocovariance(m, k) == pytest.approx(-4.0 / k ** 2, abs=1e-12)
     for k in (2, 4, 10, 100):
         assert autocovariance(m, k) == pytest.approx(0.0, abs=1e-12)
+
+
+def _sin_cos_exact(k: int, y: float):
+    """sin and cos of k*y for the float y, reduced exactly modulo pi."""
+    turns = Fraction(k) * Fraction(y) / _PI_EXACT
+    sign = -1.0 if round(turns) % 2 else 1.0
+    r = _reduce(Fraction(k) * Fraction(y), _PI_EXACT)
+    return sign * math.sin(r), sign * math.cos(r)
+
+
+def test_quadratic_cos_transform_exact_to_2_18():
+    # r_k of the density 2y on (0, h], h = fl(pi), is
+    # 2 [h sin(kh)/k + (cos(kh) - 1)/k^2]; for even k it is ~1e-15, all of
+    # it from the angles, so they must be taken exactly
+    h = PI
+    piece = quadratic().density[0]
+    rng = np.random.default_rng(20261018)
+    ks = sorted({1, 2, 3, 2 ** 18 - 1, 2 ** 18,
+                 *rng.integers(1, 2 ** 18, size=200, endpoint=True).tolist()})
+    got = piece.cos_transform(np.array(ks, dtype=float))
+    for k, value in zip(ks, got):
+        s, c = _sin_cos_exact(k, h)
+        want = 2.0 * (h * s / k + (c - 1.0) / k ** 2)
+        assert abs(value - want) <= 1e-14 * abs(want), k
+
+
+def test_table_cos_transform_exact_to_2_18():
+    # the table piece of perfbench/data/table_measure.json against its exact
+    # per-segment formula
+    piece = TableDensity(ys=(0.5, 1.0, 1.7, 2.4, PI),
+                         vals=(0.4242640687119285, 0.55, 0.9, 0.3, 0.05))
+    rng = np.random.default_rng(20261019)
+    ks = sorted({1, 2, 2 ** 18,
+                 *rng.integers(1, 2 ** 18, size=200, endpoint=True).tolist()})
+    got = piece.cos_transform(np.array(ks, dtype=float))
+    segments = list(zip(piece.ys, piece.ys[1:], piece.vals, piece.vals[1:]))
+    for k, value in zip(ks, got):
+        terms = []
+        for a, b, fa, fb in segments:
+            slope = (fb - fa) / (b - a)
+            (sa, ca), (sb, cb) = _sin_cos_exact(k, a), _sin_cos_exact(k, b)
+            terms += [fb * sb / k, -fa * sa / k,
+                      slope * cb / k ** 2, -slope * ca / k ** 2]
+        want = math.fsum(terms)
+        assert abs(value - want) <= 1e-12 * abs(want), k
 
 
 def test_autocovariance_quadratic_vs_independent_quadrature():
