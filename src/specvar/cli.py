@@ -51,9 +51,20 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
+# the most rows one --n or --n-range spec may ask for
+MAX_ROWS = 2 ** 16
+
+
+def _check_rows(count: int, text: str) -> None:
+    if count > MAX_ROWS:
+        raise ValidationError(
+            f"{text!r} asks for {count} rows; at most {MAX_ROWS} are allowed")
+
+
 def parse_n_values(text: str):
     """Parse ``1,2,4`` lists, ``a:b[:step]`` inclusive ranges and
-    ``dyadic:r0:r1`` shorthand for 2**r0 .. 2**r1."""
+    ``dyadic:r0:r1`` shorthand for 2**r0 .. 2**r1, at most MAX_ROWS values;
+    a range's row count is checked before any row is made."""
     text = text.strip()
     if text.startswith("dyadic:"):
         parts = text.split(":")
@@ -62,6 +73,7 @@ def parse_n_values(text: str):
         r0, r1 = int(parts[1]), int(parts[2])
         if r0 > r1 or r0 < 0:
             raise ValidationError(f"bad dyadic range {text!r}")
+        _check_rows(r1 - r0 + 1, text)
         return [2 ** r for r in range(r0, r1 + 1)]
     if ":" in text:
         parts = text.split(":")
@@ -71,6 +83,7 @@ def parse_n_values(text: str):
         step = int(parts[2]) if len(parts) == 3 else 1
         if step < 1 or b < a:
             raise ValidationError(f"bad range {text!r}")
+        _check_rows((b - a) // step + 1, text)
         return list(range(a, b + 1, step))
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -78,6 +91,7 @@ def parse_n_values(text: str):
         raise ValidationError(f"bad n list {text!r}")
     if not values or any(v < 1 for v in values):
         raise ValidationError(f"n values must be positive integers, got {text!r}")
+    _check_rows(len(values), text)
     return values
 
 

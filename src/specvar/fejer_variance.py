@@ -11,7 +11,9 @@ Curtis: with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the smooth factor
 ``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points per
 panel and ``g cos(ny)`` is integrated through the modified moments
 ``int T_j(x) exp(i omega x) dx`` (QUADPACK QAWO's method; Piessens et al.
-1983, error bounds in Dominguez, Graham & Smyshlyaev 2011).
+1983, error bounds in Dominguez, Graham & Smyshlyaev 2011).  Tail panels
+whose estimates miss the tolerance are bisected by the same loop
+(``quadrature.bisect_panels``) that refines the head's panels.
 
 The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, check_int
-from .quadrature import _ROUNDOFF, integrate
+from .quadrature import bisect_panels, integrate
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, g_eval)
 
@@ -70,9 +73,10 @@ _RECURRENCE_MIN_OMEGA = 24.0
 _FINE_X, _dct, _cc = _chebyshev_rule(128)
 _FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
            * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
-# a tail panel that fails its estimate is integrated over its half-arcs,
-# unless it has more than this many (the memory they need grows with n)
-_FALLBACK_MAX_ARCS = 2 ** 18
+# bisection budget of a piece's tail: enough rounds to take a panel holding
+# a jump down to the tolerance, and few enough panels to bound the memory
+_TAIL_MAX_PANELS = 2 ** 12
+_TAIL_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,9 @@ def _tail_edges(piece, start):
     return np.unique(np.append(inner[inner < piece.hi], piece.hi))
 
 
-def _piece_tail(piece, n: int, start: float, tol: float) -> float:
-    """``int_start^hi density I_n`` by Filon-Clenshaw-Curtis on dyadic panels.
+def _fcc_panels(density, n: float, a, b):
+    """Values and error estimates of ``int density I_n`` on the panels
+    [a[i], b[i]] by Filon-Clenshaw-Curtis.
 
     With ``g = density / (2 sin(y/2)**2)`` the integrand is
     ``g (1 - cos ny)``.  On each panel g is interpolated at 25 Chebyshev
@@ -178,33 +183,18 @@ def _piece_tail(piece, n: int, start: float, tol: float) -> float:
     the modified moments at omega = n h (h the half-width), so a panel costs
     the same at any n.  The phase n c of the panel centre c is a plain float
     product: its error eps n c multiplies an oscillatory part of size
-    g(c)/n.  A panel whose Chebyshev tail (|c_23| + |c_24|) h misses its
-    share of the tolerance is integrated over its half-arcs instead.
+    g(c)/n.  A panel's error estimate is its Chebyshev tail
+    (|c_23| + |c_24|) h.
     """
-    edges = _tail_edges(piece, start)
-    a, b = edges[:-1], edges[1:]
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     y = c[:, None] + h[:, None] * _CHEB_X
-    f = piece.formula(y.ravel()).reshape(y.shape)
+    f = density(y.ravel()).reshape(y.shape)
     g = f / (2.0 * np.sin(0.5 * y) ** 2)
     coef = g @ _DCT.T
     flat = h * (coef @ _CC)
-    osc = h * (np.exp(1j * (float(n) * c))
-               * (coef * _cheb_moments(float(n) * h)).sum(axis=1)).real
-    value = flat - osc
-    est = h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
-    share = np.maximum(tol / len(a), _ROUNDOFF * np.abs(flat))
-    for i in np.nonzero(~(est <= share))[0]:  # NaN estimates fail too
-        arcs = _kernel_breakpoints(n, a[i], b[i])
-        if len(arcs) > _FALLBACK_MAX_ARCS:
-            raise NumericError(
-                f"density not smooth on [{a[i]}, {b[i]}] and too many "
-                f"half-arcs of I_n there to integrate them at n={n}",
-                achieved=float(est[i]))
-        value[i] = integrate(lambda t: piece.formula(t) * _kernel_raw(n, t),
-                             a[i], b[i], points=arcs, tol=float(share[i]),
-                             max_panels=4 * len(arcs) + 64)[0]
-    return float(value.sum())
+    osc = h * (np.exp(1j * (n * c))
+               * (coef * _cheb_moments(n * h)).sum(axis=1)).real
+    return flat - osc, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
 
 
 def _piece_variance(piece, n: int, tol: float) -> float:
@@ -218,7 +208,12 @@ def _piece_variance(piece, n: int, tol: float) -> float:
             points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * tol,
             max_panels=4 * _HEAD_ARCS + 64, hi=hi)
     if piece.hi > cut:
-        total += _piece_tail(piece, n, max(cut, piece.lo), 0.5 * tol)
+        # dyadic tail panels; one whose estimate is too large (a density not
+        # smooth inside it) is bisected, as QUADPACK's QAWO does
+        tail = partial(_fcc_panels, piece.formula, float(n))
+        total += bisect_panels(tail, _tail_edges(piece, max(cut, piece.lo)),
+                               tol=0.5 * tol, max_panels=_TAIL_MAX_PANELS,
+                               max_rounds=_TAIL_MAX_ROUNDS)[0]
     return total
 
 
@@ -239,8 +234,9 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     Against exact references (white noise, the quadratic measure) the
     relative error stays below 1e-15 from n = 1 to 2**62.  A tail panel
     on which the density is not smooth enough for its Chebyshev estimate
-    is integrated over the half-arcs of I_n instead; NumericError when
-    that fails or needs more than 2**18 of them.
+    (a kink or a jump inside it) is bisected until the estimates meet the
+    tolerance, at a cost that does not grow with n; NumericError when the
+    bisection budget runs out first.
     """
     n = check_int(n, "n", 1)
     total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, [n])[0])

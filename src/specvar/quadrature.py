@@ -1,10 +1,12 @@
 """Adaptive panel quadrature.
 
-Panels are integrated with a vectorized Gauss-Kronrod 7/15 rule; panels whose
-embedded error estimate is too large are bisected until the total estimate
-meets the tolerance.  An integrable endpoint weight ``y**beta`` at ``lo == 0``
-is handled by a Gauss-Jacobi rule on the leftmost panel so that adaptive
-bisection never has to chase the singularity.
+``bisect_panels`` is the adaptive loop: given a panel rule, it bisects the
+panels whose error estimates are too large until the total estimate meets the
+tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule;
+an integrable endpoint weight ``y**beta`` at ``lo == 0`` is handled by a
+Gauss-Jacobi rule on the leftmost panel so that adaptive bisection never has
+to chase the singularity.  ``fejer_variance`` runs the same loop with a
+Filon-Clenshaw-Curtis rule on the Fejer kernel's tail.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -14,7 +16,7 @@ the result is the same, bit for bit, as re-evaluating every panel each round.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -95,47 +97,23 @@ def _jacobi_edge(g, beta, b):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
-              max_panels=200_000, max_rounds=30):
-    """Integrate ``f`` over ``[lo, hi]`` with breakpoint-seeded adaptivity.
+def bisect_panels(rule, edges, *, tol, max_panels, max_rounds):
+    """Integrate over the panels between ``edges`` (increasing), bisecting
+    the ones whose estimates are too large until the total estimate meets
+    ``tol`` or the roundoff floor of the total.
 
-    points: interior breakpoints (oscillation zeros, knots); values outside
-        (lo, hi) are ignored.
-    edge_beta: when given, the full integrand is ``y**edge_beta * f(y)`` with
-        ``lo == 0`` and ``f`` smooth; the leftmost panel then uses the
-        Gauss-Jacobi edge rule.
-    Returns ``(value, error_estimate)``; raises NumericError if the estimate
-    cannot be pushed below the effective tolerance within the panel budget.
+    rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
+        [a[i], b[i]], given as arrays.
+    Returns ``(value, error_estimate)``; raises NumericError with the
+    achieved estimate when ``max_panels`` or ``max_rounds`` runs out first.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if hi < lo:
-        raise DomainError(f"empty integration range [{lo}, {hi}]")
-    if hi == lo:
-        return 0.0, 0.0
-    if edge_beta is not None:
-        if lo != 0.0:
-            raise DomainError("edge_beta requires lo == 0")
-        full = lambda y: y ** edge_beta * f(y)  # noqa: E731
-    else:
-        full = f
-
-    pts = np.asarray(points, dtype=float)
-    pts = pts[(pts > lo) & (pts < hi)]
-    edges = np.unique(np.concatenate([[lo, hi], pts]))
-
     # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
     # across rounds, and each round evaluates only the panels in `fresh`
     ik = np.empty(len(edges) - 1)
     err = np.empty_like(ik)
     fresh = np.arange(len(ik))
     for _ in range(max_rounds):
-        if edge_beta is not None and fresh[0] == 0:
-            ik[0], err[0] = _jacobi_edge(f, edge_beta, edges[1])
-            fresh = fresh[1:]
-        if len(fresh):
-            ik[fresh], err[fresh] = _gk_batch(full, edges[fresh],
-                                              edges[fresh + 1])
+        ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
         total = float(ik.sum())
         total_err = float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))
@@ -167,5 +145,47 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
         fresh = np.column_stack([first, first + 1]).ravel()
 
     raise NumericError(
-        f"quadrature on [{lo}, {hi}] did not reach tol={tol:.1e}",
-        achieved=total_err)
+        f"quadrature on [{edges[0]}, {edges[-1]}] did not reach "
+        f"tol={tol:.1e}", achieved=total_err)
+
+
+def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
+              max_panels=200_000, max_rounds=30):
+    """Integrate ``f`` over ``[lo, hi]`` with breakpoint-seeded adaptivity.
+
+    points: interior breakpoints (oscillation zeros, knots); values outside
+        (lo, hi) are ignored.
+    edge_beta: when given, the full integrand is ``y**edge_beta * f(y)`` with
+        ``lo == 0`` and ``f`` smooth; the leftmost panel then uses the
+        Gauss-Jacobi edge rule.
+    Returns ``(value, error_estimate)``; raises NumericError if the estimate
+    cannot be pushed below the effective tolerance within the panel budget.
+    """
+    lo = float(lo)
+    hi = float(hi)
+    if hi < lo:
+        raise DomainError(f"empty integration range [{lo}, {hi}]")
+    if hi == lo:
+        return 0.0, 0.0
+    if edge_beta is None:
+        rule = partial(_gk_batch, f)
+    elif lo != 0.0:
+        raise DomainError("edge_beta requires lo == 0")
+    else:
+        full = lambda y: y ** edge_beta * f(y)  # noqa: E731
+
+        def rule(a, b):
+            if a[0] != 0.0:
+                return _gk_batch(full, a, b)
+            # the edge panel [0, b[0]] takes the Gauss-Jacobi rule
+            ik0, err0 = _jacobi_edge(f, edge_beta, b[0])
+            if len(a) == 1:
+                return ik0, err0
+            ik, err = _gk_batch(full, a[1:], b[1:])
+            return np.concatenate(([ik0], ik)), np.concatenate(([err0], err))
+
+    pts = np.asarray(points, dtype=float)
+    pts = pts[(pts > lo) & (pts < hi)]
+    edges = np.unique(np.concatenate([[lo, hi], pts]))
+    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels,
+                         max_rounds=max_rounds)

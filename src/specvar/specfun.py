@@ -1,7 +1,6 @@
 """Special functions used by the spectral routines.
 
-* a Lanczos gamma function (g = 7, nine terms), accurate to ~1e-14 relative
-  on the range needed here (arguments in (0, 3.5]),
+* the gamma function on x > 0 (``math.gamma`` behind a domain check),
 * the oscillatory power moments ``int_0^x u**p cos(u) du`` and the sine
   analogue, evaluated by direct quadrature for small ``x`` and by
   constant-minus-asymptotic-tail for large ``x``.  These give closed-form
@@ -20,38 +19,17 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import integrate
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # below this the base moments are computed by quadrature, above by the
 # asymptotic tail series (which needs x somewhat larger than |exponent|)
 _ASYMPTOTIC_CUT = 45.0
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x > 0 via the Lanczos approximation."""
+    """Gamma(x) for real x > 0 (``math.gamma``, checked domain)."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    ser = _LANCZOS[0]
-    for i in range(1, 9):
-        ser += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * ser
+    return math.gamma(x)
 
 
 def sin_cos(x, x_lo=0.0):

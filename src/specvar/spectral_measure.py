@@ -77,13 +77,6 @@ class PowerDensity:
             raise DomainError(
                 f"power density exponent must exceed -1, got {self.exponent}")
 
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        inside = (y > self.lo) & (y <= self.hi)
-        out = np.zeros_like(y)
-        out[inside] = self.formula(y[inside])
-        return out
-
     def mass_upto(self, x):
         """Integral of the density over (lo, min(x, hi)]; vectorized in x."""
         x = np.asarray(x, dtype=float)
@@ -170,12 +163,6 @@ class TableDensity:
     def _arrays(self):
         return np.asarray(self.ys), np.asarray(self.vals)
 
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        out = self.formula(y)
-        out[(y < self.ys[0]) | (y > self.ys[-1])] = 0.0
-        return out
-
     def mass_upto(self, x):
         x = np.asarray(x, dtype=float)
         ys, vals = self._arrays()
@@ -218,7 +205,7 @@ class TableDensity:
     def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
                           hi=None):
         pts = np.concatenate([np.asarray(points, dtype=float), np.asarray(self.ys)])
-        return integrate(lambda y: self.eval(y) * g(y), self.lo,
+        return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi,
                          points=pts, tol=tol, max_panels=max_panels)[0]
 
@@ -254,13 +241,6 @@ class OpaqueDensity:
         if not 0.0 <= self.lo < self.hi:
             raise DomainError(
                 f"opaque density needs 0 <= lo < hi <= pi, got ({self.lo}, {self.hi})")
-
-    def eval(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        inside = (y > self.lo) & (y <= self.hi)
-        out[inside] = self.formula(y[inside])
-        return out
 
     def mass_upto(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import run_cli
 from specvar import (ScanReport, SpectralMeasure, TableDensity,
-                     measure_to_json, quadratic)
+                     ValidationError, measure_to_json, quadratic)
+from specvar.cli import MAX_ROWS, parse_n_values
 
 PI = math.pi
 
@@ -157,6 +159,30 @@ def test_exit_code_validation_error():
     rc, _, err = run_cli(["bounds", "--measure", "gallery:whitenoise",
                           "--n", "4", "--A", "9"])  # A > n
     assert rc == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "1:1000000000000", "1:1000000000000000000000000000000:3",
+    "dyadic:0:1000000000000", f"1:{MAX_ROWS + 1}",
+    f"1:{2 * MAX_ROWS + 1}:2",
+])
+def test_row_count_capped_before_any_row_is_made(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="rows"):
+            parse_n_values(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    rc, out, err = run_cli(["variance", "--measure", "gallery:whitenoise",
+                            "--n", spec])
+    assert rc == 1 and out == "" and "rows" in err
+
+
+def test_row_count_cap_is_inclusive():
+    assert len(parse_n_values(f"1:{MAX_ROWS}")) == MAX_ROWS
+    assert len(parse_n_values(f"1:{2 * MAX_ROWS}:2")) == MAX_ROWS
 
 
 def test_exit_code_io_error():

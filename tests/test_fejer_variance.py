@@ -8,16 +8,13 @@ from scipy.special import digamma, polygamma
 
 from conftest import (atomic_autocovariance_oracle, atomic_variance_oracle,
                       covariance_variance_oracle, scale_measure)
-from specvar import (DomainError, NumericError, OpaqueDensity,
-                     SpectralMeasure, autocovariance, autocovariance_batch,
-                     counterexample, fejer_kernel, nonergodic, power_law,
-                     quadratic, sandwich, variance_covariance,
-                     variance_profile, variance_spectral, white_noise,
-                     with_origin_atom)
-from specvar.fejer_variance import (_cheb_moments, _kernel_breakpoints,
-                                    _kernel_raw, _piece_variance,
+from specvar import (DomainError, OpaqueDensity, SpectralMeasure,
+                     autocovariance, autocovariance_batch, counterexample,
+                     fejer_kernel, nonergodic, power_law, quadratic,
+                     sandwich, variance_covariance, variance_profile,
+                     variance_spectral, white_noise, with_origin_atom)
+from specvar.fejer_variance import (_cheb_moments, _piece_variance,
                                     _piece_variance_covariance)
-from specvar.quadrature import integrate
 
 PI = math.pi
 
@@ -253,22 +250,24 @@ def test_opaque_density_matches_power_piece(n):
         variance_spectral(quadratic(), n), rel=1e-13)
 
 
-def test_kinked_density_falls_back_to_half_arcs():
-    # |y - 1| + 0.5 has a kink inside the tail panel [0.785, 1.571] at
-    # n = 128, whose Chebyshev estimate then fails; that panel is integrated
-    # over its half-arcs, so the result is that of half-arc quadrature over
-    # the whole support
-    fn = lambda y: np.abs(y - 1.0) + 0.5  # noqa: E731
-    n = 128
-    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, fn),))
-    points = np.append(_kernel_breakpoints(n, 0.0, PI), 1.0)
-    whole, _ = integrate(lambda y: fn(y) * _kernel_raw(n, y), 0.0, PI,
-                         points=points, tol=1e-12)
-    assert variance_spectral(m, n) == pytest.approx(whole, rel=1e-12)
-    # at n = 2**30 that panel spans ~2**28 half-arcs: refused before any
-    # of them is allocated
-    with pytest.raises(NumericError):
-        variance_spectral(m, 2 ** 30)
+@pytest.mark.parametrize("whole, below, above", [
+    # a kink at y = 1
+    (lambda y: np.abs(y - 1.0) + 0.5, lambda y: 1.5 - y, lambda y: y - 0.5),
+    # a jump at y = 1
+    (lambda y: np.where(y < 1.0, 1.0, 2.0), lambda y: np.ones_like(y),
+     lambda y: np.full_like(y, 2.0)),
+], ids=["kink", "jump"])
+@pytest.mark.parametrize("n", [128, 2 ** 19, 2 ** 30, 2 ** 50, 2 ** 62])
+def test_density_not_smooth_inside_a_tail_panel(whole, below, above, n):
+    # the break at y = 1 lies inside a dyadic tail panel at every n here;
+    # that panel's Chebyshev estimate fails and it is bisected, so the
+    # result is that of the density split at the break into two smooth
+    # pieces, with no work or memory growing with n
+    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, whole),))
+    split = SpectralMeasure(density=(OpaqueDensity(0.0, 1.0, below),
+                                     OpaqueDensity(1.0, PI, above)))
+    assert variance_spectral(m, n) == pytest.approx(
+        variance_spectral(split, n), rel=1e-12)
 
 
 def test_quadratic_profile_against_closed_form():
