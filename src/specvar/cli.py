@@ -63,8 +63,9 @@ def _check_rows(count: int, text: str) -> None:
 
 def parse_n_values(text: str):
     """Parse ``1,2,4`` lists, ``a:b[:step]`` inclusive ranges and
-    ``dyadic:r0:r1`` shorthand for 2**r0 .. 2**r1, at most MAX_ROWS values;
-    a range's row count is checked before any row is made."""
+    ``dyadic:r0:r1`` shorthand for 2**r0 .. 2**r1 (r1 <= 62), at most
+    MAX_ROWS values; a range's row count is checked before any row is
+    made."""
     text = text.strip()
     if text.startswith("dyadic:"):
         parts = text.split(":")
@@ -74,6 +75,8 @@ def parse_n_values(text: str):
         if r0 > r1 or r0 < 0:
             raise ValidationError(f"bad dyadic range {text!r}")
         _check_rows(r1 - r0 + 1, text)
+        if r1 > 62:  # every n is below 2**63
+            raise ValidationError(f"bad dyadic range {text!r}: r1 must be <= 62")
         return [2 ** r for r in range(r0, r1 + 1)]
     if ":" in text:
         parts = text.split(":")

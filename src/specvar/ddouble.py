@@ -5,7 +5,8 @@ about 106 bits; stacked along a new first axis it is an array of shape
 ``(2, ...)``, and a complex value is a stack ``(re_hi, re_lo, im_hi, im_lo)``
 of shape ``(4, ...)``.  The error-free transformations are Knuth's TwoSum
 and Dekker's TwoProduct; numpy has no fused multiply-add, so products split
-their factors with Veltkamp.  Additions are the cheap ("sloppy") kind: their
+their factors with Veltkamp (a table that enters many products is split
+once, by ``presplit``).  Additions are the cheap ("sloppy") kind: their
 error is about 2**-104 of the operands rather than of the sum, which is
 enough wherever the terms share a sign or their magnitudes are known.
 """
@@ -47,9 +48,31 @@ def add(x, y):
     return _renorm(s, e + (x[1] + y[1]))
 
 
+def presplit(x):
+    """The pair x with its high word Veltkamp-split, ``(hi, lo, hi_hi,
+    hi_lo)``: a table split once serves every product it enters."""
+    return (x[0], x[1], *split(x[0]))
+
+
+def mul_presplit(x, y):
+    """x * y for two ``presplit`` pairs as an unnormalized pair (``add``
+    takes it as is): the TwoProduct of the high words, plus the cross terms
+    in its error word."""
+    p = x[0] * y[0]
+    e = ((x[2] * y[2] - p) + x[2] * y[3] + x[3] * y[2]) + x[3] * y[3]
+    return p, e + (x[0] * y[1] + x[1] * y[0])
+
+
 def mul(x, y):
-    p, e = two_prod(x[0], y[0])
-    return _renorm(p, e + (x[0] * y[1] + x[1] * y[0]))
+    return _renorm(*mul_presplit(presplit(x), presplit(y)))
+
+
+def sqr(x):
+    """x * x, splitting x's high word once."""
+    p = x[0] * x[0]
+    hi, lo = split(x[0])
+    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    return _renorm(p, e + 2.0 * x[0] * x[1])
 
 
 def div(x, y):
@@ -57,6 +80,14 @@ def div(x, y):
     q = x[0] / y[0]
     r = add(x, mul((-q, np.zeros_like(q)), y))
     return _renorm(q, r[0] / y[0])
+
+
+def sqrt(x):
+    """Square root of x > 0, to about 2**-104 relative: one Newton step from
+    the float64 root, whose square is exact in TwoProduct."""
+    s = np.sqrt(x[0])
+    p, e = two_prod(s, s)
+    return _renorm(s, ((x[0] - p) - e + x[1]) / (2.0 * s))
 
 
 def stack_add(x, y):
@@ -93,8 +124,9 @@ def total(x, axis=1):
 
 def cpowers(z, count):
     """``z**0 .. z**(count-1)`` stacked along a new axis 1, and ``z**(2**j)``
-    for the least 2**j >= count; by repeated squaring, so the relative error
-    grows like log2(count) * 2**-104 rather than count."""
+    for the least 2**j >= count; z**k is a product of the squares
+    z**(2**j) of its bits.  Squaring doubles the phase error it is given, so
+    z**k carries up to about k * 2**-104 relative error."""
     p = np.zeros((4, 1) + z.shape[1:])
     p[0] = 1.0
     q = z
@@ -104,22 +136,18 @@ def cpowers(z, count):
     return p[:, :count], q
 
 
-def cpow(z, ns):
-    """``z**n`` for each integer n >= 0 in the array ns, along a new axis 1.
-
-    n = a*B + b takes z**b from a table of B powers and z**(a*B) from the
-    same recursion on the quotients; B is about sqrt(max n), capped by
-    len(ns) (at least 16), so one n costs O(log n) products and a dense
-    range of n one product each.
-    """
-    top = int(ns.max()) + 1
-    if top <= max(16, len(ns)):
-        return cpowers(z, top)[0][:, ns]
-    B = 16
-    while B * B < top and 2 * B <= len(ns):
-        B *= 2
-    table, zB = cpowers(z, B)
-    return cmul(cpow(zB, ns // B), table[:, ns % B])
+def cpow(z, n: int):
+    """``z**n`` for an integer n >= 0, by binary powering: log2(n)
+    squarings and at most as many products by z.  As in ``cpowers``, z**n
+    carries up to about n * 2**-104 relative error."""
+    if not n:
+        return np.concatenate([np.ones_like(z[:1]), np.zeros_like(z[1:])])
+    p = z
+    for bit in bin(n)[3:]:
+        p = cmul(p, p)
+        if bit == "1":
+            p = cmul(p, z)
+    return p
 
 
 def cis(x):

@@ -38,12 +38,14 @@ class NumericError(SpecvarError, RuntimeError):
 
 
 def check_int(value, what: str, minimum: int) -> int:
-    """``value`` as an int >= minimum, else DomainError (also for NaN, +-inf
-    and non-integral or non-numeric values)."""
+    """``value`` as an int with minimum <= value < 2**63, else DomainError
+    naming ``what`` (also for NaN, +-inf and non-integral or non-numeric
+    values).  The bound keeps every count, n and lag an int64."""
     try:
-        ok = value == int(value) and int(value) >= minimum
+        ok = value == int(value) and minimum <= int(value) < 2 ** 63
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise DomainError(f"{what} must be an integer >= {minimum} and "
+                          f"< 2**63, got {value!r}")
     return int(value)

@@ -239,7 +239,7 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     bisection budget runs out first.
     """
     n = check_int(n, "n", 1)
-    total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, [n])[0])
+    total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, n, 1)[0])
     for piece in m.density:
         total += _piece_variance(piece, n, tol)
     return total
@@ -286,7 +286,7 @@ def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
     """
     n_max = check_int(n_max, "n_max", 1)
     n = np.arange(1, n_max + 1, dtype=float)
-    out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, n)
+    out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, 1, n_max)
     for piece in m.density:
         if n_max == 1:
             out += piece.mass

@@ -15,7 +15,8 @@ left-continuous convention only at the countably many jump points and does
 not affect any integral.
 
 Measures are immutable after construction and all operations here are pure
-functions, so instances are safe to share across workers.
+functions, so instances are safe to share across workers (a measure keeps
+its atoms' phases once made, always the same values).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -326,6 +328,18 @@ class SpectralMeasure:
         arr = np.asarray(self.atoms, dtype=float).reshape(-1, 2)
         return arr[:, 0], arr[:, 1]
 
+    # exp(i loc) and exp(i loc/2) per atom (``ddouble.cis``, a decimal
+    # series per atom and the costly part of an atom sum at a single n),
+    # made on first use and kept: the measure never changes
+
+    @cached_property
+    def _cis(self):
+        return dd.cis(self.atom_arrays()[0])
+
+    @cached_property
+    def _cis_half(self):
+        return dd.cis(self.atom_arrays()[0] / 2.0)
+
     @property
     def total_mass(self) -> float:
         return float(g_eval(self, PI))
@@ -350,48 +364,81 @@ def g_eval(m: SpectralMeasure, x):
     return float(out[0]) if scalar else out
 
 
-_ATOM_CELLS = 1 << 16  # (n x atoms) cells per block; bounds the temporaries
+_ATOM_CELLS = 1 << 16  # (atoms x n) cells per block; bounds the temporaries
 
 
-def _atom_sums(ns, z, term):
-    """Per integer n in ns, the atoms' sum of ``term(z**n)`` (a double-double
-    pair of (rows, atoms) arrays), rounded once.  z holds exp(i t) for some
-    angle t per atom; its powers come from ``ddouble.cpow``, so no angle
-    n*t is ever rounded."""
-    try:
-        ns = np.asarray(ns, dtype=np.int64)
-    except OverflowError:
-        raise DomainError("atom sums need n < 2**63") from None
-    out = np.zeros(len(ns))
-    if not z.shape[1]:  # spares density measures the double-double work
-        return out
-    step = max(1, _ATOM_CELLS // z.shape[1])
-    for i0 in range(0, len(ns), step):
-        hi, lo = dd.total(np.stack(term(dd.cpow(z, ns[i0:i0 + step]))), axis=2)
-        out[i0:i0 + step] = hi + lo
-    return out
+def _atom_sums(z, weight, n0: int, count: int, imag: bool):
+    """Per n = n0 .. n0+count-1, the atoms' sum of ``Re(weight z**n)`` or,
+    with ``imag``, of ``Im(weight z**n)**2``, each rounded once.
 
-
-def atom_cos_sums(m: SpectralMeasure, ks):
-    """``sum mass cos(k loc)`` over the atoms in (0, pi], per integer k:
-    the real parts of exp(i loc)**k, summed in double-double."""
-    locs, masses = m.atom_arrays()
-    mass = (masses, np.zeros_like(masses))
-    return _atom_sums(ks, dd.cis(locs), lambda p: dd.mul(p[0:2], mass))
-
-
-def atom_fejer_sums(m: SpectralMeasure, ns):
-    """``sum mass sin(n loc/2)**2 / sin(loc/2)**2`` over the atoms in (0, pi],
-    per integer n; sin(n loc/2) is the imaginary part of exp(i loc/2)**n.
-
-    Every term is positive, so the sum carries about 2**-100 relative error
-    before its one rounding: it is the correctly rounded value unless that
-    lies within 2**-100 of a tie or the sum nearly vanishes.
+    z holds exp(i t) per atom (a complex stack) and weight a real pair per
+    atom.  The n lie on a grid n = n0 + a*B + b (b < B, B the least power of
+    two with B*B >= count): the row table holds ``weight z**(n0 + aB)``
+    (``cpow`` once, then the powers of z**B), the column table z**b, both
+    from products of z, so no angle n*t is ever rounded.  A cell takes
+    only the part it needs of row times column, from two products of
+    pre-split table values and one double-double addition; the atoms are
+    summed pairwise in double-double.  A block holds at most _ATOM_CELLS
+    (atoms x n) cells, or one n's atoms.  Squaring doubles a phase error,
+    so a power z**n is off by up to about n * 2**-104 relative, below a
+    float's resolution unless n is near 2**50 or more.
     """
-    locs, masses = m.atom_arrays()
-    h = dd.cis(locs / 2.0)
-    w = dd.div((masses, np.zeros_like(masses)), dd.mul(h[2:4], h[2:4]))
-    return _atom_sums(ns, h, lambda p: dd.mul(dd.mul(p[2:4], p[2:4]), w))
+    atoms = z.shape[1]
+    if not atoms:  # spares density measures the double-double work
+        return np.zeros(count)
+    B = 1 << ((count - 1).bit_length() + 1) // 2
+    A = -(-count // B)
+    cols, zB = dd.cpowers(z, B)
+    rows = dd.cmul(dd.cpow(z, n0)[:, None], dd.cpowers(zB, A)[0])
+    rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
+    # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block
+    rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
+    if imag:  # Im(r c) = Re r Im c + Im r Re c
+        factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
+    else:     # Re(r c) = Re r Re c - Im r Im c
+        factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
+    (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
+                          for x, y in factors]
+    per = max(1, _ATOM_CELLS // atoms)  # n per block
+    rb, cb = (per // B, B) if per >= B else (1, per)
+    grid = np.empty((A, B))
+    for a0 in range(0, A, rb):
+        r1 = tuple(t[:, a0:a0 + rb] for t in x1)
+        r2 = tuple(t[:, a0:a0 + rb] for t in x2)
+        for b0 in range(0, B, cb):
+            v = dd.add(
+                dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1)),
+                dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2)))
+            if imag:
+                v = dd.sqr(v)
+            hi, lo = dd.total(np.stack(v), axis=1)
+            grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
+    return grid.ravel()[:count]
+
+
+def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
+    """``sum mass cos(k loc)`` over the atoms in (0, pi], for the integers
+    k = k0 .. k0+count-1: the real parts of mass exp(i loc)**k, summed in
+    double-double (``_atom_sums``)."""
+    _, masses = m.atom_arrays()
+    return _atom_sums(m._cis, (masses, np.zeros_like(masses)), k0, count,
+                      imag=False)
+
+
+def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
+    """``sum mass sin(n loc/2)**2 / sin(loc/2)**2`` over the atoms in (0, pi],
+    for the integers n = n0 .. n0+count-1: the squared imaginary parts of
+    sqrt(w) exp(i loc/2)**n with w = mass / sin(loc/2)**2 (``_atom_sums``).
+
+    Every term is positive, so the sum carries about max(2**-100, n 2**-104)
+    relative error before its one rounding: it is the correctly rounded
+    value unless that lies within this of a tie or the sum nearly vanishes.
+    """
+    _, masses = m.atom_arrays()
+    h = m._cis_half
+    root_w = dd.div(dd.sqrt((masses, np.zeros_like(masses))), h[2:4])
+    return _atom_sums(h, root_w, n0, count, imag=True)
 
 
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
@@ -438,7 +485,7 @@ def autocovariance(m: SpectralMeasure, k: int, tol: float = 1e-12) -> float:
     k = check_int(k, "lag", 0)
     if k == 0:
         return float(g_eval(m, PI))
-    total = m.atom_at_zero + float(atom_cos_sums(m, [k])[0])
+    total = m.atom_at_zero + float(atom_cos_sums(m, k, 1)[0])
     for piece in m.density:
         total += float(piece.cos_transform(np.array([k]), tol=tol)[0])
     return total
@@ -452,7 +499,7 @@ def autocovariance_batch(m: SpectralMeasure, n: int, tol: float = 1e-12):
     if n == 1:
         return r
     k = np.arange(1, n)
-    acc = m.atom_at_zero + atom_cos_sums(m, k)
+    acc = m.atom_at_zero + atom_cos_sums(m, 1, n - 1)
     for piece in m.density:
         acc += piece.cos_transform(k, tol=tol)
     r[1:] = acc

@@ -5,12 +5,13 @@ non-integral values fail the same way wherever they enter.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
 from specvar import (DomainError, autocovariance, autocovariance_batch,
                      empirical_variance, fejer_kernel, g_eval, gamma_fit,
-                     nonergodic, quadratic, sandwich, simulate,
+                     nonergodic, power_law, quadratic, sandwich, simulate,
                      variance_covariance, variance_profile, variance_spectral,
                      white_noise)
 
@@ -40,6 +41,33 @@ INTEGER_ARGS = {
 def test_integer_argument_rejected(call, bad):
     with pytest.raises(DomainError, match="integer"):
         INTEGER_ARGS[call](bad)
+
+
+N_ARGS = {
+    "variance_spectral": (lambda v: variance_spectral(white_noise(), v), "n"),
+    "variance_covariance": (lambda v: variance_covariance(power_law(0.5), v),
+                            "n"),
+    "variance_profile": (lambda v: variance_profile(_M, v), "n_max"),
+    "autocovariance": (lambda v: autocovariance(_M, v), "lag"),
+    "autocovariance_batch": (lambda v: autocovariance_batch(_M, v),
+                             "batch length"),
+}
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 + 5, 1e19], ids=repr)
+@pytest.mark.parametrize("call", sorted(N_ARGS))
+def test_n_at_or_above_2_63_rejected_before_allocation(call, big):
+    # n and lags are int64 inside; at 2**63 numpy would build empty or
+    # overflowing arrays, so the bound is checked before anything is made
+    fn, name = N_ARGS[call]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^{name} must be .*< 2\*\*63"):
+            fn(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 @pytest.mark.parametrize("call", [

@@ -185,6 +185,23 @@ def test_row_count_cap_is_inclusive():
     assert len(parse_n_values(f"1:{2 * MAX_ROWS}:2")) == MAX_ROWS
 
 
+@pytest.mark.parametrize("spec", ["dyadic:0:63", "dyadic:60:16383"])
+def test_dyadic_exponent_capped_before_any_row_is_made(spec):
+    # no n >= 2**63 is accepted downstream
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="r1 must be <= 62"):
+            parse_n_values(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    rc, out, err = run_cli(["variance", "--measure", "gallery:whitenoise",
+                            "--n", spec])
+    assert rc == 1 and out == "" and "r1" in err
+    assert parse_n_values("dyadic:61:62") == [2 ** 61, 2 ** 62]
+
+
 def test_exit_code_io_error():
     rc, _, err = run_cli(["variance", "--measure", "file:/nope/missing.json",
                           "--n", "1"])

@@ -45,6 +45,17 @@ def test_mul_div_total_keep_106_bits():
     assert abs(_pair(summed, 0) - exact) <= Fraction(1, 2 ** 100) * exact
 
 
+def test_sqr_and_sqrt_keep_106_bits():
+    rng = np.random.default_rng(8)
+    x = dd.two_prod(rng.random(64) + 0.5, 10.0 ** rng.integers(-9, 10, 64))
+    sq, root = dd.sqr(x), dd.sqrt(x)
+    for i in range(64):
+        exact = _pair(x, i) ** 2
+        assert abs(_pair(sq, i) - exact) <= Fraction(1, 2 ** 100) * exact
+        r = _pair(root, i)
+        assert abs(r * r - _pair(x, i)) <= Fraction(1, 2 ** 100) * _pair(x, i)
+
+
 def test_cis_is_on_the_unit_circle_and_doubles_its_angle():
     x = np.array([2.0 ** -60, 1e-9, 0.3, 1.0, np.pi / 4])
     z, z2 = dd.cis(x), dd.cis(2.0 * x)  # 2x is exact
@@ -60,26 +71,24 @@ def test_cis_is_on_the_unit_circle_and_doubles_its_angle():
 
 def test_cpow_matches_cis_of_exact_angles():
     # x = 2**-20: every n*x below is exact, so cis(n*x) is an independent
-    # reference for z**n; the dense range takes the table path of cpow
+    # reference for z**n, from cpow for single n and cpowers for a range
     x = 2.0 ** -20
     z = dd.cis(np.array([x]))
-    sparse = np.array([0, 1, 2, 15, 16, 17, 1000, 2 ** 21 + 3, 3 * 2 ** 20 + 5])
-    dense = np.arange(0, 5000)
-    for ns in (sparse, dense):
-        got = dd.cpow(z, ns)
-        picks = range(len(ns)) if len(ns) < 50 else range(0, len(ns), 499)
-        for i in picks:
-            want = dd.cis(np.array([float(ns[i]) * x]))
-            err = _complex_err(got, (i, 0), _pair(want[0:2], 0),
-                               _pair(want[2:4], 0))
-            assert err <= Fraction(1, 10 ** 26), ns[i]
+    sparse = [0, 1, 2, 15, 16, 17, 1000, 2 ** 21 + 3, 3 * 2 ** 20 + 5]
+    table, _ = dd.cpowers(z, 5000)
+    cases = [(n, dd.cpow(z, n)) for n in sparse]
+    cases += [(n, table[:, n]) for n in range(0, 5000, 499)]
+    for n, got in cases:
+        want = dd.cis(np.array([float(n) * x]))
+        err = _complex_err(got, 0, _pair(want[0:2], 0), _pair(want[2:4], 0))
+        assert err <= Fraction(1, 10 ** 26), n
 
 
 def test_cpowers_returns_the_table_and_the_next_square():
     z = dd.cis(np.array([0.7]))
     table, q = dd.cpowers(z, 5)
     assert table.shape == (4, 5, 1)
-    want = dd.cpow(z, np.array([8]))
-    assert _complex_err(q[:, None], (0, 0), _pair(want[0:2], (0, 0)),
-                        _pair(want[2:4], (0, 0))) <= Fraction(1, 10 ** 30)
+    want = dd.cpow(z, 8)
+    assert _complex_err(q, 0, _pair(want[0:2], 0),
+                        _pair(want[2:4], 0)) <= Fraction(1, 10 ** 30)
     assert table[0, 0, 0] == 1.0 and table[2, 0, 0] == 0.0

@@ -13,6 +13,7 @@ from specvar import (DomainError, OpaqueDensity, SpectralMeasure,
                      fejer_kernel, nonergodic, power_law, quadratic,
                      sandwich, variance_covariance, variance_profile,
                      variance_spectral, white_noise, with_origin_atom)
+from specvar import spectral_measure as sm
 from specvar.fejer_variance import (_cheb_moments, _piece_variance,
                                     _piece_variance_covariance)
 
@@ -180,6 +181,79 @@ def test_atom_profile_rows_equal_pointwise(name):
     picks = rng.integers(1, 2 ** 16, size=60, endpoint=True).tolist()
     for n in (1, 2, 3, 32767, 32768, 32769, 2 ** 16, *picks):
         assert prof[n - 1] == variance_spectral(m, n), n
+
+
+def _random_atomic(seed, size=None):
+    """Seeded atomic measure: up to 80 atoms, masses over 10 decades; with
+    ``size`` given, also atoms at float 2 pi/3 and pi, where sin(n loc/2)
+    nearly vanishes for n divisible by 3 and even n."""
+    rng = np.random.default_rng(seed)
+    locs = rng.uniform(1e-6, PI, size or int(rng.integers(1, 81)))
+    if size:
+        locs = np.concatenate([locs, [2.0 * PI / 3.0, PI]])
+    locs = np.unique(locs)
+    masses = 10.0 ** rng.uniform(-5.0, 5.0, len(locs))
+    return SpectralMeasure(atoms=tuple(zip(locs.tolist(), masses.tolist())))
+
+
+def test_grid_profile_equals_single_n_everywhere():
+    # the profile's n lie on one (row x column) grid, a single n on its own
+    # 1 x 1 grid: both round the same double-double sum once
+    m = _random_atomic(2026, size=78)
+    prof = variance_profile(m, 3000)
+    for n in range(1, 3001):
+        assert prof[n - 1] == variance_spectral(m, n), n
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_block_edges_and_offsets(seed):
+    m = _random_atomic(seed)
+    n_max = 2 ** 15 + 11
+    prof = variance_profile(m, n_max)
+    # rows of B = 256 columns, per_block // 256 rows to a block (or one
+    # row split into column blocks)
+    B = 256
+    per = max(1, sm._ATOM_CELLS // len(m.atoms))
+    step = (per // B) * B if per >= B else per
+    edges = range(1, n_max + 1, step)
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(1, n_max, size=40, endpoint=True).tolist()
+    for n in {n_max, *picks, *(e + d for e in edges for d in (-1, 0, 1)
+                               if 1 <= e + d <= n_max)}:
+        assert prof[n - 1] == variance_spectral(m, n), n
+    # the same n on grids that start elsewhere
+    for n0, count in ((2, 700), (4097, 5000), (n_max - 30, 31)):
+        assert np.array_equal(sm.atom_fejer_sums(m, n0, count),
+                              prof[n0 - 1:n0 - 1 + count]), n0
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_grid_cos_sums_equal_scalar_lags(seed):
+    m = _random_atomic(seed, size=60)
+    r = autocovariance_batch(m, 2 ** 16 + 1)
+    rng = np.random.default_rng(seed)
+    for k in {*range(2 ** 16 - 40, 2 ** 16 + 1),
+              *rng.integers(1, 2 ** 16, size=40).tolist()}:
+        assert r[k] == autocovariance(m, k), k
+    k0 = 2 ** 30 + 12345  # a grid that starts at a large lag
+    c = sm.atom_cos_sums(m, k0, 300)
+    for i in range(0, 300, 7):
+        assert c[i] == autocovariance(m, k0 + i), k0 + i
+
+
+def test_grid_tiny_variances_at_float_two_pi_over_three_and_pi():
+    # Var(S_3) at the atom 2 pi/3 is 1.58e-31: sin(3 loc/2) is the float
+    # error of loc, so the row and column powers must hold it to 1e-14
+    for loc, ns in ((2.0 * PI / 3.0, (3, 6, 3 * 1001)), (PI, (2, 4, 2000))):
+        m = SpectralMeasure(atoms=((loc, 1.0),))
+        prof = variance_profile(m, max(ns))
+        for n in ns:
+            want = atomic_variance_oracle(m, n)
+            assert want < 1e-24
+            assert variance_spectral(m, n) == pytest.approx(want, rel=1e-14)
+            assert prof[n - 1] == pytest.approx(want, rel=1e-14)
+    m = SpectralMeasure(atoms=((2.0 * PI / 3.0, 1.0),))
+    assert atomic_variance_oracle(m, 3) == pytest.approx(1.58e-31, rel=1e-2)
 
 
 def test_variance_density_against_independent_sum():
