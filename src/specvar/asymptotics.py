@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, ValidationError, check_int
 from .fejer_variance import variance_profile, variance_spectral
 from .spectral_measure import SpectralMeasure, g_eval
-from .specfun import gamma_fn, sin_sq_moment
+from .specfun import sin_sq_moment
 
 
 def c_gamma(gamma: float) -> float:
@@ -34,7 +34,7 @@ def c_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not 0.0 < gamma < 2.0:
         raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
-    return (gamma_fn(1.0 + gamma) * math.sin(gamma * math.pi / 2.0)
+    return (math.gamma(1.0 + gamma) * math.sin(gamma * math.pi / 2.0)
             / (math.pi * (2.0 - gamma)))
 
 
@@ -43,7 +43,7 @@ def d_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not 0.0 < gamma < 2.0:
         raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
-    return (gamma_fn(gamma) * 2.0 ** (2.0 - gamma)
+    return (math.gamma(gamma) * 2.0 ** (2.0 - gamma)
             * math.sin(gamma * math.pi / 2.0) / math.pi)
 
 

@@ -21,7 +21,7 @@ from . import gallery
 from .asymptotics import (RegularVariationModel, SlowlyVarying,
                           c_gamma, c_identity_residual, d_gamma, gamma_fit,
                           theorem_check)
-from .errors import DomainError, NumericError, SpecvarError, ValidationError
+from .errors import NumericError, SpecvarError, ValidationError
 from .fejer_variance import BoundsReport, sandwich, variance_spectral
 from .simulate import empirical_variance, simulate
 from .spectral_measure import measure_from_dict
@@ -296,18 +296,12 @@ def run(argv, out=None, err=None) -> int:
     except NumericError as exc:
         print(f"specvar: numeric failure: {exc}", file=err)
         return 2
-    except (DomainError, ValidationError) as exc:
-        print(f"specvar: {exc}", file=err)
-        return 1
-    except SpecvarError as exc:
+    except (SpecvarError, ValueError) as exc:
         print(f"specvar: {exc}", file=err)
         return 1
     except OSError as exc:
         print(f"specvar: i/o error: {exc}", file=err)
         return 3
-    except ValueError as exc:
-        print(f"specvar: {exc}", file=err)
-        return 1
 
 
 def main() -> None:

@@ -48,6 +48,9 @@ KERNEL_QUAD_MAX_N = 2 ** 14
 # A density piece's part of (0, _HEAD_ARCS pi/n] is integrated over the
 # half-arcs of I_n (the head), the rest on dyadic Chebyshev panels (the tail)
 _HEAD_ARCS = 32
+# absolute accuracy target of a density piece's integral against I_n (half
+# for its head, half for its tail) and of the sandwich's tail integral
+_TOL = 1e-10
 
 
 def _chebyshev_rule(deg: int):
@@ -73,10 +76,9 @@ _RECURRENCE_MIN_OMEGA = 24.0
 _FINE_X, _dct, _cc = _chebyshev_rule(128)
 _FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
            * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
-# bisection budget of a piece's tail: enough rounds to take a panel holding
-# a jump down to the tolerance, and few enough panels to bound the memory
+# panel budget of a piece's tail: enough to bisect a panel holding a jump
+# down to the tolerance, and few enough to bound the memory
 _TAIL_MAX_PANELS = 2 ** 12
-_TAIL_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def _fcc_panels(density, n: float, a, b):
     return flat - osc, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
 
 
-def _piece_variance(piece, n: int, tol: float) -> float:
+def _piece_variance(piece, n: int) -> float:
     """``int density I_n`` for one density piece: head plus tail."""
     cut = _HEAD_ARCS * PI / n
     total = 0.0
@@ -205,25 +207,24 @@ def _piece_variance(piece, n: int, tol: float) -> float:
         hi = min(cut, piece.hi)
         total += piece.integrate_against(
             lambda y: _kernel_raw(n, y),
-            points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * tol,
+            points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * _TOL,
             max_panels=4 * _HEAD_ARCS + 64, hi=hi)
     if piece.hi > cut:
         # dyadic tail panels; one whose estimate is too large (a density not
         # smooth inside it) is bisected, as QUADPACK's QAWO does
         tail = partial(_fcc_panels, piece.formula, float(n))
         total += bisect_panels(tail, _tail_edges(piece, max(cut, piece.lo)),
-                               tol=0.5 * tol, max_panels=_TAIL_MAX_PANELS,
-                               max_rounds=_TAIL_MAX_ROUNDS)[0]
+                               tol=0.5 * _TOL, max_panels=_TAIL_MAX_PANELS)[0]
     return total
 
 
-def _piece_variance_covariance(piece, n: int, tol: float) -> float:
+def _piece_variance_covariance(piece, n: int) -> float:
     k = np.arange(1, n)
-    c = piece.cos_transform(k, tol=tol)
+    c = piece.cos_transform(k)
     return n * piece.mass + 2.0 * float(((n - k) * c).sum())
 
 
-def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
+def variance_spectral(m: SpectralMeasure, n) -> float:
     """Var(S_n) by integrating the Fejer kernel against the measure.
 
     Any origin atom contributes ``atom_at_zero * n**2`` and atoms in (0, pi]
@@ -232,20 +233,20 @@ def variance_spectral(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     I_n, the rest with Filon-Clenshaw-Curtis panels on dyadic intervals, so
     its cost is O(log n) and no array grows with n, for every n < 2**63.
     Against exact references (white noise, the quadratic measure) the
-    relative error stays below 1e-15 from n = 1 to 2**62.  A tail panel
-    on which the density is not smooth enough for its Chebyshev estimate
-    (a kink or a jump inside it) is bisected until the estimates meet the
-    tolerance, at a cost that does not grow with n; NumericError when the
-    bisection budget runs out first.
+    relative error stays below 1e-15 from n = 1 to 2**62.  A piece aims at
+    an absolute error estimate of _TOL = 1e-10.  A panel on which the
+    density is not smooth enough for its estimate (a kink or a jump inside
+    it) is bisected until the estimates meet it, at a cost that does not
+    grow with n; NumericError when the bisection budget runs out first.
     """
     n = check_int(n, "n", 1)
     total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, n, 1)[0])
     for piece in m.density:
-        total += _piece_variance(piece, n, tol)
+        total += _piece_variance(piece, n)
     return total
 
 
-def variance_covariance(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
+def variance_covariance(m: SpectralMeasure, n) -> float:
     """Var(S_n) via the triangular covariance sum (independent oracle).
 
     Every term is a covariance: the origin atom's are constant, so its lags
@@ -259,7 +260,7 @@ def variance_covariance(m: SpectralMeasure, n, tol: float = 1e-10) -> float:
     n = check_int(n, "n", 1)
     total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)
     for piece in m.density:
-        total += _piece_variance_covariance(piece, n, min(tol, 1e-12))
+        total += _piece_variance_covariance(piece, n)
     return total
 
 
@@ -273,7 +274,7 @@ def _blocked_cumsum(x, block: int = 512):
     return rows.ravel()[:len(x)]
 
 
-def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
+def variance_profile(m: SpectralMeasure, n_max):
     """Array of Var(S_n) for n = 1 .. n_max in one vectorized pass.
 
     Atoms are evaluated against the kernel exactly; the density part uses the
@@ -287,12 +288,9 @@ def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
     n_max = check_int(n_max, "n_max", 1)
     n = np.arange(1, n_max + 1, dtype=float)
     out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, 1, n_max)
+    k = np.arange(1, n_max)
     for piece in m.density:
-        if n_max == 1:
-            out += piece.mass
-            continue
-        k = np.arange(1, n_max)
-        c = piece.cos_transform(k, tol=min(tol, 1e-12))
+        c = piece.cos_transform(k)
         # s1[j] = sum_{k<=j} c_k and s2c[j] = sum_{k<=j} k c_k
         s1 = np.concatenate([[0.0], _blocked_cumsum(c)])
         s2c = np.concatenate([[0.0], _blocked_cumsum(k * c)])
@@ -300,8 +298,7 @@ def variance_profile(m: SpectralMeasure, n_max, tol: float = 1e-10):
     return out
 
 
-def sandwich(m: SpectralMeasure, n, A: float = 1.0,
-             tol: float = 1e-10) -> BoundsReport:
+def sandwich(m: SpectralMeasure, n, A: float = 1.0) -> BoundsReport:
     """Bracket Var(S_n) between the kernel's main-lobe lower bound and the
     split upper bound with free parameter A (0 < A <= n)."""
     n = check_int(n, "n", 1)
@@ -309,7 +306,7 @@ def sandwich(m: SpectralMeasure, n, A: float = 1.0,
     if not 0.0 < A <= n:
         raise DomainError(f"sandwich requires 0 < A <= n, got A={A}, n={n}")
     lower = (4.0 / PI ** 2) * n ** 2 * g_eval(m, 1.0 / n)
-    variance = variance_spectral(m, n, tol=tol)
+    variance = variance_spectral(m, n)
     a_over_n = A / n
     upper = g_eval(m, PI) + (PI ** 2 / 4.0) * n ** 2 * g_eval(m, a_over_n)
     if a_over_n < PI:
@@ -320,7 +317,7 @@ def sandwich(m: SpectralMeasure, n, A: float = 1.0,
         # G decays to its total mass; log-spaced points resolve the y^-3 head
         pts.append(np.geomspace(a_over_n, PI, 65))
         tail, _ = integrate(lambda y: g_eval(m, y) / y ** 3, a_over_n, PI,
-                            points=np.concatenate(pts), tol=tol)
+                            points=np.concatenate(pts), tol=_TOL)
         upper += PI ** 2 * tail
     return BoundsReport(n=n, A=A, lower=float(lower), variance=variance,
                         upper=float(upper))

@@ -63,6 +63,9 @@ _WG[9:15:2] = _WG_HALF[::-1]
 # relative roundoff floor of a quadrature sum: no estimate is asked to go
 # below it, for the total or for a single panel
 _ROUNDOFF = 64.0 * np.finfo(float).eps
+# most bisection rounds of one integral; a panel holding a jump halves each
+# round, so 64 rounds take it far below any tolerance the package asks for
+_MAX_ROUNDS = 64
 
 
 def _gk_batch(f, lo, hi):
@@ -97,7 +100,7 @@ def _jacobi_edge(g, beta, b):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def bisect_panels(rule, edges, *, tol, max_panels, max_rounds):
+def bisect_panels(rule, edges, *, tol, max_panels):
     """Integrate over the panels between ``edges`` (increasing), bisecting
     the ones whose estimates are too large until the total estimate meets
     ``tol`` or the roundoff floor of the total.
@@ -105,14 +108,15 @@ def bisect_panels(rule, edges, *, tol, max_panels, max_rounds):
     rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
         [a[i], b[i]], given as arrays.
     Returns ``(value, error_estimate)``; raises NumericError with the
-    achieved estimate when ``max_panels`` or ``max_rounds`` runs out first.
+    achieved estimate when ``max_panels`` or the _MAX_ROUNDS rounds run out
+    first.
     """
     # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
     # across rounds, and each round evaluates only the panels in `fresh`
     ik = np.empty(len(edges) - 1)
     err = np.empty_like(ik)
     fresh = np.arange(len(ik))
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
         total = float(ik.sum())
         total_err = float(err.sum())
@@ -150,7 +154,7 @@ def bisect_panels(rule, edges, *, tol, max_panels, max_rounds):
 
 
 def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
-              max_panels=200_000, max_rounds=30):
+              max_panels=200_000):
     """Integrate ``f`` over ``[lo, hi]`` with breakpoint-seeded adaptivity.
 
     points: interior breakpoints (oscillation zeros, knots); values outside
@@ -159,7 +163,8 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
         ``lo == 0`` and ``f`` smooth; the leftmost panel then uses the
         Gauss-Jacobi edge rule.
     Returns ``(value, error_estimate)``; raises NumericError if the estimate
-    cannot be pushed below the effective tolerance within the panel budget.
+    cannot be pushed below the effective tolerance within ``max_panels``
+    panels and 64 bisection rounds (``bisect_panels``).
     """
     lo = float(lo)
     hi = float(hi)
@@ -187,5 +192,4 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
     pts = np.asarray(points, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
-    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels,
-                         max_rounds=max_rounds)
+    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels)

@@ -7,8 +7,9 @@ independent, so their sum has the measure's covariance.
   ``atom_at_zero`` per path, added to every coordinate.
 * An atom of mass m at t in (0, pi] is the random harmonic
   ``sqrt(m) (A cos(t y) + B sin(t y))`` with A, B standard normal.  cos(t y)
-  and sin(t y) are the parts of exp(i t)**y from ``ddouble.cpowers``, the
-  powers the atomic autocovariances use, so no angle t*y is rounded.
+  and sin(t y) are the parts of exp(i t)**y from ``ddouble.cpowers`` on the
+  measure's cached phases, the powers the atomic autocovariances use, so no
+  angle t*y is rounded.
 * The density pieces are drawn by circulant embedding of length M, the
   smallest even M >= 2(N-1) with no prime factor above 5 (Wood & Chan 1994),
   when the embedding spectrum is nonnegative.  The real and imaginary parts
@@ -118,30 +119,32 @@ def _level(var: float):
     return 2, add
 
 
-def _harmonic_table(locs, masses, N):
-    """(2J, N) rows sqrt(m) cos(t y), then sqrt(m) sin(t y), y < N."""
-    p, _ = dd.cpowers(dd.cis(locs), N)
+def _harmonic_table(cis, masses, N):
+    """(2J, N) rows sqrt(m) cos(t y), then sqrt(m) sin(t y), y < N, from the
+    atoms' phases exp(i t) (a complex stack) and masses."""
+    p, _ = dd.cpowers(cis, N)
     amp = np.sqrt(masses)[:, None]
     return np.concatenate([amp * (p[0] + p[1]).T, amp * (p[2] + p[3]).T])
 
 
-def _harmonics(locs, masses, N, P):
+def _harmonics(m: SpectralMeasure, N, P):
     """One part per block of atoms.  The tables are built once when they
     fit in one block or hold no more cells than the P paths; otherwise each
     is rebuilt for each block of pairs, so memory stays O(P N) for any atom
     count."""
+    _, masses = m.atom_arrays()
     size = max(1, _BLOCK_CELLS // (4 * N))
-    keep = len(locs) <= max(size, P // 2)
+    keep = len(masses) <= max(size, P // 2)
 
     def part(s):
-        kept = _harmonic_table(locs[s], masses[s], N) if keep else None
+        cis, mass = m._cis[:, s], masses[s]
+        kept = _harmonic_table(cis, mass, N) if keep else None
 
         def add(z, out):
-            table = kept if kept is not None else _harmonic_table(
-                locs[s], masses[s], N)
+            table = kept if kept is not None else _harmonic_table(cis, mass, N)
             out += z.reshape(len(out), -1) @ table
-        return 4 * len(locs[s]), add
-    return [part(slice(j, j + size)) for j in range(0, len(locs), size)]
+        return 4 * len(mass), add
+    return [part(slice(j, j + size)) for j in range(0, len(masses), size)]
 
 
 def _circulant(lam, M: int, N: int):
@@ -163,12 +166,11 @@ def _dense(L, N: int):
     return 2 * N, add
 
 
-def _density(m: SpectralMeasure, N: int, tol: float):
+def _density(m: SpectralMeasure, N: int):
     """The density pieces' part, route name, embedding minimum eigenvalue
     and jitter."""
     M = _embedding_length(N)
-    r = autocovariance_batch(SpectralMeasure(density=m.density), M // 2 + 1,
-                             tol=min(tol, 1e-12))
+    r = autocovariance_batch(SpectralMeasure(density=m.density), M // 2 + 1)
     r0 = float(r[0])
     lam = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
     min_eig = float(lam.min())
@@ -192,20 +194,20 @@ def _density(m: SpectralMeasure, N: int, tol: float):
     raise NumericError("dense factorization failed even with jitter")
 
 
-def simulate(m: SpectralMeasure, N: int, P: int, seed: int,
-             tol: float = 1e-10) -> PathBatch:
+def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
     """Draw P exact sample paths of length N; bit-reproducible in all inputs,
-    and the first paths do not depend on P."""
+    and the first paths do not depend on P.  The density's autocovariances
+    come from ``autocovariance_batch`` at its fixed accuracy."""
     N = check_int(N, "N", 1)
     P = check_int(P, "P", 1)
     if N > MAX_PATH_LENGTH:
         raise DomainError(f"N must be <= {MAX_PATH_LENGTH}, got {N}")
 
     parts = [_level(m.atom_at_zero)] if m.atom_at_zero > 0.0 else []
-    parts += _harmonics(*m.atom_arrays(), N, P)
+    parts += _harmonics(m, N, P)
     method, min_eig, jitter = "harmonic", None, 0.0
     if m.density:
-        part, method, min_eig, jitter = _density(m, N, tol)
+        part, method, min_eig, jitter = _density(m, N)
         parts.append(part)
 
     # every block has the same shape whatever P is, so the BLAS and FFT

@@ -1,6 +1,5 @@
 """Special functions used by the spectral routines.
 
-* the gamma function on x > 0 (``math.gamma`` behind a domain check),
 * the oscillatory power moments ``int_0^x u**p cos(u) du`` and the sine
   analogue, evaluated by direct quadrature for small ``x`` and by
   constant-minus-asymptotic-tail for large ``x``.  These give closed-form
@@ -22,14 +21,6 @@ from .quadrature import integrate
 # below this the base moments are computed by quadrature, above by the
 # asymptotic tail series (which needs x somewhat larger than |exponent|)
 _ASYMPTOTIC_CUT = 45.0
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x > 0 (``math.gamma``, checked domain)."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def sin_cos(x, x_lo=0.0):
@@ -109,7 +100,7 @@ def trig_power_moments(p: float, x, x_lo=0.0):
         small = pos & ~big
         if big.any():
             tc, ts = _tail_pair(mu, x[big], sx[big], cx[big])
-            gam = gamma_fn(mu + 1.0)
+            gam = math.gamma(mu + 1.0)
             c[big] = gam * math.cos(math.pi * (mu + 1.0) / 2.0) - tc
             s[big] = gam * math.sin(math.pi * (mu + 1.0) / 2.0) - ts
         for i in np.nonzero(small)[0]:

@@ -90,7 +90,7 @@ class PowerDensity:
     def mass(self) -> float:
         return float(self.mass_upto(self.hi))
 
-    def cos_transform(self, k, tol=1e-12):
+    def cos_transform(self, k):
         """``int cos(k y) * density(y) dy`` for an array of integers k >= 1."""
         k = np.asarray(k, dtype=float)
         p = self.exponent
@@ -180,7 +180,7 @@ class TableDensity:
     def mass(self) -> float:
         return float(self.mass_upto(self.ys[-1]))
 
-    def cos_transform(self, k, tol=1e-12):
+    def cos_transform(self, k):
         # exact per linear segment:
         # int (a + s*y) cos(ky) dy = [f(y) sin(ky)/k] + s (cos(kb)-cos(ka))/k^2
         k = np.asarray(k, dtype=float)
@@ -225,6 +225,10 @@ class TableDensity:
         return total
 
 
+# absolute accuracy target of an opaque piece's cosine transforms
+_OPAQUE_COS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class OpaqueDensity:
     """Caller-supplied density evaluator on (lo, hi]; library use only.
@@ -257,14 +261,15 @@ class OpaqueDensity:
     def mass(self) -> float:
         return float(self.mass_upto(self.hi)[0])
 
-    def cos_transform(self, k, tol=1e-12):
+    def cos_transform(self, k):
         k = np.asarray(k, dtype=float)
         out = np.empty_like(k)
         for i, kk in enumerate(k):
             zeros = np.arange(1, int(kk * (self.hi - self.lo) / math.pi) + 1)
             pts = self.lo + zeros * math.pi / kk
             out[i] = integrate(lambda y: self.fn(y) * np.cos(kk * y),
-                               self.lo, self.hi, points=pts, tol=tol)[0]
+                               self.lo, self.hi, points=pts,
+                               tol=_OPAQUE_COS_TOL)[0]
         return out
 
     def formula(self, y):
@@ -461,7 +466,7 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     B = 1 << ((n - 1).bit_length() + 1) // 2
     A = -(-n // B)
     L = n - (A - 1) * B
-    zb, zB = dd.cpowers(dd.cis(locs), B)
+    zb, zB = dd.cpowers(m._cis, B)
     za, _ = dd.cpowers(zB, A)
     bzb = dd.cscale(zb, np.arange(B, dtype=float)[:, None])
     rows = dd.stack_add(dd.cscale(dd.total(zb)[:, None],
@@ -476,34 +481,34 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     return float(hi + lo)
 
 
-def autocovariance(m: SpectralMeasure, k: int, tol: float = 1e-12) -> float:
+def _lags(m: SpectralMeasure, k0: int, count: int):
+    """r_k for k = k0 .. k0+count-1 (k0 >= 1; the range may be empty): the
+    origin atom, ``atom_cos_sums`` and each piece's ``cos_transform``."""
+    r = m.atom_at_zero + atom_cos_sums(m, k0, count)
+    k = np.arange(k0, k0 + count)
+    for piece in m.density:
+        r += piece.cos_transform(k)
+    return r
+
+
+def autocovariance(m: SpectralMeasure, k: int) -> float:
     """Lag-k autocovariance r_k of the sequence with spectral measure m.
 
     Folded form: ``r_k = atom_at_zero + sum cos(k loc) mass
     + int cos(k y) density(y) dy``; in particular r_0 is the total mass.
+    A lag k >= 1 comes from ``_lags``, as in ``autocovariance_batch``.
     """
     k = check_int(k, "lag", 0)
     if k == 0:
         return float(g_eval(m, PI))
-    total = m.atom_at_zero + float(atom_cos_sums(m, k, 1)[0])
-    for piece in m.density:
-        total += float(piece.cos_transform(np.array([k]), tol=tol)[0])
-    return total
+    return float(_lags(m, k, 1)[0])
 
 
-def autocovariance_batch(m: SpectralMeasure, n: int, tol: float = 1e-12):
-    """Array of r_0 .. r_{n-1} (vectorized over lags)."""
+def autocovariance_batch(m: SpectralMeasure, n: int):
+    """Array of r_0 .. r_{n-1}: the total mass, then ``_lags`` (vectorized
+    over lags)."""
     n = check_int(n, "batch length", 1)
-    r = np.empty(n)
-    r[0] = g_eval(m, PI)
-    if n == 1:
-        return r
-    k = np.arange(1, n)
-    acc = m.atom_at_zero + atom_cos_sums(m, 1, n - 1)
-    for piece in m.density:
-        acc += piece.cos_transform(k, tol=tol)
-    r[1:] = acc
-    return r
+    return np.concatenate([[g_eval(m, PI)], _lags(m, 1, n - 1)])
 
 
 def robinson_integral(m: SpectralMeasure) -> float:

@@ -251,3 +251,52 @@ def test_threads_env_does_not_change_output(monkeypatch):
     monkeypatch.setenv("SPECVAR_THREADS", "4")
     _, out2, _ = run_cli(argv)
     assert out1 == out2
+
+
+def _variance_n(spec):
+    return ["variance", "--measure", "gallery:whitenoise", "--n", spec]
+
+
+def _scan_l(spec):
+    return ["scan", "--measure", "gallery:whitenoise", "--gamma", "1",
+            "--L", spec, "--n-range", "2:4"]
+
+
+@pytest.mark.parametrize("argv", [
+    _variance_n("dyadic:1"), _variance_n("dyadic:3:1"),
+    _variance_n("dyadic:-1:2"), _variance_n("dyadic:a:4"),
+    _variance_n("1:2:3:4"), _variance_n("5:1"), _variance_n("1:5:0"),
+    _variance_n("x:5"), _variance_n("1,2.5"),
+    ["variance", "--measure", "gallery:", "--n", "1"],
+    ["variance", "--measure", "gallery:power:gamma", "--n", "1"],
+    _scan_l("weird"), _scan_l("logpow:x"),
+    ["constants", "--gamma", ","],
+], ids=["dyadic-parts", "dyadic-order", "dyadic-negative", "dyadic-int",
+        "range-parts", "range-order", "range-step", "range-int", "n-list",
+        "gallery-empty", "gallery-param", "L-spec", "L-logpow",
+        "gamma-empty"])
+def test_bad_input_exits_1_with_empty_stdout(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 1 and out == "" and err.startswith("specvar: ")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("variance", "{not json"),
+    ("estimate", "n,var\n2,1.0\n"),
+    ("estimate", "n,variance\n2,1.0,3.0\n"),
+    ("estimate", "n,variance\nx,1.0\n"),
+], ids=["measure-json", "estimate-header", "estimate-row-cells",
+        "estimate-row-int"])
+def test_bad_input_file_exits_1_with_empty_stdout(tmp_path, command, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = (["variance", "--measure", f"file:{path}", "--n", "1"]
+            if command == "variance" else ["estimate", "--input", str(path)])
+    rc, out, err = run_cli(argv)
+    assert rc == 1 and out == "" and err.startswith("specvar: ")
+
+
+def test_bad_threads_env_exits_1_with_empty_stdout(monkeypatch):
+    monkeypatch.setenv("SPECVAR_THREADS", "abc")
+    rc, out, err = run_cli(_variance_n("1,2"))
+    assert rc == 1 and out == "" and "SPECVAR_THREADS" in err

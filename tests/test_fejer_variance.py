@@ -8,10 +8,11 @@ from scipy.special import digamma, polygamma
 
 from conftest import (atomic_autocovariance_oracle, atomic_variance_oracle,
                       covariance_variance_oracle, scale_measure)
-from specvar import (DomainError, OpaqueDensity, SpectralMeasure,
-                     autocovariance, autocovariance_batch, counterexample,
-                     fejer_kernel, nonergodic, power_law, quadratic,
-                     sandwich, variance_covariance, variance_profile,
+from specvar import (DomainError, OpaqueDensity, PowerDensity,
+                     SpectralMeasure, TableDensity, autocovariance,
+                     autocovariance_batch, counterexample, fejer_kernel,
+                     nonergodic, power_law, quadratic, sandwich,
+                     variance_covariance, variance_profile,
                      variance_spectral, white_noise, with_origin_atom)
 from specvar import spectral_measure as sm
 from specvar.fejer_variance import (_cheb_moments, _piece_variance,
@@ -281,8 +282,8 @@ def test_large_n_route_continuity():
     for m in (power_law(0.5), power_law(1.5), quadratic()):
         piece = m.density[0]
         for n in (2 ** 14, 2 ** 16, 2 ** 18):
-            a = _piece_variance(piece, n, 1e-10)
-            b = _piece_variance_covariance(piece, n, 1e-12)
+            a = _piece_variance(piece, n)
+            b = _piece_variance_covariance(piece, n)
             assert a == pytest.approx(b, rel=1e-9), n
 
 
@@ -324,24 +325,43 @@ def test_opaque_density_matches_power_piece(n):
         variance_spectral(quadratic(), n), rel=1e-13)
 
 
-@pytest.mark.parametrize("whole, below, above", [
+def _whole_and_split(whole, below, above):
+    """A density on (0, pi] with a break at y = 1, and the same density as
+    two smooth pieces split at the break."""
+    return (SpectralMeasure(density=(OpaqueDensity(0.0, PI, whole),)),
+            SpectralMeasure(density=(OpaqueDensity(0.0, 1.0, below),
+                                     OpaqueDensity(1.0, PI, above))))
+
+
+_BREAK_AT_ONE = pytest.mark.parametrize("whole, below, above", [
     # a kink at y = 1
     (lambda y: np.abs(y - 1.0) + 0.5, lambda y: 1.5 - y, lambda y: y - 0.5),
     # a jump at y = 1
     (lambda y: np.where(y < 1.0, 1.0, 2.0), lambda y: np.ones_like(y),
      lambda y: np.full_like(y, 2.0)),
 ], ids=["kink", "jump"])
+
+
+@_BREAK_AT_ONE
 @pytest.mark.parametrize("n", [128, 2 ** 19, 2 ** 30, 2 ** 50, 2 ** 62])
 def test_density_not_smooth_inside_a_tail_panel(whole, below, above, n):
     # the break at y = 1 lies inside a dyadic tail panel at every n here;
     # that panel's Chebyshev estimate fails and it is bisected, so the
     # result is that of the density split at the break into two smooth
     # pieces, with no work or memory growing with n
-    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, whole),))
-    split = SpectralMeasure(density=(OpaqueDensity(0.0, 1.0, below),
-                                     OpaqueDensity(1.0, PI, above)))
+    m, split = _whole_and_split(whole, below, above)
     assert variance_spectral(m, n) == pytest.approx(
         variance_spectral(split, n), rel=1e-12)
+
+
+@_BREAK_AT_ONE
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_density_not_smooth_inside_the_head(whole, below, above, n):
+    # the break at y = 1 lies inside the head (0, 32 pi/n], whose
+    # Gauss-Kronrod panels are bisected towards it until the head meets its
+    # share of the route's absolute target, 1e-10
+    m, split = _whole_and_split(whole, below, above)
+    assert abs(variance_spectral(m, n) - variance_spectral(split, n)) <= 1e-10
 
 
 def test_quadratic_profile_against_closed_form():
@@ -355,6 +375,37 @@ def test_quadratic_profile_against_closed_form():
     for n in sorted(rows):
         want = quadratic_exact(n)
         assert abs(prof[n - 1] - want) <= 1e-9 * want, n
+
+
+def _power_and_table():
+    """A power piece on (0, 0.5] and a table piece on (0.5, pi], the
+    benchmark's table measure."""
+    return SpectralMeasure(density=(
+        PowerDensity(0.0, 0.5, 0.6, 0.5),
+        TableDensity((0.5, 1.0, 1.7, 2.4, PI),
+                     (0.4242640687119285, 0.55, 0.9, 0.3, 0.05))))
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096])
+def test_covariance_routes_on_a_table_piece(n):
+    # the covariance side takes the table's mass and cosine transforms, the
+    # spectral side integrates the table against I_n
+    m = _power_and_table()
+    want = variance_spectral(m, n)
+    assert variance_covariance(m, n) == pytest.approx(want, rel=1e-10)
+    assert variance_profile(m, n)[-1] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [
+    counterexample(), power_law(0.5),
+    SpectralMeasure(atom_at_zero=0.25, atoms=((0.3, 0.2), (PI, 0.05)),
+                    density=_power_and_table().density),
+], ids=["atomic", "density", "mixed"])
+def test_profile_of_one_row(m):
+    # no lag enters Var(S_1): the profile's empty lag range gives r_0
+    prof = variance_profile(m, 1)
+    assert prof.shape == (1,)
+    assert prof[0] == pytest.approx(variance_spectral(m, 1), rel=1e-13)
 
 
 def test_variance_domain():

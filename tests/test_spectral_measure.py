@@ -436,3 +436,43 @@ def test_atoms_sorted_on_load():
     m = measure_from_dict({"atoms": [{"y": 2.0, "mass": 1.0},
                                      {"y": 1.0, "mass": 2.0}]})
     assert m.atoms == ((1.0, 2.0), (2.0, 1.0))
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"atom_at_zero": "1"}, "atom_at_zero"),
+    ({"atoms": [{"y": 1.0, "mass": [1.0]}]}, "atoms[0].mass"),
+    ({"atoms": [5]}, "atoms[0]"),
+    ({"atoms": {"y": 1.0}}, "atoms"),
+    ({"density": {"type": "power"}}, "density"),
+    ({"atoms": [{"y": 1.0}]}, "atoms[0]"),
+    ({"atoms": [{"mass": 1.0}]}, "atoms[0]"),
+    ({"atoms": [{"y": 1.0, "mass": 1.0}, {"y": 1.0, "mass": 2.0}]}, "atoms"),
+    ({"density": [{"coef": 1.0, "exp": 0.0}]}, "density[0]"),
+    ({"density": [{"type": "power", "exp": 0.0, "hi": 3.5}]},
+     "density[0].hi"),
+    ({"density": [{"type": "table", "ys": 1.0, "vals": [1.0]}]},
+     "density[0]"),
+], ids=["non-number", "non-number-in-entry", "non-object", "atoms-not-list",
+        "density-not-list", "missing-mass", "missing-y", "duplicate-atom",
+        "piece-without-type", "hi-beyond-pi", "table-without-lists"])
+def test_json_validation_error_key_paths(data, path):
+    with pytest.raises(ValidationError) as e:
+        measure_from_dict(data)
+    assert e.value.path == path
+
+
+def _mixed_measure():
+    """An origin atom, atoms in (0, pi], a power piece and a table piece."""
+    return SpectralMeasure(
+        atom_at_zero=0.25, atoms=((0.3, 0.2), (2.0, 0.1), (PI, 0.05)),
+        density=(PowerDensity(0.0, 0.25, 0.7, -0.4),
+                 TableDensity((0.5, 1.0, 2.5), (0.2, 0.6, 0.1))))
+
+
+@pytest.mark.parametrize("m", [counterexample(), power_law(0.5),
+                               _mixed_measure()],
+                         ids=["atomic", "density", "mixed"])
+def test_autocovariance_batch_of_one_lag_is_r0(m):
+    # the lag range 1 .. 0 is empty, so only r_0 is left
+    r = autocovariance_batch(m, 1)
+    assert r.shape == (1,) and r[0] == autocovariance(m, 0)
