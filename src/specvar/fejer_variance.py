@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ValidationError, check_int
 from .quadrature import bisect_panels, integrate
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
-                               atom_fejer_sums, g_eval)
+                               atom_fejer_sums, check_lags, g_eval)
 
 # no longer read here; the benchmark workloads (perfbench/workloads.py)
 # still import it
@@ -283,9 +283,9 @@ def variance_profile(m: SpectralMeasure, n_max):
     that of ``variance_covariance``: n r_0 cancels down to Var(S_n), so even
     with exact c_k the relative error of a density row grows like n/ln n
     times the c_k's rounding (a few 1e-10 at n = 2**18 on the quadratic
-    measure).
+    measure).  n_max is at most ``MAX_LAGS``.
     """
-    n_max = check_int(n_max, "n_max", 1)
+    n_max = check_lags(n_max, "n_max")
     n = np.arange(1, n_max + 1, dtype=float)
     out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, 1, n_max)
     k = np.arange(1, n_max)

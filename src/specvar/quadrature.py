@@ -5,7 +5,9 @@ panels whose error estimates are too large until the total estimate meets the
 tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule;
 an integrable endpoint weight ``y**beta`` at ``lo == 0`` is handled by a
 Gauss-Jacobi rule on the leftmost panel so that adaptive bisection never has
-to chase the singularity.  ``fejer_variance`` runs the same loop with a
+to chase the singularity.  The Gauss-Jacobi rules are computed here, by
+Golub-Welsch on numpy (Golub & Welsch, Math. Comp. 1969), so the module
+needs no scipy.  ``fejer_variance`` runs the same loop with a
 Filon-Clenshaw-Curtis rule on the Fejer kernel's tail.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
@@ -16,10 +18,10 @@ the result is the same, bit for bit, as re-evaluating every panel each round.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, NumericError
 
@@ -79,11 +81,44 @@ def _gk_batch(f, lo, hi):
     return ik, np.abs(ik - ig)
 
 
+def _jacobi_orthonormal(x, a, rb, p0):
+    """The orthonormal recurrence at the points ``x``: returns p_n(x), its
+    derivative, and the sum of p_k(x)**2 over k < n."""
+    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    ssq = p * p
+    for j in range(len(a)):
+        c = rb[j - 1] if j else 0.0
+        p_prev, p, d_prev, d = (
+            p, ((x - a[j]) * p - c * p_prev) / rb[j],
+            d, (p + (x - a[j]) * d - c * d_prev) / rb[j])
+        if j < len(a) - 1:
+            ssq += p * p
+    return p, d, ssq
+
+
 @lru_cache(maxsize=256)
 def _jacobi_rule(npts: int, beta: float):
-    # weight (1 + x)**beta on [-1, 1]
-    x, w = roots_jacobi(npts, 0.0, beta)
-    return x, w
+    # Gauss rule for the weight (1 + x)**beta on [-1, 1] (Jacobi, alpha = 0)
+    # by Golub-Welsch.  The monic recurrence is p_{k+1} = (x - a[k]) p_k -
+    # rb[k-1]**2 p_{k-1}; the nodes are the eigenvalues of its Jacobi matrix,
+    # each polished by one Newton step on p_n, and the weights are the
+    # Christoffel numbers 1 / sum_{k<n} p_k(x)**2 of the orthonormal
+    # polynomials, which start at p_0 = mu_0**-0.5 with mu_0 the total mass
+    # 2**(beta + 1) / (beta + 1)
+    k = np.arange(1.0, npts + 1.0)
+    s = 2.0 * k + beta
+    a = np.empty(npts)
+    a[0] = beta / (beta + 2.0)
+    a[1:] = beta ** 2 / (s[:-1] * (s[:-1] + 2.0))
+    rb = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(rb[:-1], -1))
+    p0 = 1.0 / math.sqrt(2.0 ** (beta + 1.0) / (beta + 1.0))
+    p, d, _ = _jacobi_orthonormal(x, a, rb, p0)
+    x = x - p / d
+    _, _, ssq = _jacobi_orthonormal(x, a, rb, p0)
+    return x, 1.0 / ssq
 
 
 def _jacobi_edge(g, beta, b):

@@ -22,7 +22,8 @@ Randomness is fully reproducible.  Paths 2q and 2q+1 form pair q, whose
 Philox counter-based stream is keyed by ``seed XOR q``: it draws the two
 levels, then the harmonic normals, then the density normals, and normals are
 produced by the inverse-CDF transform (scipy's ndtri, a rational
-approximation).  Pairs are processed in blocks of a fixed shape, padded with
+approximation, imported on the first draw so that importing specvar does not
+load scipy).  Pairs are processed in blocks of a fixed shape, padded with
 zero normals, so a path's content never depends on P or on consumption
 order: a batch of P paths is a prefix of the same batch with more paths.
 """
@@ -35,7 +36,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import cholesky as _cholesky
-from scipy.special import ndtri
 
 from . import ddouble as dd
 from .errors import DomainError, NumericError, check_int
@@ -79,6 +79,13 @@ class PathBatch:
 class EmpiricalVariance(NamedTuple):
     estimate: float
     standard_error: float
+
+
+def ndtri(u, out=None):
+    """The standard normal quantile of ``u``: scipy's ``ndtri``, imported on
+    the first call."""
+    from scipy.special import ndtri as scipy_ndtri
+    return scipy_ndtri(u, out=out)
 
 
 def _pair_generator(seed: int, q: int) -> np.random.Generator:

@@ -369,6 +369,10 @@ def g_eval(m: SpectralMeasure, x):
     return float(out[0]) if scalar else out
 
 
+# most lags, or rows, of a call that builds O(n) arrays (autocovariance_batch,
+# variance_profile): 2 GiB per float64 array, enough for a full profile to
+# 2**26; a larger n raises DomainError instead of numpy's MemoryError
+MAX_LAGS = 2 ** 28
 _ATOM_CELLS = 1 << 16  # (atoms x n) cells per block; bounds the temporaries
 
 
@@ -504,10 +508,19 @@ def autocovariance(m: SpectralMeasure, k: int) -> float:
     return float(_lags(m, k, 1)[0])
 
 
+def check_lags(n, what: str) -> int:
+    """``n`` as an int in [1, MAX_LAGS], else DomainError naming ``what``;
+    checked before an O(n) array is made."""
+    n = check_int(n, what, 1)
+    if n > MAX_LAGS:
+        raise DomainError(f"{what} must be <= MAX_LAGS = {MAX_LAGS}, got {n}")
+    return n
+
+
 def autocovariance_batch(m: SpectralMeasure, n: int):
     """Array of r_0 .. r_{n-1}: the total mass, then ``_lags`` (vectorized
-    over lags)."""
-    n = check_int(n, "batch length", 1)
+    over lags); n is at most ``MAX_LAGS``."""
+    n = check_lags(n, "batch length")
     return np.concatenate([[g_eval(m, PI)], _lags(m, 1, n - 1)])
 
 

@@ -14,6 +14,7 @@ from specvar import (DomainError, autocovariance, autocovariance_batch,
                      nonergodic, power_law, quadratic, sandwich, simulate,
                      variance_covariance, variance_profile, variance_spectral,
                      white_noise)
+from specvar.spectral_measure import MAX_LAGS
 
 NAN, INF = math.nan, math.inf
 BAD_INTEGERS = [NAN, INF, -INF, 2.5]
@@ -68,6 +69,31 @@ def test_n_at_or_above_2_63_rejected_before_allocation(call, big):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 16
+
+
+CAPPED_ARGS = {
+    "variance_profile": (lambda v: variance_profile(_M, v), "n_max"),
+    "autocovariance_batch": (lambda v: autocovariance_batch(quadratic(), v),
+                             "batch length"),
+}
+
+
+@pytest.mark.parametrize("n", [MAX_LAGS + 1, 2 ** 62], ids=repr)
+@pytest.mark.parametrize("call", sorted(CAPPED_ARGS))
+def test_o_n_calls_capped_at_max_lags_before_allocation(call, n):
+    # these build O(n) arrays, so above the cap they raise DomainError
+    # naming the argument instead of numpy's MemoryError; the cap still
+    # admits a full nonergodic profile to 2**26
+    assert MAX_LAGS >= 2 ** 26
+    fn, name = CAPPED_ARGS[call]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^{name} must be <= MAX_LAGS"):
+            fn(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,56 @@ def test_bad_threads_env_exits_1_with_empty_stdout(monkeypatch):
     monkeypatch.setenv("SPECVAR_THREADS", "abc")
     rc, out, err = run_cli(_variance_n("1,2"))
     assert rc == 1 and out == "" and "SPECVAR_THREADS" in err
+
+
+_SCIPY_FREE_JOBS = [
+    [job, "--measure", measure, *rest]
+    for measure, gamma in (("gallery:power:gamma=1.5", "1.5"),
+                           ("gallery:quadratic", "1"))
+    for job, rest in (
+        ("variance", ["--n", "1,64,100000"]),
+        ("bounds", ["--n", "4,64,100000", "--A", "2"]),
+        ("scan", ["--gamma", gamma, "--n-range", "dyadic:2:18"]))]
+
+_SCIPY_PATH_SCRIPT = """
+import io, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+import specvar, specvar.cli
+assert scipy_loaded() == [], scipy_loaded()
+for argv in JOBS:
+    rc = specvar.cli.run(argv, out=io.StringIO(), err=sys.stderr)
+    assert rc == 0, argv
+assert scipy_loaded() == [], scipy_loaded()
+m = specvar.SpectralMeasure(density=(
+    specvar.TableDensity((0.0, 1.0, 3.0), (2.0, 0.5, 1.0)),))
+for n in (1, 64, 2 ** 20):
+    specvar.variance_spectral(m, n)
+assert scipy_loaded() == [], scipy_loaded()
+specvar.simulate(specvar.power_law(1.5), 64, 2, 1)
+assert "scipy.special" in sys.modules
+"""
+
+_SCIPY_BLOCKED_SCRIPT = """
+import io, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import specvar.cli
+for argv in JOBS:
+    rc = specvar.cli.run(argv, out=io.StringIO(), err=sys.stderr)
+    assert rc == 0, argv
+"""
+
+
+@pytest.mark.parametrize("script", [_SCIPY_PATH_SCRIPT, _SCIPY_BLOCKED_SCRIPT],
+                         ids=["scipy-unloaded", "scipy-blocked"])
+def test_scipy_only_loaded_by_simulate(script):
+    # a fresh interpreter, since this one has long imported scipy
+    import specvar
+    src = str(Path(specvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = f"JOBS = {_SCIPY_FREE_JOBS!r}\n{script}"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,7 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
 from specvar import spectral_measure as sm
 from specvar.fejer_variance import (_cheb_moments, _piece_variance,
                                     _piece_variance_covariance)
+from test_spectral_measure import measures
 
 PI = math.pi
 
@@ -462,6 +463,17 @@ def test_sandwich_brackets_gallery(gallery_measures):
                 slack = 1e-9 * max(1.0, rep.variance)
                 assert rep.lower <= rep.variance + slack
                 assert rep.variance <= rep.upper + slack
+
+
+@settings(max_examples=400, deadline=None)
+@given(measures(), st.integers(1, 2 ** 40), st.floats(0.05, 1.0))
+def test_sandwich_brackets_random_measures(m, n, f):
+    A = max(min(f * n, 4.0), 1e-3)
+    rep = sandwich(m, n, A=A)
+    v = variance_spectral(m, n)
+    slack = 1e-9 * max(1.0, v)
+    assert rep.lower <= v + slack
+    assert v <= rep.upper + slack
 
 
 def test_sandwich_counterexample_large_n():

@@ -5,7 +5,7 @@ import pytest
 
 from specvar.errors import NumericError
 from specvar.quadrature import (_ROUNDOFF, _WG, _WK, _XK, _gk_batch,
-                                _jacobi_edge, integrate)
+                                _jacobi_edge, _jacobi_rule, integrate)
 
 
 def test_polynomial_exact():
@@ -50,6 +50,23 @@ def test_jacobi_edge_positive_exponent():
     # int_0^2 y^1.5 dy = 2^2.5/2.5
     val, _ = integrate(lambda y: np.ones_like(y), 0.0, 2.0, edge_beta=1.5)
     assert val == pytest.approx(2.0 ** 2.5 / 2.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("npts", [15, 31])
+@pytest.mark.parametrize("beta, bound", [
+    *((b, 2e-14) for b in (-0.9, -0.5, 0.0, 0.5, 0.9, 1.5, 3.0)),
+    (-0.999, 1e-12), (-0.9999, 1e-12)])
+def test_jacobi_rule_exact_on_moments(npts, beta, bound):
+    # int_{-1}^1 (1+x)^beta (1+x)^j dx = 2^(beta+j+1) / (beta+j+1) for every
+    # j < 2 npts; near beta = -1 the first node lies within 1e-6 of -1, where
+    # the float spacing of x alone puts a few 1e-13 on the j = 1 moment
+    from scipy.special import roots_jacobi
+    x, w = _jacobi_rule(npts, beta)
+    for j in range(2 * npts):
+        want = 2.0 ** (beta + j + 1) / (beta + j + 1)
+        got = math.fsum(w * (1.0 + x) ** j)
+        assert abs(got / want - 1.0) <= bound, j
+    assert np.abs(x - roots_jacobi(npts, 0.0, beta)[0]).max() <= 1e-15
 
 
 def test_budget_exhaustion_raises_with_achieved():
