@@ -183,7 +183,7 @@ def theorem_check(m: SpectralMeasure, model: RegularVariationModel, n_grid,
     C(gamma) K0 x**(2-gamma) L(1/x).  Both ratio columns approach 1 exactly
     when the measure follows the model.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
     rows = []
@@ -233,8 +233,8 @@ def growth_bound_report(m: SpectralMeasure, gamma: float, L: SlowlyVarying,
                         subsequence, kappa_warn: float = 16.0,
                         fill_limit: int = 2 ** 20) -> GrowthBoundReport:
     """Finite-sample sup/inf ratios of Var and G against n**gamma L(n)."""
-    ns = [int(n) for n in subsequence]
-    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+    ns = [check_int(n, "subsequence entry", 1) for n in subsequence]
+    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("subsequence must be increasing positive integers")
     if ns[-1] > fill_limit:
         raise DomainError(f"subsequence exceeds fill limit {fill_limit}")
@@ -273,7 +273,7 @@ class DichotomyReport:
 def dichotomy_check(m: SpectralMeasure, n_grid, tol: float = 1e-2) -> DichotomyReport:
     """Boundary diagnostic at growth index 2: Var/n**2 tends to the origin
     atom mass (zero exactly when there is no atom at the origin)."""
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
     ratios = [variance_spectral(m, n) / float(n) ** 2 for n in n_grid]
@@ -312,8 +312,8 @@ def subsequence_scan(m: SpectralMeasure, gamma: float, r0: int, r1: int,
     gamma = float(gamma)
     if not 0.0 <= gamma <= 2.0:
         raise DomainError(f"gamma must lie in [0, 2], got {gamma}")
-    r0, r1 = int(r0), int(r1)
-    if not 0 <= r0 < r1:
+    r0, r1 = check_int(r0, "r0", 0), check_int(r1, "r1", 0)
+    if not r0 < r1:
         raise DomainError("need 0 <= r0 < r1")
     n_max = 2 ** r1
     profile = variance_profile(m, n_max)

@@ -4,16 +4,13 @@ All subcommands are reproducible batch jobs: fixed float formatting
 (shortest round-trip repr), newline line endings, and deterministic row
 order make identical invocations byte-identical.  Exit codes: 0 success,
 1 usage or validation problem, 2 numerical failure, 3 I/O failure.
-``SPECVAR_THREADS`` caps the worker threads used to fan out scan rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,23 +29,9 @@ def _fmt(x) -> str:
 
 
 def _workers() -> int:
-    raw = os.environ.get("SPECVAR_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValidationError(f"SPECVAR_THREADS must be an integer, got {raw!r}")
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    """Map preserving input order, optionally fanned out over threads."""
-    items = list(items)
-    w = _workers()
-    if w <= 1 or len(items) <= 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
+    # rows run in order, one thread; perfbench/worker.py reads this in
+    # traced runs
+    return 1
 
 
 # the most rows one --n or --n-range spec may ask for
@@ -138,7 +121,7 @@ def _parse_slowly_varying(text: str) -> SlowlyVarying:
 def _cmd_variance(args, out):
     m = parse_measure(args.measure)
     ns = parse_n_values(args.n)
-    rows = _pmap(lambda n: variance_spectral(m, n), ns)
+    rows = [variance_spectral(m, n) for n in ns]
     out.write("n,variance\n")
     for n, v in zip(ns, rows):
         out.write(f"{n},{_fmt(v)}\n")
@@ -148,7 +131,7 @@ def _cmd_variance(args, out):
 def _cmd_bounds(args, out):
     m = parse_measure(args.measure)
     ns = parse_n_values(args.n)
-    rows = _pmap(lambda n: sandwich(m, n, A=args.A), ns)
+    rows = [sandwich(m, n, A=args.A) for n in ns]
     out.write(BoundsReport.rows_to_csv(rows))
     return 0
 
@@ -167,8 +150,7 @@ def _cmd_constants(args, out):
     gammas = [float(tok) for tok in args.gamma.split(",") if tok.strip()]
     if not gammas:
         raise ValidationError("no gamma values given")
-    rows = _pmap(lambda g: (c_gamma(g), d_gamma(g), c_identity_residual(g)),
-                 gammas)
+    rows = [(c_gamma(g), d_gamma(g), c_identity_residual(g)) for g in gammas]
     out.write("gamma,C,D,quad_identity_residual\n")
     for g, (c, d, resid) in zip(gammas, rows):
         out.write(f"{_fmt(g)},{_fmt(c)},{_fmt(d)},{_fmt(resid)}\n")

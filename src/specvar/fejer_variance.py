@@ -255,9 +255,9 @@ def variance_covariance(m: SpectralMeasure, n) -> float:
     cosine transforms.  A density's sum is ill-conditioned: n r_0 cancels
     down to Var(S_n) (to about 4 ln n on the quadratic measure), so even
     with exact c_k its relative error grows like n/ln n times their
-    rounding, and it costs O(n).
+    rounding, and it costs O(n), so n is at most ``MAX_LAGS``.
     """
-    n = check_int(n, "n", 1)
+    n = check_lags(n, "n")
     total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)
     for piece in m.density:
         total += _piece_variance_covariance(piece, n)

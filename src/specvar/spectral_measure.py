@@ -333,17 +333,16 @@ class SpectralMeasure:
         arr = np.asarray(self.atoms, dtype=float).reshape(-1, 2)
         return arr[:, 0], arr[:, 1]
 
-    # exp(i loc) and exp(i loc/2) per atom (``ddouble.cis``, a decimal
-    # series per atom and the costly part of an atom sum at a single n),
-    # made on first use and kept: the measure never changes
+    # exp(i loc) and exp(i loc/2) per atom (``ddouble.cis``), made on first
+    # use and kept: the measure never changes
 
     @cached_property
     def _cis(self):
-        return dd.cis(self.atom_arrays()[0])
+        return dd.cis(1, self.atom_arrays()[0])
 
     @cached_property
     def _cis_half(self):
-        return dd.cis(self.atom_arrays()[0] / 2.0)
+        return dd.cis(1, self.atom_arrays()[0] / 2.0)
 
     @property
     def total_mass(self) -> float:
@@ -376,29 +375,27 @@ MAX_LAGS = 2 ** 28
 _ATOM_CELLS = 1 << 16  # (atoms x n) cells per block; bounds the temporaries
 
 
-def _atom_sums(z, weight, n0: int, count: int, imag: bool):
+def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
     """Per n = n0 .. n0+count-1, the atoms' sum of ``Re(weight z**n)`` or,
     with ``imag``, of ``Im(weight z**n)**2``, each rounded once.
 
-    z holds exp(i t) per atom (a complex stack) and weight a real pair per
-    atom.  The n lie on a grid n = n0 + a*B + b (b < B, B the least power of
-    two with B*B >= count): the row table holds ``weight z**(n0 + aB)``
-    (``cpow`` once, then the powers of z**B), the column table z**b, both
-    from products of z, so no angle n*t is ever rounded.  A cell takes
-    only the part it needs of row times column, from two products of
-    pre-split table values and one double-double addition; the atoms are
-    summed pairwise in double-double.  A block holds at most _ATOM_CELLS
-    (atoms x n) cells, or one n's atoms.  Squaring doubles a phase error,
-    so a power z**n is off by up to about n * 2**-104 relative, below a
-    float's resolution unless n is near 2**50 or more.
+    t holds an angle per atom and z = exp(i t) (a complex stack, ``cis(1,
+    t)``), weight a real pair per atom.  The n lie on a grid n = n0 + a*B + b
+    (b < B, B the least power of two with B*B >= count): the row table holds
+    ``weight z**(n0 + aB)``, ``cis(n0, t)`` times the powers of z**B, and the
+    column table z**b (``cpowers`` both), so no angle n*t is ever rounded.
+    A cell takes only the part it needs of row times column, from two
+    products of pre-split table values and one double-double addition; the
+    atoms are summed pairwise in double-double.  A block holds at most
+    _ATOM_CELLS (atoms x n) cells, or one n's atoms.  ``cis`` is good to
+    about 2**-104 whatever n0, and the powers add up to count * 2**-104
+    relative, far below a float's resolution for count <= MAX_LAGS.
     """
     atoms = z.shape[1]
-    if not atoms:  # spares density measures the double-double work
-        return np.zeros(count)
     B = 1 << ((count - 1).bit_length() + 1) // 2
     A = -(-count // B)
     cols, zB = dd.cpowers(z, B)
-    rows = dd.cmul(dd.cpow(z, n0)[:, None], dd.cpowers(zB, A)[0])
+    rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
     rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
     # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block
     rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
@@ -430,9 +427,11 @@ def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
     """``sum mass cos(k loc)`` over the atoms in (0, pi], for the integers
     k = k0 .. k0+count-1: the real parts of mass exp(i loc)**k, summed in
     double-double (``_atom_sums``)."""
-    _, masses = m.atom_arrays()
-    return _atom_sums(m._cis, (masses, np.zeros_like(masses)), k0, count,
-                      imag=False)
+    locs, masses = m.atom_arrays()
+    if not len(locs):  # spares density measures the double-double work
+        return np.zeros(count)
+    return _atom_sums(locs, m._cis, (masses, np.zeros_like(masses)), k0,
+                      count, imag=False)
 
 
 def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
@@ -440,14 +439,17 @@ def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     for the integers n = n0 .. n0+count-1: the squared imaginary parts of
     sqrt(w) exp(i loc/2)**n with w = mass / sin(loc/2)**2 (``_atom_sums``).
 
-    Every term is positive, so the sum carries about max(2**-100, n 2**-104)
-    relative error before its one rounding: it is the correctly rounded
-    value unless that lies within this of a tie or the sum nearly vanishes.
+    Every term is positive, so the sum carries about max(2**-100,
+    count 2**-104) relative error before its one rounding, whatever n0: it
+    is the correctly rounded value unless that lies within this of a tie or
+    the sum nearly vanishes.
     """
-    _, masses = m.atom_arrays()
+    locs, masses = m.atom_arrays()
+    if not len(locs):
+        return np.zeros(count)
     h = m._cis_half
     root_w = dd.div(dd.sqrt((masses, np.zeros_like(masses))), h[2:4])
-    return _atom_sums(h, root_w, n0, count, imag=True)
+    return _atom_sums(locs / 2.0, h, root_w, n0, count, imag=True)
 
 
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:

@@ -1,6 +1,6 @@
 import io
 import math
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +54,41 @@ def atomic_autocovariance_oracle(m: SpectralMeasure, k: int) -> float:
         r = _reduce(Fraction(k) * Fraction(loc), 2 * _PI_EXACT)
         terms.append(math.cos(r) * mass)
     return math.fsum(terms)
+
+
+def machin_pi(bits: int) -> int:
+    """floor(pi * 2**bits) from Machin's formula pi = 16 atan(1/5) -
+    4 atan(1/239), each arctangent a series in integers with 64 guard bits."""
+    one = 1 << (bits + 64)
+
+    def atan_inv(x):
+        total = term = one // x
+        k = 1
+        while term:
+            term //= x * x
+            total += (-1) ** k * (term // (2 * k + 1))
+            k += 1
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 64
+
+
+def cis_reference(n: int, x: float):
+    """cos(n x) and sin(n x) as fractions, good to about 1e-55 and for small
+    angles also relative: n x formed exactly, reduced modulo 2 pi against a
+    320-bit pi (Machin), then the Taylor series in 60-digit decimals."""
+    two_pi = Fraction(machin_pi(320), 2 ** 319)
+    a = Fraction(n) * Fraction(x)
+    a -= round(a / two_pi) * two_pi
+    with localcontext(Context(prec=60)):
+        t = Decimal(a.numerator) / Decimal(a.denominator)
+        eps = abs(t) * Decimal("1e-58")
+        parts, term, k = [Decimal(0), Decimal(0)], Decimal(1), 0  # cos, sin
+        while abs(term) > eps:
+            parts[k % 2] += term if k % 4 < 2 else -term
+            k += 1
+            term = term * t / k
+    return Fraction(parts[0]), Fraction(parts[1])
 
 
 def covariance_variance_oracle(r: np.ndarray, n: int) -> float:

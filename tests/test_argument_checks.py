@@ -9,9 +9,11 @@ import tracemalloc
 
 import pytest
 
-from specvar import (DomainError, autocovariance, autocovariance_batch,
+from specvar import (DomainError, RegularVariationModel, SlowlyVarying,
+                     autocovariance, autocovariance_batch, dichotomy_check,
                      empirical_variance, fejer_kernel, g_eval, gamma_fit,
-                     nonergodic, power_law, quadratic, sandwich, simulate,
+                     growth_bound_report, nonergodic, power_law, quadratic,
+                     sandwich, simulate, subsequence_scan, theorem_check,
                      variance_covariance, variance_profile, variance_spectral,
                      white_noise)
 from specvar.spectral_measure import MAX_LAGS
@@ -34,6 +36,13 @@ INTEGER_ARGS = {
     "empirical_variance": lambda v: empirical_variance(
         simulate(white_noise(), N=8, P=2, seed=1), v),
     "gamma_fit n": lambda v: gamma_fit([(v, 1.0), (4, 2.0), (8, 3.0)]),
+    "theorem_check": lambda v: theorem_check(
+        _M, RegularVariationModel(gamma=1.0, K0=1.0), [v, 4, 8]),
+    "dichotomy_check": lambda v: dichotomy_check(_M, [v, 4, 8]),
+    "growth_bound_report": lambda v: growth_bound_report(
+        _M, 1.0, SlowlyVarying.constant(), [v, 4, 8]),
+    "subsequence_scan r0": lambda v: subsequence_scan(_M, 1.0, v, 3),
+    "subsequence_scan r1": lambda v: subsequence_scan(_M, 1.0, 1, v),
 }
 
 
@@ -72,6 +81,7 @@ def test_n_at_or_above_2_63_rejected_before_allocation(call, big):
 
 
 CAPPED_ARGS = {
+    "variance_covariance": (lambda v: variance_covariance(_M, v), "n"),
     "variance_profile": (lambda v: variance_profile(_M, v), "n_max"),
     "autocovariance_batch": (lambda v: autocovariance_batch(quadratic(), v),
                              "batch length"),

@@ -248,15 +248,6 @@ def test_byte_identical_repeat_runs():
         assert out1 == out2, argv
 
 
-def test_threads_env_does_not_change_output(monkeypatch):
-    argv = ["variance", "--measure", "gallery:quadratic", "--n", "1:40"]
-    monkeypatch.setenv("SPECVAR_THREADS", "1")
-    _, out1, _ = run_cli(argv)
-    monkeypatch.setenv("SPECVAR_THREADS", "4")
-    _, out2, _ = run_cli(argv)
-    assert out1 == out2
-
-
 def _variance_n(spec):
     return ["variance", "--measure", "gallery:whitenoise", "--n", spec]
 
@@ -298,12 +289,6 @@ def test_bad_input_file_exits_1_with_empty_stdout(tmp_path, command, text):
             if command == "variance" else ["estimate", "--input", str(path)])
     rc, out, err = run_cli(argv)
     assert rc == 1 and out == "" and err.startswith("specvar: ")
-
-
-def test_bad_threads_env_exits_1_with_empty_stdout(monkeypatch):
-    monkeypatch.setenv("SPECVAR_THREADS", "abc")
-    rc, out, err = run_cli(_variance_n("1,2"))
-    assert rc == 1 and out == "" and "SPECVAR_THREADS" in err
 
 
 _SCIPY_FREE_JOBS = [

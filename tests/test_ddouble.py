@@ -1,9 +1,11 @@
 """Double-double helpers against exact rational arithmetic."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from conftest import cis_reference, machin_pi
 from specvar import ddouble as dd
 
 
@@ -56,9 +58,15 @@ def test_sqr_and_sqrt_keep_106_bits():
         assert abs(r * r - _pair(x, i)) <= Fraction(1, 2 ** 100) * _pair(x, i)
 
 
+def test_pio2_is_machin_pi():
+    assert machin_pi(52) == int(math.pi * 2 ** 52)  # pi's float is below pi
+    assert dd._PIO2 == machin_pi(255)  # floor(pi/2 * 2**256)
+    assert machin_pi(400) >> 145 == machin_pi(255)
+
+
 def test_cis_is_on_the_unit_circle_and_doubles_its_angle():
     x = np.array([2.0 ** -60, 1e-9, 0.3, 1.0, np.pi / 4])
-    z, z2 = dd.cis(x), dd.cis(2.0 * x)  # 2x is exact
+    z, z2 = dd.cis(1, x), dd.cis(2, x)
     sq = dd.cmul(z, z)
     for i in range(len(x)):
         assert abs(float(z[0, i]) - np.cos(x[i])) <= 2.3e-16
@@ -69,26 +77,35 @@ def test_cis_is_on_the_unit_circle_and_doubles_its_angle():
                             _pair(z2[2:4], i)) <= Fraction(1, 10 ** 30)
 
 
-def test_cpow_matches_cis_of_exact_angles():
-    # x = 2**-20: every n*x below is exact, so cis(n*x) is an independent
-    # reference for z**n, from cpow for single n and cpowers for a range
-    x = 2.0 ** -20
-    z = dd.cis(np.array([x]))
-    sparse = [0, 1, 2, 15, 16, 17, 1000, 2 ** 21 + 3, 3 * 2 ** 20 + 5]
-    table, _ = dd.cpowers(z, 5000)
-    cases = [(n, dd.cpow(z, n)) for n in sparse]
-    cases += [(n, table[:, n]) for n in range(0, 5000, 499)]
-    for n, got in cases:
-        want = dd.cis(np.array([float(n) * x]))
-        err = _complex_err(got, 0, _pair(want[0:2], 0), _pair(want[2:4], 0))
-        assert err <= Fraction(1, 10 ** 26), n
+def test_cpowers_and_cis_match_exact_angles():
+    # cis(n, x) is good to 1e-31 at every n, and relative to sin(n x) where
+    # that is small (x = pi and pi/2 as floats); a cpowers table carries up
+    # to k * 2**-104 at power k
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.random(6) * np.pi,
+                        [np.pi, np.pi / 2, 2.0 ** -60, 1e-300, 0.0]])
+    ns = [0, 1, 2, 3, 1000, 2 ** 31 + 5, 2 ** 53 + 1, 3 ** 38, 2 ** 63 - 1]
+    ns += [int(rng.integers(2 ** j, 2 ** (j + 1))) for j in range(4, 63, 6)]
+    for n in ns:
+        z = dd.cis(n, x)
+        for i, t in enumerate(x.tolist()):
+            cos, sin = cis_reference(n, t)
+            assert _complex_err(z, i, cos, sin) <= Fraction(1, 10 ** 31), n
+            if t in (np.pi, np.pi / 2) and sin:  # n t near a multiple of pi
+                assert abs(_pair(z[2:4], i) - sin) <= abs(sin) / 2 ** 96, n
+    table, _ = dd.cpowers(dd.cis(1, x), 5000)
+    for k in range(0, 5000, 499):
+        for i, t in enumerate(x.tolist()):
+            want = cis_reference(k, t)
+            assert _complex_err(table[:, k], i, *want) <= Fraction(1, 10 ** 26)
 
 
 def test_cpowers_returns_the_table_and_the_next_square():
-    z = dd.cis(np.array([0.7]))
-    table, q = dd.cpowers(z, 5)
-    assert table.shape == (4, 5, 1)
-    want = dd.cpow(z, 8)
-    assert _complex_err(q, 0, _pair(want[0:2], 0),
-                        _pair(want[2:4], 0)) <= Fraction(1, 10 ** 30)
-    assert table[0, 0, 0] == 1.0 and table[2, 0, 0] == 0.0
+    x = np.array([0.7, 3.0])
+    table, q = dd.cpowers(dd.cis(1, x), 5)
+    assert table.shape == (4, 5, 2)
+    want = dd.cis(8, x)
+    for i in range(2):
+        assert _complex_err(q, i, _pair(want[0:2], i),
+                            _pair(want[2:4], i)) <= Fraction(1, 10 ** 30)
+    assert (table[0, 0] == 1.0).all() and (table[2, 0] == 0.0).all()

@@ -161,6 +161,18 @@ def test_atom_sums_exact_beyond_float_n():
             f(m, 2 ** 63)
 
 
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic"])
+def test_atom_sums_within_2_ulp_of_oracle_in_every_octave(name):
+    # the phase exp(i n loc/2) comes from the exact angle at every n, so
+    # the error does not grow with n: 10 seeded n in each [2**j, 2**(j+1))
+    m = ATOMIC[name]
+    rng = np.random.default_rng(20261019)
+    for j in range(63):
+        for n in rng.integers(2 ** j, 2 ** (j + 1), size=10).tolist():
+            var = atomic_variance_oracle(m, n)
+            assert abs(variance_spectral(m, n) - var) <= 2 * np.spacing(var), n
+
+
 @pytest.mark.parametrize("name", sorted(ATOMIC))
 def test_atom_routes_agree_exactly(name):
     # both routes round the atom sum once from double-double, so the
