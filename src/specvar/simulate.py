@@ -19,13 +19,15 @@ independent, so their sum has the measure's covariance.
   ``PathBatch.jitter``.
 
 Randomness is fully reproducible.  Paths 2q and 2q+1 form pair q, whose
-Philox counter-based stream is keyed by ``seed XOR q``: it draws the two
-levels, then the harmonic normals, then the density normals, and normals are
-produced by the inverse-CDF transform (scipy's ndtri, a rational
-approximation, imported on the first draw so that importing specvar does not
-load scipy).  Pairs are processed in blocks of a fixed shape, padded with
+stream is an SFC64 generator seeded by ``SeedSequence(seed mod 2**64,
+spawn_key=(q,))``, so distinct (seed, q) give unrelated streams.  It draws
+the two levels, then the harmonic normals, then the density normals, each
+by numpy's ziggurat sampler (``Generator.standard_normal``; Marsaglia &
+Tsang 2000).  Pairs are processed in blocks of a fixed shape, padded with
 zero normals, so a path's content never depends on P or on consumption
 order: a batch of P paths is a prefix of the same batch with more paths.
+Batches are bit-identical for a given numpy version; numpy does not promise
+the same ``Generator`` streams across versions (NEP 19).
 """
 
 from __future__ import annotations
@@ -81,16 +83,21 @@ class EmpiricalVariance(NamedTuple):
     standard_error: float
 
 
-def ndtri(u, out=None):
-    """The standard normal quantile of ``u``: scipy's ``ndtri``, imported on
-    the first call."""
-    from scipy.special import ndtri as scipy_ndtri
-    return scipy_ndtri(u, out=out)
+# The block fill keeps the name ndtri because the benchmark's tracer looks
+# it up by that name and counts its output cells as normals; the library
+# trace of ROADMAP item 1 renames it.
+def ndtri(out, gens):
+    """Fill row i of ``out`` with standard normals from ``gens[i]``; the
+    rows past the last generator are padding and are set to zero."""
+    out[len(gens):] = 0.0
+    for row, gen in zip(out, gens):
+        gen.standard_normal(out=row)
+    return out
 
 
 def _pair_generator(seed: int, q: int) -> np.random.Generator:
-    key = (int(seed) % 2 ** 64) ^ q
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = np.random.SeedSequence(int(seed) % 2 ** 64, spawn_key=(q,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _toeplitz(r):
@@ -228,10 +235,7 @@ def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
                 for q in range(q0, min(pairs, q0 + block))]
         out = np.zeros((2 * block, N))
         for width, add in parts:
-            u = np.full((block, width), 0.5)  # padding rows: zero normals
-            for i, gen in enumerate(gens):
-                gen.random(width, out=u[i])
-            add(ndtri(u, out=u), out)
+            add(ndtri(np.empty((block, width)), gens), out)
         rows = min(P - 2 * q0, 2 * block)
         paths[2 * q0:2 * q0 + rows] = out[:rows]
     return PathBatch(paths=paths, seed=int(seed), method=method,

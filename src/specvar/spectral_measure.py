@@ -91,8 +91,9 @@ class PowerDensity:
         return float(self.mass_upto(self.hi))
 
     def cos_transform(self, k):
-        """``int cos(k y) * density(y) dy`` for an array of integers k >= 1."""
-        k = np.asarray(k, dtype=float)
+        """``int cos(k y) * density(y) dy`` for an array of integer lags k in
+        [1, MAX_LAGS]."""
+        k = _lag_array(k)
         p = self.exponent
         hi_m, _ = trig_power_moments(p, *dd.two_prod(k, self.hi))
         if self.lo > 0.0:
@@ -183,7 +184,7 @@ class TableDensity:
     def cos_transform(self, k):
         # exact per linear segment:
         # int (a + s*y) cos(ky) dy = [f(y) sin(ky)/k] + s (cos(kb)-cos(ka))/k^2
-        k = np.asarray(k, dtype=float)
+        k = _lag_array(k)
         ys, vals = self._arrays()
         out = np.zeros_like(k)
         a, b = ys[:-1], ys[1:]
@@ -262,7 +263,8 @@ class OpaqueDensity:
         return float(self.mass_upto(self.hi)[0])
 
     def cos_transform(self, k):
-        k = np.asarray(k, dtype=float)
+        # about k (hi - lo)/pi breakpoints per lag k
+        k = _lag_array(k)
         out = np.empty_like(k)
         for i, kk in enumerate(k):
             zeros = np.arange(1, int(kk * (self.hi - self.lo) / math.pi) + 1)
@@ -502,7 +504,8 @@ def autocovariance(m: SpectralMeasure, k: int) -> float:
 
     Folded form: ``r_k = atom_at_zero + sum cos(k loc) mass
     + int cos(k y) density(y) dy``; in particular r_0 is the total mass.
-    A lag k >= 1 comes from ``_lags``, as in ``autocovariance_batch``.
+    A lag k >= 1 comes from ``_lags``, as in ``autocovariance_batch``; with
+    density pieces, k is at most ``MAX_LAGS`` (their ``cos_transform``).
     """
     k = check_int(k, "lag", 0)
     if k == 0:
@@ -517,6 +520,17 @@ def check_lags(n, what: str) -> int:
     if n > MAX_LAGS:
         raise DomainError(f"{what} must be <= MAX_LAGS = {MAX_LAGS}, got {n}")
     return n
+
+
+def _lag_array(k):
+    """``k`` as a float array of integer lags in [1, MAX_LAGS], else
+    DomainError; checked before a cosine transform sizes anything by k."""
+    k = np.asarray(k, dtype=float)
+    bad = ~((k >= 1.0) & (k <= MAX_LAGS) & (k == np.floor(k)))
+    if bad.any():
+        raise DomainError(f"lags must be integers in [1, MAX_LAGS = "
+                          f"{MAX_LAGS}], got {float(k[bad].flat[0])}")
+    return k
 
 
 def autocovariance_batch(m: SpectralMeasure, n: int):

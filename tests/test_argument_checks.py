@@ -7,10 +7,12 @@ non-integral values fail the same way wherever they enter.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from specvar import (DomainError, RegularVariationModel, SlowlyVarying,
-                     autocovariance, autocovariance_batch, dichotomy_check,
+from specvar import (DomainError, OpaqueDensity, RegularVariationModel,
+                     SlowlyVarying, TableDensity, autocovariance,
+                     autocovariance_batch, dichotomy_check,
                      empirical_variance, fejer_kernel, g_eval, gamma_fit,
                      growth_bound_report, nonergodic, power_law, quadratic,
                      sandwich, simulate, subsequence_scan, theorem_check,
@@ -18,7 +20,7 @@ from specvar import (DomainError, RegularVariationModel, SlowlyVarying,
                      white_noise)
 from specvar.spectral_measure import MAX_LAGS
 
-NAN, INF = math.nan, math.inf
+NAN, INF, PI = math.nan, math.inf, math.pi
 BAD_INTEGERS = [NAN, INF, -INF, 2.5]
 
 _M = nonergodic()
@@ -104,6 +106,38 @@ def test_o_n_calls_capped_at_max_lags_before_allocation(call, n):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+COS_TRANSFORM_PIECES = {
+    "power": power_law(0.5).density[0],
+    "table": TableDensity((0.0, 1.0, PI), (1.0, 2.0, 0.5)),
+    "opaque": OpaqueDensity(0.0, PI, lambda y: 1.0 + np.cos(y) ** 2),
+}
+
+
+@pytest.mark.parametrize("k", [MAX_LAGS + 1, 2 ** 62], ids=repr)
+@pytest.mark.parametrize("piece", sorted(COS_TRANSFORM_PIECES))
+def test_cos_transform_lags_capped_before_allocation(piece, k):
+    # an opaque piece puts about k breakpoints on its support for lag k, so
+    # a lag above the cap raises DomainError before anything is sized by it
+    fn = COS_TRANSFORM_PIECES[piece].cos_transform
+    lags = np.array([1.0, 2.0, float(k)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^lags must be integers in "
+                                              r"\[1, MAX_LAGS"):
+            fn(lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("k", [0.0, -3.0, 2.5, NAN, INF], ids=repr)
+@pytest.mark.parametrize("piece", sorted(COS_TRANSFORM_PIECES))
+def test_cos_transform_rejects_lags_below_one_or_not_integers(piece, k):
+    with pytest.raises(DomainError, match="^lags must be integers"):
+        COS_TRANSFORM_PIECES[piece].cos_transform([3.0, k])
 
 
 @pytest.mark.parametrize("call", [

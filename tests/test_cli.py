@@ -298,7 +298,10 @@ _SCIPY_FREE_JOBS = [
     for job, rest in (
         ("variance", ["--n", "1,64,100000"]),
         ("bounds", ["--n", "4,64,100000", "--A", "2"]),
-        ("scan", ["--gamma", gamma, "--n-range", "dyadic:2:18"]))]
+        ("scan", ["--gamma", gamma, "--n-range", "dyadic:2:18"]))] + [
+    ["simulate", "--measure", measure, "--N", "256", "--paths", "8",
+     "--seed", "3", "--check-n", "1,16,256"]
+    for measure in ("gallery:power:gamma=1.5", "gallery:counterexample")]
 
 _SCIPY_PATH_SCRIPT = """
 import io, sys
@@ -317,7 +320,7 @@ for n in (1, 64, 2 ** 20):
     specvar.variance_spectral(m, n)
 assert scipy_loaded() == [], scipy_loaded()
 specvar.simulate(specvar.power_law(1.5), 64, 2, 1)
-assert "scipy.special" in sys.modules
+assert scipy_loaded() == [], scipy_loaded()
 """
 
 _SCIPY_BLOCKED_SCRIPT = """
@@ -332,7 +335,7 @@ for argv in JOBS:
 
 @pytest.mark.parametrize("script", [_SCIPY_PATH_SCRIPT, _SCIPY_BLOCKED_SCRIPT],
                          ids=["scipy-unloaded", "scipy-blocked"])
-def test_scipy_only_loaded_by_simulate(script):
+def test_no_scipy_on_any_path(script):
     # a fresh interpreter, since this one has long imported scipy
     import specvar
     src = str(Path(specvar.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ from specvar import (DomainError, NumericError, SpectralMeasure,
                      empirical_variance, nonergodic, power_law, quadratic,
                      simulate, variance_spectral, white_noise,
                      with_origin_atom)
-from specvar.simulate import _embedding_length
+from specvar.simulate import _embedding_length, _pair_generator, ndtri
 
 PI = math.pi
 # flat density on (0, 0.3]: its circulant embedding is indefinite at every N
@@ -33,6 +33,39 @@ def test_different_seeds_differ():
     a = simulate(m, N=128, P=8, seed=1)
     b = simulate(m, N=128, P=8, seed=2)
     assert not np.array_equal(a.paths, b.paths)
+
+
+@pytest.mark.parametrize("m", [white_noise(), counterexample()],
+                         ids=["density", "atomic"])
+@pytest.mark.parametrize("seeds", [(0, 1), (2, 3), (6, 7)], ids=repr)
+def test_pair_streams_differ_across_seeds(m, seeds):
+    # a stream keyed by seed XOR q gave pair q under seed s the paths of
+    # pair q ^ 1 under seed s ^ 1
+    s, t = seeds
+    a = simulate(m, N=64, P=4, seed=s).paths
+    b = simulate(m, N=64, P=4, seed=t).paths
+    for q in (0, 1):
+        r = q ^ 1
+        assert not np.array_equal(a[2 * q:2 * q + 2], b[2 * r:2 * r + 2])
+
+
+def _assert_normal_tails(x):
+    # share of |x| > a against 2 Phi(-a), within 5 binomial standard errors
+    for a in (2.0, 3.0, 4.0):
+        p = math.erfc(a / math.sqrt(2.0))
+        share = float(np.mean(np.abs(x) > a))
+        assert abs(share - p) <= 5.0 * math.sqrt(p * (1.0 - p) / x.size), a
+
+
+def test_normal_tails_of_paths_and_raw_draws():
+    # white-noise paths are i.i.d. N(0, 1); the raw block fill is checked
+    # too, since each path value mixes all the normals of its FFT row
+    _assert_normal_tails(simulate(white_noise(), N=4096, P=1000,
+                                  seed=1618).paths)
+    gens = [_pair_generator(1618, q) for q in range(60)]
+    z = ndtri(np.full((64, 1 << 16), np.nan), gens)
+    assert not z[60:].any()
+    _assert_normal_tails(z[:60])
 
 
 def test_whitenoise_lag1_small():
