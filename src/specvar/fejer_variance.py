@@ -37,7 +37,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, check_int
-from .quadrature import bisect_panels, integrate
+from .quadrature import (_CC, _CHEB_MAX_PANELS, _cheb_moments, bisect_panels,
+                         chebyshev_panels, integrate)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval)
 
@@ -51,34 +52,6 @@ _HEAD_ARCS = 32
 # absolute accuracy target of a density piece's integral against I_n (half
 # for its head, half for its tail) and of the sandwich's tail integral
 _TOL = 1e-10
-
-
-def _chebyshev_rule(deg: int):
-    """The points x_k = cos(k pi/deg) of [-1, 1], the DCT-I matrix that takes
-    values there to Chebyshev coefficients (``values @ dct.T``), and the
-    Clenshaw-Curtis weights on the coefficients, int T_j = 2/(1 - j**2)."""
-    k = np.arange(deg + 1)
-    dct = np.cos(np.pi * np.outer(k, k) / deg) * (2.0 / deg)
-    dct[:, [0, deg]] *= 0.5
-    dct[[0, deg]] *= 0.5
-    cc = np.zeros(deg + 1)
-    cc[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
-    return np.cos(np.pi * k / deg), dct, cc
-
-
-# a tail panel interpolates g at 25 Chebyshev points
-_DEG = 24
-_CHEB_X, _DCT, _CC = _chebyshev_rule(_DEG)
-# the forward moment recurrence is stable from this frequency on; below it
-# the moments come from a 129-point Clenshaw-Curtis rule, exact to rounding
-# on T_j(x) exp(i omega x) there
-_RECURRENCE_MIN_OMEGA = 24.0
-_FINE_X, _dct, _cc = _chebyshev_rule(128)
-_FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
-           * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
-# panel budget of a piece's tail: enough to bisect a panel holding a jump
-# down to the tolerance, and few enough to bound the memory
-_TAIL_MAX_PANELS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -143,28 +116,6 @@ def _kernel_breakpoints(n: int, lo: float, hi: float) -> np.ndarray:
     return np.arange(j0, j1 + 1) * (PI / n)
 
 
-def _cheb_moments(omega):
-    """``int_{-1}^1 T_j(x) exp(i omega x) dx`` for j = 0 .. _DEG, one row per
-    omega >= 0 (Piessens & Branders' forward recurrence)."""
-    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
-    small = omega < _RECURRENCE_MIN_OMEGA
-    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
-    w = omega[~small]
-    s, c = np.sin(w), np.cos(w)
-    m = mu[~small]
-    m[:, 0] = 2.0 * s / w
-    m[:, 1] = 2j * (s - w * c) / w ** 2
-    m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
-    # exp(i w) - (-1)**j exp(-i w) is 2i sin w for even j, 2 cos w for odd j
-    edge = (2j * s, 2.0 * c)
-    for j in range(2, _DEG):
-        m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
-                       + ((j + 1) / (j - 1)) * m[:, j - 1]
-                       + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
-    mu[~small] = m
-    return mu
-
-
 def _tail_edges(piece, start):
     """Dyadic panel edges start, 2 start, 4 start, .. up to piece.hi, broken
     at a table's grid points."""
@@ -188,15 +139,12 @@ def _fcc_panels(density, n: float, a, b):
     g(c)/n.  A panel's error estimate is its Chebyshev tail
     (|c_23| + |c_24|) h.
     """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    y = c[:, None] + h[:, None] * _CHEB_X
-    f = density(y.ravel()).reshape(y.shape)
-    g = f / (2.0 * np.sin(0.5 * y) ** 2)
-    coef = g @ _DCT.T
+    c, h, coef, err = chebyshev_panels(
+        lambda y: density(y) / (2.0 * np.sin(0.5 * y) ** 2), a, b)
     flat = h * (coef @ _CC)
     osc = h * (np.exp(1j * (n * c))
                * (coef * _cheb_moments(n * h)).sum(axis=1)).real
-    return flat - osc, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+    return flat - osc, err
 
 
 def _piece_variance(piece, n: int) -> float:
@@ -214,7 +162,7 @@ def _piece_variance(piece, n: int) -> float:
         # smooth inside it) is bisected, as QUADPACK's QAWO does
         tail = partial(_fcc_panels, piece.formula, float(n))
         total += bisect_panels(tail, _tail_edges(piece, max(cut, piece.lo)),
-                               tol=0.5 * _TOL, max_panels=_TAIL_MAX_PANELS)[0]
+                               tol=0.5 * _TOL, max_panels=_CHEB_MAX_PANELS)[0]
     return total
 
 

@@ -7,8 +7,10 @@ an integrable endpoint weight ``y**beta`` at ``lo == 0`` is handled by a
 Gauss-Jacobi rule on the leftmost panel so that adaptive bisection never has
 to chase the singularity.  The Gauss-Jacobi rules are computed here, by
 Golub-Welsch on numpy (Golub & Welsch, Math. Comp. 1969), so the module
-needs no scipy.  ``fejer_variance`` runs the same loop with a
-Filon-Clenshaw-Curtis rule on the Fejer kernel's tail.
+needs no scipy.  The loop also runs Chebyshev panels (``chebyshev_panels``,
+with the modified moments ``_cheb_moments`` of QUADPACK's QAWO): on the
+Fejer kernel's tail in ``fejer_variance``, and once per opaque density
+piece to choose the panels of its transforms and masses.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -68,6 +70,34 @@ _ROUNDOFF = 64.0 * np.finfo(float).eps
 # most bisection rounds of one integral; a panel holding a jump halves each
 # round, so 64 rounds take it far below any tolerance the package asks for
 _MAX_ROUNDS = 64
+
+
+def _chebyshev_rule(deg: int):
+    """The points x_k = cos(k pi/deg) of [-1, 1], the DCT-I matrix that takes
+    values there to Chebyshev coefficients (``values @ dct.T``), and the
+    Clenshaw-Curtis weights on the coefficients, int T_j = 2/(1 - j**2)."""
+    k = np.arange(deg + 1)
+    dct = np.cos(np.pi * np.outer(k, k) / deg) * (2.0 / deg)
+    dct[:, [0, deg]] *= 0.5
+    dct[[0, deg]] *= 0.5
+    cc = np.zeros(deg + 1)
+    cc[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
+    return np.cos(np.pi * k / deg), dct, cc
+
+
+# a Chebyshev panel interpolates at 25 Chebyshev points
+_DEG = 24
+_CHEB_X, _DCT, _CC = _chebyshev_rule(_DEG)
+# the forward moment recurrence is stable from this frequency on; below it
+# the moments come from a 129-point Clenshaw-Curtis rule, exact to rounding
+# on T_j(x) exp(i omega x) there
+_RECURRENCE_MIN_OMEGA = 24.0
+_FINE_X, _dct, _cc = _chebyshev_rule(128)
+_FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
+           * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
+# panel budget of a Chebyshev panel set: enough to bisect a panel holding a
+# jump down to the tolerance, and few enough to bound the memory
+_CHEB_MAX_PANELS = 2 ** 12
 
 
 def _gk_batch(f, lo, hi):
@@ -135,6 +165,42 @@ def _jacobi_edge(g, beta, b):
     return vals[1], abs(vals[1] - vals[0])
 
 
+def chebyshev_panels(f, a, b):
+    """Interpolate f at the 25 Chebyshev points of each panel [a[i], b[i]].
+
+    Returns the panels' centres c and half-widths h, the Chebyshev
+    coefficients (one row per panel, ``f(c + h x) = sum_j coef_j T_j(x)``)
+    and each panel's error estimate, its Chebyshev tail (|c_23| + |c_24|) h,
+    which estimates ``int |f - interpolant|`` over the panel.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    y = c[:, None] + h[:, None] * _CHEB_X
+    coef = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape) @ _DCT.T
+    return c, h, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+
+
+def _cheb_moments(omega):
+    """``int_{-1}^1 T_j(x) exp(i omega x) dx`` for j = 0 .. _DEG, one row per
+    omega >= 0 (Piessens & Branders' forward recurrence)."""
+    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
+    small = omega < _RECURRENCE_MIN_OMEGA
+    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
+    w = omega[~small]
+    s, c = np.sin(w), np.cos(w)
+    m = mu[~small]
+    m[:, 0] = 2.0 * s / w
+    m[:, 1] = 2j * (s - w * c) / w ** 2
+    m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
+    # exp(i w) - (-1)**j exp(-i w) is 2i sin w for even j, 2 cos w for odd j
+    edge = (2j * s, 2.0 * c)
+    for j in range(2, _DEG):
+        m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
+                       + ((j + 1) / (j - 1)) * m[:, j - 1]
+                       + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
+    mu[~small] = m
+    return mu
+
+
 def bisect_panels(rule, edges, *, tol, max_panels):
     """Integrate over the panels between ``edges`` (increasing), bisecting
     the ones whose estimates are too large until the total estimate meets
@@ -142,9 +208,9 @@ def bisect_panels(rule, edges, *, tol, max_panels):
 
     rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
         [a[i], b[i]], given as arrays.
-    Returns ``(value, error_estimate)``; raises NumericError with the
-    achieved estimate when ``max_panels`` or the _MAX_ROUNDS rounds run out
-    first.
+    Returns ``(value, error_estimate, edges)``, the last the final panels'
+    edges; raises NumericError with the achieved estimate when
+    ``max_panels`` or the _MAX_ROUNDS rounds run out first.
     """
     # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
     # across rounds, and each round evaluates only the panels in `fresh`
@@ -157,7 +223,7 @@ def bisect_panels(rule, edges, *, tol, max_panels):
         total_err = float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))
         if total_err <= eff_tol:
-            return total, total_err
+            return total, total_err, edges
         if len(ik) >= max_panels:
             break
         # bisect every panel that carries more than its share of the error,
@@ -227,4 +293,4 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
     pts = np.asarray(points, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
-    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels)
+    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels)[:2]

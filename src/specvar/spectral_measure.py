@@ -31,7 +31,8 @@ import numpy as np
 
 from . import ddouble as dd
 from .errors import DomainError, SerializationError, ValidationError, check_int
-from .quadrature import integrate
+from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _cheb_moments,
+                         bisect_panels, chebyshev_panels, integrate)
 from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
@@ -106,8 +107,7 @@ class PowerDensity:
         """The density at y in [lo, hi], both ends included."""
         return self.coef * np.asarray(y, dtype=float) ** self.exponent
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
-                          hi=None):
+    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
         support) for smooth (piecewise) vectorized g."""
         p = self.exponent
@@ -205,8 +205,7 @@ class TableDensity:
         ys, vals = self._arrays()
         return np.interp(y, ys, vals)
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
-                          hi=None):
+    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         pts = np.concatenate([np.asarray(points, dtype=float), np.asarray(self.ys)])
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi,
@@ -226,16 +225,24 @@ class TableDensity:
         return total
 
 
-# absolute accuracy target of an opaque piece's cosine transforms
-_OPAQUE_COS_TOL = 1e-12
+# absolute accuracy target of an opaque piece's panel set: the sum of its
+# panels' Chebyshev tails, an estimate of int |density - interpolant|, which
+# bounds the error of every cosine transform and mass taken from the panels
+_OPAQUE_TOL = 1e-12
+# (panels x lags) cells per block of an opaque piece's cosine transforms;
+# bounds the moment temporaries
+_PANEL_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
 class OpaqueDensity:
     """Caller-supplied density evaluator on (lo, hi]; library use only.
 
-    The evaluator must accept ndarray input.  Opaque pieces cannot be
-    serialized and their transforms fall back to generic quadrature.
+    The evaluator must accept ndarray input and return finite, nonnegative
+    values on [lo, hi], both ends included (``formula`` checks every value).
+    Opaque pieces cannot be serialized.  Their masses and cosine transforms
+    come from one set of Chebyshev panels, chosen once from the density
+    alone (``_panels``).
     """
 
     lo: float
@@ -249,37 +256,77 @@ class OpaqueDensity:
             raise DomainError(
                 f"opaque density needs 0 <= lo < hi <= pi, got ({self.lo}, {self.hi})")
 
+    @cached_property
+    def _panels(self):
+        # the panels that meet _OPAQUE_TOL, bisected from [lo, hi] by
+        # Clenshaw-Curtis with Chebyshev-tail estimates; they do not depend
+        # on any lag or point asked for later
+        def rule(a, b):
+            _, h, coef, err = chebyshev_panels(self.formula, a, b)
+            return h * (coef @ _CC), err
+
+        _, _, edges = bisect_panels(rule, np.array([self.lo, self.hi]),
+                                    tol=_OPAQUE_TOL,
+                                    max_panels=_CHEB_MAX_PANELS)
+        c, h, coef, _ = chebyshev_panels(self.formula, edges[:-1], edges[1:])
+        cum = np.concatenate([[0.0], np.cumsum(h * (coef @ _CC))])
+        return edges, c, h, coef, cum
+
     def mass_upto(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            b = min(max(xi, self.lo), self.hi)
-            out[i] = 0.0 if b <= self.lo else integrate(
-                self.fn, self.lo, b, tol=1e-11)[0]
-        return out
+        """Integral of the density over (lo, min(x, hi)]; vectorized in x.
+
+        The mass of the panels below x, plus the interpolant's integral over
+        [a, x] in the panel [a, b] holding x.  That integral is taken by
+        25-point Clenshaw-Curtis on [a, x], which is exact on the degree-24
+        interpolant and, unlike its indefinite Chebyshev series summed at x,
+        keeps a small value near a accurate relative to itself.
+        """
+        x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
+                    self.lo, self.hi)
+        edges, _, h, coef, cum = self._panels
+        i = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(h) - 1)
+        u = (x - edges[i]) / (2.0 * h[i])  # x = a + 2 h u, u in [0, 1]
+        t = -1.0 + u * (1.0 + _CHEB_X[:, None])
+        p = np.polynomial.chebyshev.chebval(t, coef[i].T, tensor=False)
+        return cum[i] + h[i] * u * (_CC @ _DCT @ p)
 
     @property
     def mass(self) -> float:
         return float(self.mass_upto(self.hi)[0])
 
     def cos_transform(self, k):
-        # about k (hi - lo)/pi breakpoints per lag k
+        """``int cos(k y) * density(y) dy`` for an array of integer lags k in
+        [1, MAX_LAGS], to about _OPAQUE_TOL at every lag.
+
+        A panel with centre c and half-width h contributes
+        ``h Re(exp(i k c) sum_j coef_j mu_j(k h))``, with the modified
+        moments mu_j of ``_cheb_moments`` and the phase k c taken as an exact
+        angle, as in a table piece's transform.
+        """
         k = _lag_array(k)
+        _, c, h, coef, _ = self._panels
         out = np.empty_like(k)
-        for i, kk in enumerate(k):
-            zeros = np.arange(1, int(kk * (self.hi - self.lo) / math.pi) + 1)
-            pts = self.lo + zeros * math.pi / kk
-            out[i] = integrate(lambda y: self.fn(y) * np.cos(kk * y),
-                               self.lo, self.hi, points=pts,
-                               tol=_OPAQUE_COS_TOL)[0]
+        step = max(1, _PANEL_CELLS // len(h))
+        for i0 in range(0, len(k), step):
+            kk = k[i0:i0 + step]
+            mu = _cheb_moments((h[:, None] * kk).ravel())
+            v = (mu.reshape(len(h), len(kk), -1) * coef[:, None, :]).sum(2)
+            s, co = sin_cos(*dd.two_prod(kk, c[:, None]))
+            out[i0:i0 + step] = (h[:, None]
+                                 * (co * v.real - s * v.imag)).sum(0)
         return out
 
     def formula(self, y):
-        """The density at y in [lo, hi], both ends included."""
-        return np.asarray(self.fn(np.asarray(y, dtype=float)), dtype=float)
+        """The density at y in [lo, hi], both ends included; DomainError
+        unless every value is finite and nonnegative."""
+        v = np.asarray(self.fn(np.asarray(y, dtype=float)), dtype=float)
+        bad = ~((v >= 0.0) & (v < math.inf))
+        if bad.any():
+            raise DomainError(f"opaque density values must be finite and "
+                              f">= 0, got {float(v[bad].flat[0])}")
+        return v
 
-    def integrate_against(self, g, points=(), tol=1e-10, max_panels=200_000,
-                          hi=None):
+    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi, points=points,
                          tol=tol, max_panels=max_panels)[0]
@@ -287,7 +334,7 @@ class OpaqueDensity:
     def robinson_part(self) -> float:
         # divergence at a 0 endpoint cannot be decided symbolically; adaptive
         # quadrature either converges or raises NumericError
-        return integrate(lambda y: np.asarray(self.fn(y)) / y ** 2,
+        return integrate(lambda y: self.formula(y) / y ** 2,
                          self.lo, self.hi, tol=1e-9)[0]
 
 

@@ -91,6 +91,17 @@ def cis_reference(n: int, x: float):
     return Fraction(parts[0]), Fraction(parts[1])
 
 
+def atomic_variance_exact(m: SpectralMeasure, n: int) -> float:
+    """Var(S_n) of an atomic measure, rounded once: the origin atom's
+    a * n**2 plus each atom's mass (1 - cos(n loc)) / (1 - cos loc), the
+    Fejer kernel at loc, summed as fractions from ``cis_reference``."""
+    total = Fraction(m.atom_at_zero) * n * n
+    for loc, mass in m.atoms:
+        num = 1 - cis_reference(n, loc)[0]
+        total += Fraction(mass) * num / (1 - cis_reference(1, loc)[0])
+    return float(total)
+
+
 def covariance_variance_oracle(r: np.ndarray, n: int) -> float:
     """Triangular sum oracle from externally supplied autocovariances."""
     k = np.arange(1, n)

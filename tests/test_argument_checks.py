@@ -118,8 +118,9 @@ COS_TRANSFORM_PIECES = {
 @pytest.mark.parametrize("k", [MAX_LAGS + 1, 2 ** 62], ids=repr)
 @pytest.mark.parametrize("piece", sorted(COS_TRANSFORM_PIECES))
 def test_cos_transform_lags_capped_before_allocation(piece, k):
-    # an opaque piece puts about k breakpoints on its support for lag k, so
-    # a lag above the cap raises DomainError before anything is sized by it
+    # every piece costs O(1) per lag, but lags keep the cap of the O(n)
+    # calls: one above it raises DomainError before anything is built, an
+    # opaque piece's Chebyshev panels included
     fn = COS_TRANSFORM_PIECES[piece].cos_transform
     lags = np.array([1.0, 2.0, float(k)])
     tracemalloc.start()

@@ -6,17 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, polygamma
 
-from conftest import (atomic_autocovariance_oracle, atomic_variance_oracle,
-                      covariance_variance_oracle, scale_measure)
+from conftest import (atomic_autocovariance_oracle, atomic_variance_exact,
+                      atomic_variance_oracle, covariance_variance_oracle,
+                      scale_measure)
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SpectralMeasure, TableDensity, autocovariance,
                      autocovariance_batch, counterexample, fejer_kernel,
-                     nonergodic, power_law, quadratic, sandwich,
+                     g_eval, nonergodic, power_law, quadratic, sandwich,
                      variance_covariance, variance_profile,
                      variance_spectral, white_noise, with_origin_atom)
 from specvar import spectral_measure as sm
-from specvar.fejer_variance import (_cheb_moments, _piece_variance,
-                                    _piece_variance_covariance)
+from specvar.fejer_variance import _piece_variance, _piece_variance_covariance
+from specvar.quadrature import _cheb_moments
 from test_spectral_measure import measures
 
 PI = math.pi
@@ -171,6 +172,17 @@ def test_atom_sums_within_2_ulp_of_oracle_in_every_octave(name):
         for n in rng.integers(2 ** j, 2 ** (j + 1), size=10).tolist():
             var = atomic_variance_oracle(m, n)
             assert abs(variance_spectral(m, n) - var) <= 2 * np.spacing(var), n
+
+
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic"])
+def test_atom_sums_correctly_rounded_in_every_octave(name):
+    # against the exact sum rounded once, 2 seeded n in each [2**j,
+    # 2**(j+1)): the double-double sum rounds to the same float
+    m = ATOMIC[name]
+    rng = np.random.default_rng(20261020)
+    for j in range(63):
+        for n in rng.integers(2 ** j, 2 ** (j + 1), size=2).tolist():
+            assert variance_spectral(m, n) == atomic_variance_exact(m, n), n
 
 
 @pytest.mark.parametrize("name", sorted(ATOMIC))
@@ -367,6 +379,17 @@ def test_density_not_smooth_inside_a_tail_panel(whole, below, above, n):
         variance_spectral(split, n), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1000, 4096])
+def test_routes_agree_on_a_kinked_opaque_density(n):
+    # C1 with the kink inside one of the opaque piece's Chebyshev panels,
+    # which are bisected towards it until every cosine transform meets
+    # 1e-12, as the Fejer tail's are
+    m = SpectralMeasure(density=(
+        OpaqueDensity(0.0, PI, lambda y: np.abs(y - 1.0) + 0.5),))
+    v = variance_spectral(m, n)
+    assert abs(variance_covariance(m, n) - v) <= 1e-12 * v
+
+
 @_BREAK_AT_ONE
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_density_not_smooth_inside_the_head(whole, below, above, n):
@@ -465,16 +488,21 @@ def test_sandwich_empty_measure():
 
 
 def test_sandwich_brackets_gallery(gallery_measures):
-    ns = [1, 2, 9, 64, 1024, 2 ** 14]
+    # up to n = 2**62, where G is taken at 2**-62
+    ns = [1, 2, 9, 64, 1024, 2 ** 14, 2 ** 62]
     for m in gallery_measures.values():
         for A in (1.0, 2.0, 8.0):
             for n in ns:
                 if A > n:
                     continue
                 rep = sandwich(m, n, A=A)
+                assert all(map(math.isfinite,
+                               (rep.lower, rep.variance, rep.upper)))
                 slack = 1e-9 * max(1.0, rep.variance)
                 assert rep.lower <= rep.variance + slack
                 assert rep.variance <= rep.upper + slack
+                g_small = g_eval(m, 1.0 / n)
+                assert math.isfinite(g_small) and g_small <= g_eval(m, PI)
 
 
 @settings(max_examples=400, deadline=None)

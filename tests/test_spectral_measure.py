@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      counterexample, g_eval, measure_from_dict,
                      measure_from_json, measure_to_dict, measure_to_json,
                      nonergodic, power_law, quadratic, robinson_integral,
-                     white_noise, with_origin_atom)
+                     variance_spectral, white_noise, with_origin_atom)
 
 PI = math.pi
 
@@ -370,6 +371,66 @@ def test_opaque_density_roundtrip_against_power():
             autocovariance(power, k), abs=1e-9)
     assert robinson_integral(opaque) == pytest.approx(
         robinson_integral(power), rel=1e-8)
+
+
+def _one_plus_cos_squared():
+    # 3/2 + cos(2y)/2: r_2 = pi/4, every other lag 0, G(x) = 3x/2 + sin(2x)/4
+    return OpaqueDensity(0.0, PI, lambda y: 1.0 + np.cos(y) ** 2)
+
+
+def test_opaque_cos_transform_closed_form_to_2_16():
+    # every lag from the one panel set, in blocks whose temporaries stay
+    # small however many lags are asked for
+    k = np.arange(1.0, 2 ** 16 + 1)
+    piece = _one_plus_cos_squared()
+    tracemalloc.start()
+    try:
+        got = piece.cos_transform(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(got - np.where(k == 2, PI / 4, 0.0)).max() <= 1e-14
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("fn, exact, tol", [
+    (lambda y: np.exp(-y),
+     lambda k: (1.0 - (-1.0) ** k * math.exp(-PI)) / (1.0 + k * k), 1e-14),
+    # a kink at y = 1: the exact transform of its two linear segments
+    (lambda y: np.abs(y - 1.0) + 0.5,
+     TableDensity((0.0, 1.0, PI), (1.5, 0.5, PI - 0.5)).cos_transform, 1e-13),
+    # the square-root singularity at 0, against the power-law transform
+    (np.sqrt, PowerDensity(0.0, PI, 1.0, 0.5).cos_transform, 1e-12),
+], ids=["exp", "kink", "sqrt"])
+def test_opaque_cos_transform_closed_forms(fn, exact, tol):
+    k = np.arange(1.0, 1025.0)
+    got = OpaqueDensity(0.0, PI, fn).cos_transform(k)
+    assert np.abs(got - exact(k)).max() <= tol
+
+
+def test_opaque_masses_closed_form():
+    # a small G(x) keeps its relative accuracy down to x = 1e-300
+    m = SpectralMeasure(density=(_one_plus_cos_squared(),))
+    x = np.concatenate([np.linspace(0.0, PI, 201),
+                        np.geomspace(1e-300, 1.0, 61)])
+    want = 1.5 * x + np.sin(2.0 * x) / 4.0
+    got = g_eval(m, x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.minimum(1.0, want))
+    assert g_eval(m, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf],
+                         ids=repr)
+def test_opaque_evaluator_values_checked(value):
+    # every evaluation goes through ``formula``, which rejects a negative or
+    # non-finite density value
+    m = SpectralMeasure(density=(
+        OpaqueDensity(0.0, PI, lambda y: np.where(y > 2.0, value, 1.0)),))
+    for call in (lambda: g_eval(m, 1.0), lambda: autocovariance(m, 3),
+                 lambda: variance_spectral(m, 100),
+                 lambda: robinson_integral(m)):
+        with pytest.raises(DomainError, match="^opaque density values"):
+            call()
 
 
 # --- serialization -----------------------------------------------------------
