@@ -17,37 +17,66 @@ from math import factorial
 
 import numpy as np
 
+# the ufuncs every formula calls, with ``out`` passed by position: cheaper
+# per call than an operator or a keyword, which counts for short arrays
+_plus, _minus, _times = np.add, np.subtract, np.multiply
 
-def split(x):
-    """Veltkamp: x = hi + lo, each half with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2**27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+# Each formula makes one ufunc call per operation and names, for each, the
+# slot of ``out`` its result goes to (``o_`` and the value's name): results
+# first, then scratch.  A slot holds None (the default: numpy makes a fresh
+# array, as an operator would) or an array of the result's full shape, which
+# a caller can pass again and again, so that a loop allocates nothing.
+# Unless a docstring says otherwise, the arrays of ``out`` must not overlap
+# the operands.
+
+def split(x, out=(None, None)):
+    """Veltkamp: x = hi + lo, each half with at most 26 significant bits;
+    ``out`` is (hi, lo)."""
+    o_hi, o_lo = out
+    c = _times(134217729.0, x, o_lo)  # 2**27 + 1
+    hi = _minus(c, _minus(c, x, o_hi), o_hi)
+    return hi, _minus(x, hi, o_lo)
 
 
-def two_sum(a, b):
-    """s + e == a + b exactly, with s = fl(a + b)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def two_sum(a, b, out=(None,) * 3):
+    """s + e == a + b exactly, with s = fl(a + b); ``out`` is (s, e, t)."""
+    o_s, o_e, o_t = out
+    s = _plus(a, b, o_s)
+    bb = _minus(s, a, o_t)
+    e = _minus(a, _minus(s, bb, o_e), o_e)
+    return s, _plus(e, _minus(b, bb, o_t), o_e)
+
+
+def _dekker(x, y, out=(None,) * 3):
+    """TwoProduct p + e == x[0] * y[0] from the Veltkamp halves x[2:4] and
+    y[2:4]; ``out`` is (p, e, t)."""
+    o_p, o_e, o_t = out
+    p = _times(x[0], y[0], o_p)
+    e = _minus(_times(x[2], y[2], o_e), p, o_e)
+    e = _plus(e, _times(x[2], y[3], o_t), o_e)
+    e = _plus(e, _times(x[3], y[2], o_t), o_e)
+    return p, _plus(e, _times(x[3], y[3], o_t), o_e)
 
 
 def two_prod(a, b):
     """p + e == a * b exactly, with p = fl(a * b) (no overflow or underflow)."""
-    p = a * b
-    a_hi, a_lo = split(a)
-    b_hi, b_lo = split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return _dekker((a, None, *split(a)), (b, None, *split(b)))
 
 
-def _renorm(s, e):
-    hi = s + e
-    return hi, e - (hi - s)
+def _renorm(s, e, out=(None, None)):
+    """(s + e, its rounding error); ``out`` is (hi, lo), and lo may be s."""
+    o_hi, o_lo = out
+    hi = _plus(s, e, o_hi)
+    return hi, _minus(e, _minus(hi, s, o_lo), o_lo)
 
 
-def add(x, y):
-    s, e = two_sum(x[0], y[0])
-    return _renorm(s, e + (x[1] + y[1]))
+def add(x, y, out=(None,) * 5):
+    """x + y; ``out`` is (hi, lo, s, e, t), and hi and lo may be the arrays
+    of x or y."""
+    o_hi, o_lo, o_s, o_e, o_t = out
+    s, e = two_sum(x[0], y[0], (o_s, o_e, o_t))
+    e = _plus(e, _plus(x[1], y[1], o_t), o_e)
+    return _renorm(s, e, (o_hi, o_lo))
 
 
 def presplit(x):
@@ -56,25 +85,31 @@ def presplit(x):
     return (x[0], x[1], *split(x[0]))
 
 
-def mul_presplit(x, y):
+def mul_presplit(x, y, out=(None,) * 4):
     """x * y for two ``presplit`` pairs as an unnormalized pair (``add``
     takes it as is): the TwoProduct of the high words, plus the cross terms
-    in its error word."""
-    p = x[0] * y[0]
-    e = ((x[2] * y[2] - p) + x[2] * y[3] + x[3] * y[2]) + x[3] * y[3]
-    return p, e + (x[0] * y[1] + x[1] * y[0])
+    in its error word; ``out`` is (p, e, t, u)."""
+    o_p, o_e, o_t, o_u = out
+    p, e = _dekker(x, y, (o_p, o_e, o_t))
+    t = _plus(_times(x[0], y[1], o_t), _times(x[1], y[0], o_u), o_t)
+    return p, _plus(e, t, o_e)
 
 
 def mul(x, y):
     return _renorm(*mul_presplit(presplit(x), presplit(y)))
 
 
-def sqr(x):
-    """x * x, splitting x's high word once."""
-    p = x[0] * x[0]
-    hi, lo = split(x[0])
-    e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-    return _renorm(p, e + 2.0 * x[0] * x[1])
+def sqr(x, out=(None,) * 7):
+    """x * x, splitting x's high word once; ``out`` is (hi, lo, p, e, t,
+    x_hi, x_lo), and hi and lo may be x's arrays."""
+    o_hi, o_lo, o_p, o_e, o_t, *o_halves = out
+    p = _times(x[0], x[0], o_p)
+    hi, lo = split(x[0], o_halves)
+    e = _minus(_times(hi, hi, o_e), p, o_e)
+    t = _times(_times(2.0, hi, o_t), lo, o_t)
+    e = _plus(_plus(e, t, o_e), _times(lo, lo, o_t), o_e)
+    t = _times(_times(2.0, x[0], o_t), x[1], o_t)
+    return _renorm(p, _plus(e, t, o_e), (o_hi, o_lo))
 
 
 def div(x, y):
@@ -92,36 +127,44 @@ def sqrt(x):
     return _renorm(s, ((x[0] - p) - e + x[1]) / (2.0 * s))
 
 
-def stack_add(x, y):
-    """Sum of two stacks of pairs (real or complex), pair by pair."""
-    return np.stack(np.broadcast_arrays(
-        *(part for i in range(0, len(x), 2)
-          for part in add(x[i:i + 2], y[i:i + 2]))))
-
-
 def cmul(x, y):
     """Product of two complex stacks."""
     xr, xi, yr, yi = x[0:2], x[2:4], y[0:2], y[2:4]
     re = add(mul(xr, yr), mul(xi, (-yi[0], -yi[1])))
     im = add(mul(xr, yi), mul(xi, yr))
-    return np.stack(np.broadcast_arrays(*re, *im))
+    return np.stack([*re, *im])
 
 
 def cscale(x, s):
     """Complex stack x times the float64 array s, whose values are exact."""
     zero = np.zeros_like(s)
-    return np.stack(np.broadcast_arrays(*mul(x[0:2], (s, zero)),
-                                        *mul(x[2:4], (s, zero))))
+    return np.stack([*mul(x[0:2], (s, zero)), *mul(x[2:4], (s, zero))])
+
+
+def fold(x, k, work):
+    """Sum of rows 0 .. k-1 of the pair x, pairwise and in place: each level
+    adds rows 2i and 2i+1 into row i, an odd level first setting row k to
+    the zero pair, so x's arrays need k + 1 rows.  ``work`` is three
+    scratch arrays of at least (k + 1) // 2 rows; returns row 0."""
+    hi, lo = x
+    while k > 1:
+        if k % 2:
+            hi[k] = lo[k] = 0.0
+            k += 1
+        k //= 2
+        add((hi[0:2 * k:2], lo[0:2 * k:2]), (hi[1:2 * k:2], lo[1:2 * k:2]),
+            (hi[:k], lo[:k], *(w[:k] for w in work)))
+    return hi[0], lo[0]
 
 
 def total(x, axis=1):
-    """Sum of a stack of pairs over ``axis`` (not 0), pairwise."""
+    """Sum of a stack of pairs over ``axis`` (not 0), pairwise (``fold``)."""
     x = np.moveaxis(x, axis, 1)
-    while x.shape[1] > 1:
-        if x.shape[1] % 2:
-            x = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
-        x = stack_add(x[:, 0::2], x[:, 1::2])
-    return x[:, 0]
+    k = x.shape[1]
+    w = np.empty((len(x) + 3, k + 1) + x.shape[2:])
+    w[:len(x), :k] = x
+    return np.stack([part for i in range(0, len(x), 2)
+                     for part in fold(w[i:i + 2], k, w[-3:])])
 
 
 def cpowers(z, count):
@@ -164,9 +207,14 @@ def cis(n: int, t):
         q = (2 * num + den * _PIO2) // (2 * den * _PIO2)  # nearest
         rows.append((q % 4, *_pair(num - q * den * _PIO2, den << 256)))
     quad, *r = np.array(rows, dtype=float).reshape(-1, 3).T
-    s, p = presplit(sqr(r)), (0.0, 0.0)
+    s = presplit(sqr(r))
+    # Horner in place: p = w[0:2] is split into w[2:4], times s into w[4:8],
+    # and plus the next term back into w[0:2]
+    w = tuple(np.zeros((8, 2, len(quad))))
+    p = w[0:2]
     for c in _TAYLOR.reshape(15, 2, 2)[::-1]:  # (cos r, sin(r)/r), (hi, lo)
-        p = add(mul_presplit(presplit(p), s), c.T[..., None])
+        x = mul_presplit((*p, *split(p[0], w[2:4])), s, w[4:8])
+        p = add(x, c.T[..., None], (*w[0:4], w[6]))
     cos, sin = np.stack(p)[:, 0], np.stack(mul(np.stack(p)[:, 1], r))
     turn = np.stack([cos, -sin, -cos, sin])  # Re(i**q (cos + i sin)) by q
     q = quad.astype(int)

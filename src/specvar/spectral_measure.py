@@ -36,6 +36,7 @@ from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _cheb_moments,
 from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
+_LOC_MIN = 2.0 ** -1022
 _PI_SLACK = 1e-12  # how far beyond float pi interval bounds may stray
 
 
@@ -362,6 +363,9 @@ class SpectralMeasure:
         for loc, mass in atoms:
             if not loc > 0.0:
                 raise DomainError(f"atom location must lie in (0, pi], got {loc}")
+            if loc < _LOC_MIN:  # the atom sums' phase loc/2 would round
+                raise DomainError(f"atom location must be at least 2**-1022 "
+                                  f"(the least normal float), got {loc}")
             if not (math.isfinite(mass) and mass > 0.0):
                 raise DomainError(f"atom mass must be finite and > 0, got {mass}")
         locs = [loc for loc, _ in atoms]
@@ -421,7 +425,7 @@ def g_eval(m: SpectralMeasure, x):
 # variance_profile): 2 GiB per float64 array, enough for a full profile to
 # 2**26; a larger n raises DomainError instead of numpy's MemoryError
 MAX_LAGS = 2 ** 28
-_ATOM_CELLS = 1 << 16  # (atoms x n) cells per block; bounds the temporaries
+_ATOM_CELLS = 1 << 15  # (atoms x n) cells per block: its workspace fits L2
 
 
 def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
@@ -435,10 +439,17 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
     column table z**b (``cpowers`` both), so no angle n*t is ever rounded.
     A cell takes only the part it needs of row times column, from two
     products of pre-split table values and one double-double addition; the
-    atoms are summed pairwise in double-double.  A block holds at most
-    _ATOM_CELLS (atoms x n) cells, or one n's atoms.  ``cis`` is good to
-    about 2**-104 whatever n0, and the powers add up to count * 2**-104
-    relative, far below a float's resolution for count <= MAX_LAGS.
+    atoms are summed pairwise in double-double (``ddouble.fold``).  ``cis``
+    is good to about 2**-104 whatever n0, and the powers add up to count *
+    2**-104 relative, far below a float's resolution for count <= MAX_LAGS.
+
+    The grid goes in blocks of whole rows or of part of one row: a block's
+    run of n is a power of two, so it divides B, of about _ATOM_CELLS /
+    atoms n but never fewer than 64 (or the whole grid), so that no ufunc
+    loops over short rows.  Every block writes into one workspace made per
+    call, seven arrays of (atoms + 1) x block cells (the spare row pads the
+    pairwise sum), through ufuncs with ``out``: no block allocates, and at
+    _ATOM_CELLS cells the workspace stays in a core's L2 cache.
     """
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
@@ -455,21 +466,50 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
         factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
     (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
                           for x, y in factors]
-    per = max(1, _ATOM_CELLS // atoms)  # n per block
-    rb, cb = (per // B, B) if per >= B else (1, per)
+    per = 1 << max(6, (_ATOM_CELLS // atoms).bit_length() - 1)
+    rb, cb = (max(1, min(per // B, A)), B) if per >= B else (1, per)
+    work = np.empty((7, (atoms + 1) * rb * cb))
     grid = np.empty((A, B))
-    for a0 in range(0, A, rb):
-        r1 = tuple(t[:, a0:a0 + rb] for t in x1)
-        r2 = tuple(t[:, a0:a0 + rb] for t in x2)
-        for b0 in range(0, B, cb):
-            v = dd.add(
-                dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1)),
-                dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2)))
-            if imag:
-                v = dd.sqr(v)
-            hi, lo = dd.total(np.stack(v), axis=1)
-            grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
+    # numpy copies a factor broadcast along a row through its ufunc buffer;
+    # from 128 columns on, the copy costs more than the longer inner loops
+    # it buys, so such blocks run with the least buffer
+    old = np.setbufsize(16 if cb >= 128 else np.getbufsize())
+    try:
+        for a0 in range(0, A, rb):
+            r = min(rb, A - a0)
+            w = work[:, :(atoms + 1) * r * cb].reshape(7, atoms + 1, r, cb)
+            c = tuple(w[:, :atoms])
+            r1 = tuple(t[:, a0:a0 + r] for t in x1)
+            r2 = tuple(t[:, a0:a0 + r] for t in x2)
+            for b0 in range(0, B, cb):
+                v = dd.add(
+                    dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1),
+                                    (c[0], c[1], c[5], c[6])),
+                    dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2),
+                                    (c[2], c[3], c[5], c[6])),
+                    (c[0], c[1], c[4], c[5], c[6]))
+                if imag:
+                    dd.sqr(v, c)
+                hi, lo = dd.fold(w[0:2], atoms, w[2:5])
+                np.add(hi, lo, out=grid[a0:a0 + r, b0:b0 + cb])
+    finally:
+        np.setbufsize(old)
     return grid.ravel()[:count]
+
+
+# The atom sums run on masses or weights times 2**-k and scale the sum back
+# by 2**k (2**2k for squares), both exactly: k is the least k >= 0 that keeps
+# every double-double value of the sum below 2**_DD_EXP, where a Veltkamp
+# split (a factor times 2**27 + 1) and a sum over up to 2**33 atoms stay
+# finite.  So a sum beyond the float range comes out inf, never NaN, and
+# values that small to begin with, as every gallery measure's, give k = 0.
+_DD_EXP = 990
+
+
+def _downscale(exponents) -> int:
+    """The least k >= 0 that brings values below 2**exponents (an array)
+    under 2**_DD_EXP."""
+    return max(0, int(np.max(exponents)) - _DD_EXP)
 
 
 def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
@@ -479,8 +519,10 @@ def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
     locs, masses = m.atom_arrays()
     if not len(locs):  # spares density measures the double-double work
         return np.zeros(count)
-    return _atom_sums(locs, m._cis, (masses, np.zeros_like(masses)), k0,
-                      count, imag=False)
+    k = _downscale(np.frexp(masses)[1])
+    w = np.ldexp(masses, -k)
+    return np.ldexp(_atom_sums(locs, m._cis, (w, np.zeros_like(w)), k0,
+                               count, imag=False), k)
 
 
 def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
@@ -497,8 +539,16 @@ def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     if not len(locs):
         return np.zeros(count)
     h = m._cis_half
-    root_w = dd.div(dd.sqrt((masses, np.zeros_like(masses))), h[2:4])
-    return _atom_sums(locs / 2.0, h, root_w, n0, count, imag=True)
+    root = dd.sqrt((masses, np.zeros_like(masses)))
+    # a weight root / sin(loc/2) lies below 2**e and the value a cell
+    # squares below 2**min(e, e_root + bits of n), as |sin(nx) / sin x| <= n
+    e_root = np.frexp(root[0])[1]
+    e = e_root - np.frexp(h[2])[1] + 1
+    e_cell = np.minimum(e, e_root + (n0 + count - 1).bit_length())
+    k = _downscale(np.maximum(e, e_cell + _DD_EXP // 2))
+    root_w = dd.div(np.ldexp(root, -k), h[2:4])
+    return np.ldexp(_atom_sums(locs / 2.0, h, root_w, n0, count, imag=True),
+                    2 * k)
 
 
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
@@ -524,16 +574,18 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     zb, zB = dd.cpowers(m._cis, B)
     za, _ = dd.cpowers(zB, A)
     bzb = dd.cscale(zb, np.arange(B, dtype=float)[:, None])
-    rows = dd.stack_add(dd.cscale(dd.total(zb)[:, None],
-                                  n - B * np.arange(A, dtype=float)[:, None]),
-                        -dd.total(bzb)[:, None])
-    rows[:, -1] = dd.stack_add(dd.cscale(dd.total(zb[:, :L]), np.float64(L)),
-                               -dd.total(bzb[:, :L]))
+    u = dd.cscale(dd.total(zb)[:, None],
+                  n - B * np.arange(A, dtype=float)[:, None])
+    u[:, -1] = dd.cscale(dd.total(zb[:, :L]), np.float64(L))
+    v = np.repeat(-dd.total(bzb)[:, None], A, axis=1)
+    v[:, -1] = -dd.total(bzb[:, :L])
+    rows = np.concatenate([dd.add(u[i:i + 2], v[i:i + 2]) for i in (0, 2)])
     w = dd.total(dd.cmul(za, rows))
+    k = _downscale(np.frexp(masses)[1] + 2 * n.bit_length())  # mass n**2
     per_atom = dd.mul(dd.add((2.0 * w[0], 2.0 * w[1]), (-float(n), 0.0)),
-                      (masses, 0.0))
+                      (np.ldexp(masses, -k), 0.0))
     hi, lo = dd.total(np.stack(per_atom))
-    return float(hi + lo)
+    return float(np.ldexp(hi + lo, k))
 
 
 def _lags(m: SpectralMeasure, k0: int, count: int):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specvar import PowerDensity, SpectralMeasure
+from specvar import ddouble as dd
 from specvar.cli import run as cli_run
 
 
@@ -100,6 +101,52 @@ def atomic_variance_exact(m: SpectralMeasure, n: int) -> float:
         num = 1 - cis_reference(n, loc)[0]
         total += Fraction(mass) * num / (1 - cis_reference(1, loc)[0])
     return float(total)
+
+
+def _total_reference(x):
+    """Pairwise double-double sum of a stack of pairs over axis 1, each odd
+    level padded with a zero pair: ``ddouble.total`` as it was before it
+    summed in place."""
+    while x.shape[1] > 1:
+        if x.shape[1] % 2:
+            x = np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
+        x = np.stack(dd.add(x[:, 0::2], x[:, 1::2]))
+    return x[:, 0]
+
+
+def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
+    """``spectral_measure._atom_sums`` as it was before its blocks ran in
+    place: the same grid, tables and formulas, with every operation
+    allocating its result and at most 2**16 cells to a block."""
+    atoms = z.shape[1]
+    B = 1 << ((count - 1).bit_length() + 1) // 2
+    A = -(-count // B)
+    cols, zB = dd.cpowers(z, B)
+    rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
+    rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
+    rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
+    if imag:
+        factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
+    else:
+        factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
+    (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
+                          for x, y in factors]
+    per = max(1, (1 << 16) // atoms)
+    rb, cb = (per // B, B) if per >= B else (1, per)
+    grid = np.empty((A, B))
+    for a0 in range(0, A, rb):
+        r1 = tuple(t[:, a0:a0 + rb] for t in x1)
+        r2 = tuple(t[:, a0:a0 + rb] for t in x2)
+        for b0 in range(0, B, cb):
+            v = dd.add(
+                dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1)),
+                dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2)))
+            if imag:
+                v = dd.sqr(v)
+            hi, lo = _total_reference(np.stack(v))
+            grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
+    return grid.ravel()[:count]
 
 
 def covariance_variance_oracle(r: np.ndarray, n: int) -> float:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, polygamma
 
-from conftest import (atomic_autocovariance_oracle, atomic_variance_exact,
-                      atomic_variance_oracle, covariance_variance_oracle,
-                      scale_measure)
+from conftest import (atom_sums_reference, atomic_autocovariance_oracle,
+                      atomic_variance_exact, atomic_variance_oracle,
+                      covariance_variance_oracle, run_cli, scale_measure)
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SpectralMeasure, TableDensity, autocovariance,
                      autocovariance_batch, counterexample, fejer_kernel,
                      g_eval, nonergodic, power_law, quadratic, sandwich,
                      variance_covariance, variance_profile,
                      variance_spectral, white_noise, with_origin_atom)
+from specvar import ddouble as dd
 from specvar import spectral_measure as sm
 from specvar.fejer_variance import _piece_variance, _piece_variance_covariance
 from specvar.quadrature import _cheb_moments
@@ -236,10 +238,10 @@ def test_grid_block_edges_and_offsets(seed):
     m = _random_atomic(seed)
     n_max = 2 ** 15 + 11
     prof = variance_profile(m, n_max)
-    # rows of B = 256 columns, per_block // 256 rows to a block (or one
-    # row split into column blocks)
+    # rows of B = 256 columns, per // 256 rows to a block (or one row split
+    # into column blocks), per a power of two of at least 64
     B = 256
-    per = max(1, sm._ATOM_CELLS // len(m.atoms))
+    per = 1 << max(6, (sm._ATOM_CELLS // len(m.atoms)).bit_length() - 1)
     step = (per // B) * B if per >= B else per
     edges = range(1, n_max + 1, step)
     rng = np.random.default_rng(seed)
@@ -265,6 +267,77 @@ def test_grid_cos_sums_equal_scalar_lags(seed):
     c = sm.atom_cos_sums(m, k0, 300)
     for i in range(0, 300, 7):
         assert c[i] == autocovariance(m, k0 + i), k0 + i
+
+
+def _reference_sums(m, n0, count, imag):
+    """``atom_fejer_sums`` (imag) or ``atom_cos_sums`` of m from the
+    allocating reference kernel, with the same weights."""
+    locs, masses = m.atom_arrays()
+    if not imag:
+        return atom_sums_reference(locs, m._cis, (masses, 0.0 * masses), n0,
+                                   count, imag)
+    h = m._cis_half
+    w = dd.div(dd.sqrt((masses, 0.0 * masses)), h[2:4])
+    return atom_sums_reference(locs / 2.0, h, w, n0, count, imag)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 2 ** 20, sm._ATOM_CELLS])
+@pytest.mark.parametrize("atoms", [1, 2, 3, 5, 63, 64, 65, 1000])
+def test_atom_kernel_equals_allocating_reference(monkeypatch, atoms, cells):
+    # odd counts of atoms, and odd levels above them, pad the pairwise sum
+    # with the workspace's spare row; 37 grid rows (4700 = 36 * 128 + 92)
+    # end in a partial block of rows, and 128 columns (B > 64) split into
+    # blocks of 64 when a block holds fewer cells than a row
+    rng = np.random.default_rng(atoms)
+    locs = np.unique(rng.uniform(1e-6, PI, atoms))
+    masses = 10.0 ** rng.uniform(-5.0, 5.0, len(locs))
+    m = SpectralMeasure(atoms=tuple(zip(locs.tolist(), masses.tolist())))
+    assert len(m.atoms) == atoms
+    monkeypatch.setattr(sm, "_ATOM_CELLS", cells)
+    n = 270 if atoms == 1000 else 4700
+    for n0, count in ((1, n), (4097, n // 4), (2 ** 40 + 7, 3)):
+        for imag, got in ((True, sm.atom_fejer_sums(m, n0, count)),
+                          (False, sm.atom_cos_sums(m, n0, count))):
+            want = _reference_sums(m, n0, count, imag)
+            assert np.array_equal(got, want), (n0, imag)
+
+
+@pytest.mark.parametrize("name", sorted(ATOMIC))
+def test_profile_and_batch_equal_allocating_reference(name):
+    m = ATOMIC[name]
+    n = np.arange(1, 2 ** 14 + 1, dtype=float)
+    assert np.array_equal(
+        variance_profile(m, 2 ** 14),
+        m.atom_at_zero * n ** 2 + _reference_sums(m, 1, 2 ** 14, True))
+    assert np.array_equal(
+        autocovariance_batch(m, 2 ** 14)[1:],
+        m.atom_at_zero + _reference_sums(m, 1, 2 ** 14 - 1, False))
+
+
+def test_huge_atom_weights_give_numbers_not_nan(tmp_path):
+    # a weight sqrt(mass) / sin(loc/2) or a mass above 2**996 overflows an
+    # unscaled Veltkamp split (x * (2**27 + 1)) into NaN
+    spec = tmp_path / "tiny_atom.json"
+    spec.write_text(json.dumps({"atom_at_zero": 0.0, "density": [],
+                                "atoms": [{"y": 1e-300, "mass": 1.0}]}))
+    rc, out, _ = run_cli(["variance", "--measure", f"file:{spec}",
+                          "--n", "1,5,1000"])
+    assert rc == 0
+    assert out.splitlines()[1:] == ["1,1.0", "5,25.0", "1000,1000000.0"]
+    m = SpectralMeasure(atoms=((1e-150, 1e300),))
+    assert variance_spectral(m, 5) == pytest.approx(2.5e301, rel=1e-15)
+    assert variance_spectral(m, 5) == variance_covariance(m, 5)
+    m = SpectralMeasure(atoms=((1.0, 1e301),))
+    assert autocovariance(m, 3) == pytest.approx(1e301 * math.cos(3.0),
+                                                 rel=1e-15)
+    assert variance_covariance(m, 5) == variance_spectral(m, 5)
+    assert variance_spectral(m, 5) == pytest.approx(
+        1e301 * math.sin(2.5) ** 2 / math.sin(0.5) ** 2, rel=1e-14)
+    # a variance beyond the float range is inf, with numpy's warning
+    m = SpectralMeasure(atoms=((0.1, 1e308),))
+    for f in (variance_spectral, variance_covariance):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert f(m, 5) == math.inf
 
 
 def test_grid_tiny_variances_at_float_two_pi_over_three_and_pi():

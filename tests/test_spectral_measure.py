@@ -18,6 +18,7 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      measure_from_json, measure_to_dict, measure_to_json,
                      nonergodic, power_law, quadratic, robinson_integral,
                      variance_spectral, white_noise, with_origin_atom)
+from specvar.spectral_measure import atom_fejer_sums
 
 PI = math.pi
 
@@ -41,6 +42,17 @@ def test_atom_domain():
     # within 1e-12 of pi is accepted and clamped
     m = SpectralMeasure(atoms=((PI + 5e-13, 1.0),))
     assert m.atoms[0][0] == PI
+
+
+def test_atom_location_below_least_normal_rejected():
+    # the atom sums take the phase loc/2, which a subnormal loc rounds
+    with pytest.raises(DomainError, match="least normal"):
+        SpectralMeasure(atoms=((5e-324, 1.0),))
+    with pytest.raises(ValidationError, match="least normal"):
+        measure_from_dict({"atom_at_zero": 0.0, "density": [],
+                           "atoms": [{"y": 1e-310, "mass": 1.0}]})
+    m = SpectralMeasure(atoms=((2.0 ** -1022, 1.0),))
+    assert variance_spectral(m, 2 ** 62) == 2.0 ** 124
 
 
 def test_density_pieces_must_be_disjoint():
@@ -391,6 +403,30 @@ def test_opaque_cos_transform_closed_form_to_2_16():
         tracemalloc.stop()
     assert np.abs(got - np.where(k == 2, PI / 4, 0.0)).max() <= 1e-14
     assert peak < 64 * 2 ** 20
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_atom_sums_memory_bounded():
+    # the power tables grow as atoms * sqrt(count), the block workspace as
+    # atoms * min(count, its block): 6.1 and 15.7 MB with numpy 2.4, and
+    # 10.5 and 14.5 MB when every block operation allocated its result
+    m = nonergodic()
+    m._cis_half  # the measure's own cached phases are not the call's
+    assert _peak_bytes(atom_fejer_sums, m, 1, 2 ** 18) < 12e6
+    rng = np.random.default_rng(2000)
+    locs = np.unique(rng.uniform(1e-6, PI, 2000))
+    m = SpectralMeasure(atoms=tuple(zip(locs.tolist(),
+                                        rng.uniform(0.1, 2.0, len(locs)))))
+    m._cis_half
+    assert _peak_bytes(atom_fejer_sums, m, 1, 2 ** 10) < 20e6
 
 
 @pytest.mark.parametrize("fn, exact, tol", [
