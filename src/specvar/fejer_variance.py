@@ -25,7 +25,12 @@ double-double, so the two routes return the same float there.
     (4/pi^2) n^2 G(1/n)  <=  Var(S_n)
       <=  G(pi) + (pi^2/4) n^2 G(A/n) + pi^2 int_{A/n}^pi G(y) y^-3 dy
 
-valid for any 0 < A <= n.
+valid for any 0 < A <= n.  With a = A/n and G right-continuous, parts give
+``int_a^pi G y^-3 dy = G(a)/(2a^2) - G(pi)/(2pi^2) + R(a)/2`` with the
+inverse-square mass ``R(a) = int_(a,pi] y^-2 dG`` (``robinson_integral``),
+so the upper bound is the sum of positive closed-form terms
+
+    G(pi)/2 + pi^2 n^2 G(a) (1/4 + 1/(2A^2)) + (pi^2/2) R(a).
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError, check_int
+from .errors import DomainError, ValidationError, check_int
 from .quadrature import (_CC, _CHEB_MAX_PANELS, _cheb_moments, bisect_panels,
-                         chebyshev_panels, integrate)
+                         chebyshev_panels)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
-                               atom_fejer_sums, check_lags, g_eval)
+                               atom_fejer_sums, check_lags, g_eval,
+                               robinson_integral)
 
 # no longer read here; the benchmark workloads (perfbench/workloads.py)
 # still import it
@@ -50,7 +56,7 @@ KERNEL_QUAD_MAX_N = 2 ** 14
 # half-arcs of I_n (the head), the rest on dyadic Chebyshev panels (the tail)
 _HEAD_ARCS = 32
 # absolute accuracy target of a density piece's integral against I_n (half
-# for its head, half for its tail) and of the sandwich's tail integral
+# for its head, half for its tail)
 _TOL = 1e-10
 
 
@@ -248,24 +254,22 @@ def variance_profile(m: SpectralMeasure, n_max):
 
 def sandwich(m: SpectralMeasure, n, A: float = 1.0) -> BoundsReport:
     """Bracket Var(S_n) between the kernel's main-lobe lower bound and the
-    split upper bound with free parameter A (0 < A <= n)."""
+    split upper bound with free parameter A, in the closed form of the
+    module docstring.  DomainError unless 0 < A <= n and A/n >= 2**-511,
+    below which (A/n)**2 is not a normal float.
+    """
     n = check_int(n, "n", 1)
     A = float(A)
     if not 0.0 < A <= n:
         raise DomainError(f"sandwich requires 0 < A <= n, got A={A}, n={n}")
+    a = A / n
+    if a < 2.0 ** -511:
+        raise DomainError(f"sandwich requires A/n >= 2**-511, got A={A}, "
+                          f"n={n}")
     lower = (4.0 / PI ** 2) * n ** 2 * g_eval(m, 1.0 / n)
     variance = variance_spectral(m, n)
-    a_over_n = A / n
-    upper = g_eval(m, PI) + (PI ** 2 / 4.0) * n ** 2 * g_eval(m, a_over_n)
-    if a_over_n < PI:
-        locs, _ = m.atom_arrays()
-        pts = [locs[(locs > a_over_n) & (locs < PI)]]
-        for piece in m.density:
-            pts.append(np.array([piece.lo, piece.hi]))
-        # G decays to its total mass; log-spaced points resolve the y^-3 head
-        pts.append(np.geomspace(a_over_n, PI, 65))
-        tail, _ = integrate(lambda y: g_eval(m, y) / y ** 3, a_over_n, PI,
-                            points=np.concatenate(pts), tol=_TOL)
-        upper += PI ** 2 * tail
+    upper = (0.5 * g_eval(m, PI)
+             + PI ** 2 * n ** 2 * g_eval(m, a) * (0.25 + 0.5 / A ** 2)
+             + 0.5 * PI ** 2 * robinson_integral(m, a))
     return BoundsReport(n=n, A=A, lower=float(lower), variance=variance,
                         upper=float(upper))

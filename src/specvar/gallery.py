@@ -107,63 +107,31 @@ def with_origin_atom(base: SpectralMeasure, a: float) -> SpectralMeasure:
                            atoms=base.atoms, density=base.density, meta=meta)
 
 
-def _no_extras(kw, name):
-    if kw:
-        raise DomainError(
-            f"unknown parameters for gallery:{name}: {sorted(kw)}")
-
-
-def _build_counterexample(**kw):
-    k_max = int(kw.pop("k_max", 60))
-    _no_extras(kw, "counterexample")
-    return counterexample(k_max)
-
-
-def _build_power(**kw):
-    if "gamma" not in kw:
-        raise DomainError("gallery:power requires a gamma parameter")
-    gamma = float(kw.pop("gamma"))
-    scale = float(kw.pop("scale", 1.0))
-    _no_extras(kw, "power")
-    return power_law(gamma, scale)
-
-
-def _build_quadratic(**kw):
-    _no_extras(kw, "quadratic")
-    return quadratic()
-
-
-def _build_nonergodic(**kw):
-    k_max = int(kw.pop("k_max", 40))
-    _no_extras(kw, "nonergodic")
-    return nonergodic(k_max)
-
-
-def _build_whitenoise(**kw):
-    _no_extras(kw, "whitenoise")
-    return white_noise()
-
-
 GALLERY = {
-    "counterexample": (_build_counterexample,
+    "counterexample": (counterexample,
                        "dyadic atoms 2^-k with mass 2^-k; Var(S_n)/n has no "
                        "limit but the dyadic column converges"),
-    "power": (_build_power,
+    "power": (power_law,
               "G(x) = scale*x^(2-gamma) exactly; Var(S_n)/n^gamma -> "
               "scale/C(gamma); parameters gamma (required), scale"),
-    "quadratic": (_build_quadratic,
+    "quadratic": (quadratic,
                   "G(x) = x^2; Var(S_n) = 4 ln n + O(1)"),
-    "nonergodic": (_build_nonergodic,
+    "nonergodic": (nonergodic,
                    "atoms 4^-k at 2*pi*2^-k; bounded dyadic variances, "
                    "unbounded full-sequence supremum"),
-    "whitenoise": (_build_whitenoise,
+    "whitenoise": (white_noise,
                    "flat unit-mass spectrum; Var(S_n) = n exactly"),
 }
 
 
 def build(name: str, **params) -> SpectralMeasure:
-    """Construct a gallery measure by registry name."""
+    """Construct a gallery measure by registry name; the parameters go to
+    its constructor, which coerces strings, and a missing or unknown one
+    raises DomainError."""
     if name not in GALLERY:
         known = ", ".join(sorted(GALLERY))
         raise DomainError(f"unknown gallery measure {name!r} (known: {known})")
-    return GALLERY[name][0](**params)
+    try:
+        return GALLERY[name][0](**params)
+    except TypeError as exc:
+        raise DomainError(f"bad parameters for gallery:{name}: {exc}") from None

@@ -120,17 +120,23 @@ class PowerDensity:
         return integrate(lambda y: self.formula(y) * g(y), self.lo, hi,
                          points=points, tol=tol, max_panels=max_panels)[0]
 
-    def robinson_part(self) -> float:
-        """``int y**-2 density(y) dy``; +inf when divergent at the origin."""
-        p = self.exponent
-        if self.coef == 0.0:
+    def robinson_part(self, a: float = 0.0) -> float:
+        """``int y**-2 density(y) dy`` over (max(lo, a), hi]; +inf when
+        divergent at the origin.  With q = exponent - 1 it is (hi**q -
+        lo**q)/q, taken as ``b**q (-expm1(-|q| log(hi/lo))) / |q|`` (b = hi
+        for q > 0, else lo), which does not cancel as q -> 0 and never takes
+        expm1 of a positive argument."""
+        lo = max(self.lo, a)
+        if self.coef == 0.0 or lo >= self.hi:
             return 0.0
-        if self.lo == 0.0 and p <= 1.0:
-            return math.inf
-        if p == 1.0:
-            return self.coef * math.log(self.hi / self.lo)
-        q = p - 1.0
-        return self.coef * (self.hi ** q - self.lo ** q) / q
+        q = self.exponent - 1.0
+        if lo == 0.0:
+            return math.inf if q <= 0.0 else self.coef * self.hi ** q / q
+        log_ratio = math.log(self.hi / lo)
+        if q == 0.0:
+            return self.coef * log_ratio
+        b = self.hi if q > 0.0 else lo
+        return self.coef * b ** q * -math.expm1(-abs(q) * log_ratio) / abs(q)
 
 
 @dataclass(frozen=True)
@@ -212,17 +218,22 @@ class TableDensity:
                          self.hi if hi is None else hi,
                          points=pts, tol=tol, max_panels=max_panels)[0]
 
-    def robinson_part(self) -> float:
+    def robinson_part(self, a: float = 0.0) -> float:
+        """``int y**-2 density(y) dy`` over (max(lo, a), hi], exact per
+        linear segment; +inf when divergent at the origin."""
         ys, vals = self._arrays()
         total = 0.0
-        for a, b, fa, fb in zip(ys[:-1], ys[1:], vals[:-1], vals[1:]):
-            if a == 0.0:
+        for y0, b, fa, fb in zip(ys[:-1], ys[1:], vals[:-1], vals[1:]):
+            lo = max(y0, a)
+            if lo >= b:
+                continue
+            if lo == 0.0:
                 if fa == 0.0 and fb == 0.0:
                     continue
                 return math.inf
-            s = (fb - fa) / (b - a)
-            alpha = fa - s * a
-            total += alpha * (1.0 / a - 1.0 / b) + s * math.log(b / a)
+            s = (fb - fa) / (b - y0)
+            alpha = fa - s * y0
+            total += alpha * (1.0 / lo - 1.0 / b) + s * math.log(b / lo)
         return total
 
 
@@ -332,11 +343,18 @@ class OpaqueDensity:
                          self.hi if hi is None else hi, points=points,
                          tol=tol, max_panels=max_panels)[0]
 
-    def robinson_part(self) -> float:
-        # divergence at a 0 endpoint cannot be decided symbolically; adaptive
-        # quadrature either converges or raises NumericError
-        return integrate(lambda y: self.formula(y) / y ** 2,
-                         self.lo, self.hi, tol=1e-9)[0]
+    def robinson_part(self, a: float = 0.0) -> float:
+        """``int y**-2 density(y) dy`` over (max(lo, a), hi] by adaptive
+        quadrature, seeded from lo > 0 with the dyadic panels [lo, 2 lo], ..
+        that resolve y**-2; divergence at a 0 endpoint cannot be decided
+        symbolically, so there it converges or raises NumericError."""
+        lo = max(self.lo, a)
+        if lo >= self.hi:
+            return 0.0
+        doublings = math.ceil(math.log2(self.hi / lo)) if lo > 0.0 else 1
+        return integrate(lambda y: self.formula(y) / y ** 2, lo, self.hi,
+                         points=lo * 2.0 ** np.arange(1, doublings),
+                         tol=1e-9)[0]
 
 
 DensityPiece = Union[PowerDensity, TableDensity, OpaqueDensity]
@@ -639,18 +657,25 @@ def autocovariance_batch(m: SpectralMeasure, n: int):
     return np.concatenate([[g_eval(m, PI)], _lags(m, 1, n - 1)])
 
 
-def robinson_integral(m: SpectralMeasure) -> float:
-    """``int_(0,pi] y**-2 dG(y)``, +inf when divergent.
+def robinson_integral(m: SpectralMeasure, a: float = 0.0) -> float:
+    """The inverse-square mass ``R(a) = int_(a,pi] y**-2 dG(y)`` (at a = 0,
+    ``int_[0,pi]``), +inf when divergent; DomainError unless 0 <= a <= pi.
 
-    Finiteness of this integral is the boundedness criterion for the whole
-    sequence sup_n Var(S_n); any origin atom makes it +inf.
+    Finiteness of R(0) is the boundedness criterion for the whole sequence
+    sup_n Var(S_n); any origin atom makes it +inf.  ``sandwich`` takes its
+    upper bound from R(A/n), which counts only atoms above A/n.
     """
-    if m.atom_at_zero > 0.0:
+    a = float(a)
+    if not 0.0 <= a <= PI:  # also rejects NaN
+        raise DomainError(f"robinson_integral lower limit must lie in "
+                          f"[0, pi], got {a}")
+    if a == 0.0 and m.atom_at_zero > 0.0:
         return math.inf
     locs, masses = m.atom_arrays()
-    total = float((masses / locs ** 2).sum())
+    above = locs > a
+    total = float((masses[above] / locs[above] ** 2).sum())
     for piece in m.density:
-        part = piece.robinson_part()
+        part = piece.robinson_part(a)
         if math.isinf(part):
             return math.inf
         total += part

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specvar import PowerDensity, SpectralMeasure
+from specvar import PowerDensity, SpectralMeasure, g_eval
 from specvar import ddouble as dd
+from specvar.quadrature import integrate
 from specvar.cli import run as cli_run
 
 
@@ -147,6 +148,22 @@ def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
             hi, lo = _total_reference(np.stack(v))
             grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
     return grid.ravel()[:count]
+
+
+def sandwich_upper_quadrature(m: SpectralMeasure, n: int, A: float) -> float:
+    """The sandwich's upper bound G(pi) + (pi^2/4) n^2 G(a) + pi^2 int_a^pi
+    G(y) y^-3 dy at a = A/n, its tail by adaptive Gauss-Kronrod quadrature
+    as before the closed form: breakpoints at the atoms, the piece ends and
+    65 log-spaced points, and an absolute target of 1e-10."""
+    pi = math.pi
+    a = A / n
+    locs, _ = m.atom_arrays()
+    pts = [locs[(locs > a) & (locs < pi)], np.geomspace(a, pi, 65)]
+    pts += [np.array([piece.lo, piece.hi]) for piece in m.density]
+    tail, _ = integrate(lambda y: g_eval(m, y) / y ** 3, a, pi,
+                        points=np.concatenate(pts), tol=1e-10)
+    return (g_eval(m, pi) + (pi ** 2 / 4.0) * n ** 2 * g_eval(m, a)
+            + pi ** 2 * tail)
 
 
 def covariance_variance_oracle(r: np.ndarray, n: int) -> float:

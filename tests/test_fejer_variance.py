@@ -9,7 +9,8 @@ from scipy.special import digamma, polygamma
 
 from conftest import (atom_sums_reference, atomic_autocovariance_oracle,
                       atomic_variance_exact, atomic_variance_oracle,
-                      covariance_variance_oracle, run_cli, scale_measure)
+                      covariance_variance_oracle, run_cli,
+                      sandwich_upper_quadrature, scale_measure)
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SpectralMeasure, TableDensity, autocovariance,
                      autocovariance_batch, counterexample, fejer_kernel,
@@ -587,6 +588,47 @@ def test_sandwich_brackets_random_measures(m, n, f):
     slack = 1e-9 * max(1.0, v)
     assert rep.lower <= v + slack
     assert v <= rep.upper + slack
+    # the closed form integrates the tail int G y^-3 by parts; adaptive
+    # quadrature of the same tail agrees to its tolerance
+    assert rep.upper == pytest.approx(sandwich_upper_quadrature(m, n, A),
+                                      rel=1e-9)
+
+
+def _table_measure():
+    # a power piece on (0, 0.5] joined to a table piece on (0.5, pi]
+    return SpectralMeasure(density=(
+        PowerDensity(0.0, 0.5, 0.6, 0.5),
+        TableDensity((0.5, 1.0, 1.7, 2.4, PI),
+                     (0.6 * math.sqrt(0.5), 0.55, 0.9, 0.3, 0.05))))
+
+
+@pytest.mark.parametrize("n, A, exact", [
+    # by mpmath at 40 digits, from the exact G of the float parameters
+    (1, 1.0, 5.6092070519437714177),
+    (2, 2.0, 8.4589618582113172163),
+    (100, 1.0, 85.544602754424699403),
+])
+def test_sandwich_upper_exact_on_table_measure(n, A, exact):
+    assert sandwich(_table_measure(), n, A=A).upper == pytest.approx(
+        exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("spec, make", [
+    ("gallery:power:gamma=0.5", lambda: power_law(0.5)),
+    ("gallery:counterexample", counterexample),
+    ("gallery:quadratic", quadratic),
+], ids=["power", "counterexample", "quadratic"])
+def test_sandwich_rejects_subnormal_a_over_n_squared(spec, make):
+    # the upper bound divides by (A/n)**2, which must be a normal float
+    m = make()
+    for n, A in ((10, 1e-200), (1, 2.0 ** -512), (2 ** 62, 2.0 ** -450)):
+        with pytest.raises(DomainError, match="2\\*\\*-511"):
+            sandwich(m, n, A=A)
+    rep = sandwich(m, 1, A=2.0 ** -511)
+    assert math.isfinite(rep.upper) and rep.variance <= rep.upper
+    rc, out, err = run_cli(["bounds", "--measure", spec, "--n", "10",
+                            "--A", "1e-200"])
+    assert rc == 1 and out == "" and "2**-511" in err
 
 
 def test_sandwich_counterexample_large_n():

@@ -356,6 +356,70 @@ def test_robinson_table_cases():
     assert robinson_integral(flat) == pytest.approx(3.0 * (1.0 - 0.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("exponent, exact", [
+    # (pi**q - 1e-3**q) / q with q = exponent - 1, by mpmath at 40 digits
+    (1.0 - 1e-9, 8.0524851880348748),
+    (1.0 + 1e-9, 8.0524851416281971),
+])
+def test_robinson_power_near_exponent_one(exponent, exact):
+    # (hi**q - lo**q) / q cancels as q -> 0; the expm1 form does not
+    piece = PowerDensity(1e-3, PI, 1.0, exponent)
+    assert piece.robinson_part() == pytest.approx(exact, rel=1e-14)
+
+
+def test_robinson_a_zero_unchanged_on_gallery(gallery_measures):
+    # R(0) = int_[0,pi] y**-2 dG, bit for bit as before R took a lower limit
+    expected = {"counterexample": float.fromhex("0x1.0000000000000p+61"),
+                "nonergodic": float.fromhex("0x1.f9cb9bf9a62afp-1"),
+                "whitenoise": math.inf, "power05": math.inf,
+                "quadratic": math.inf}
+    for name, m in gallery_measures.items():
+        assert robinson_integral(m) == expected[name]
+        assert robinson_integral(m, 0.0) == expected[name]
+
+
+def test_robinson_lower_limit_excludes_atoms_at_or_below_it():
+    m = SpectralMeasure(atom_at_zero=5.0, atoms=((0.5, 1.0), (1.0, 2.0)))
+    assert robinson_integral(m, 1e-300) == 4.0 + 2.0
+    assert robinson_integral(m, 0.25) == 4.0 + 2.0
+    assert robinson_integral(m, 0.5) == 2.0
+    assert robinson_integral(m, 1.0) == 0.0
+    assert robinson_integral(m, PI) == 0.0
+
+
+def test_robinson_lower_limit_cuts_pieces_that_straddle_it():
+    # power: int_a^pi y**-2 2y dy = 2 log(pi/a)
+    m = quadratic()
+    for a in (1e-300, 2.0 ** -62, 0.5, 3.0):
+        assert robinson_integral(m, a) == pytest.approx(
+            2.0 * math.log(PI / a), rel=1e-15)
+    # table: cut at 0.75, where the interpolant is 1.5
+    table = SpectralMeasure(density=(
+        TableDensity((0.5, 1.0, 2.0), (1.0, 2.0, 0.5)),))
+    cut = SpectralMeasure(density=(
+        TableDensity((0.75, 1.0, 2.0), (1.5, 2.0, 0.5)),))
+    assert robinson_integral(table, 0.75) == pytest.approx(
+        robinson_integral(cut), rel=1e-15)
+    assert robinson_integral(table, 0.25) == robinson_integral(table)
+    assert robinson_integral(table, 2.0) == 0.0
+    # opaque: int_a^2 1.3 dy, and int_a^pi 2/y dy for a far below pi
+    opaque = SpectralMeasure(density=(
+        OpaqueDensity(0.1, 2.0, lambda y: 1.3 * y ** 2),))
+    assert robinson_integral(opaque, 0.5) == pytest.approx(1.95, rel=1e-12)
+    linear = SpectralMeasure(density=(
+        OpaqueDensity(0.0, PI, lambda y: 2.0 * y),))
+    for a in (1e-6, 2.0 ** -62, 2.0 ** -511):
+        assert robinson_integral(linear, a) == pytest.approx(
+            2.0 * math.log(PI / a), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [math.nan, -1.0, -1e-300, PI * (1 + 2e-16),
+                               4.0, math.inf], ids=repr)
+def test_robinson_lower_limit_domain(a):
+    with pytest.raises(DomainError, match="lower limit"):
+        robinson_integral(nonergodic(), a)
+
+
 def test_robinson_finite_bounds_variance(gallery_measures):
     from specvar import variance_spectral
     finite_cases = [
