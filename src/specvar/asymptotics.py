@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
-from .fejer_variance import variance_profile, variance_spectral
+from .fejer_variance import _variance_rows, variance_profile, variance_spectral
 from .spectral_measure import SpectralMeasure, g_eval
 from .specfun import sin_sq_moment
 
@@ -187,8 +187,7 @@ def theorem_check(m: SpectralMeasure, model: RegularVariationModel, n_grid,
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
     rows = []
-    for n in n_grid:
-        var = variance_spectral(m, n)
+    for n, var in zip(n_grid, _variance_rows(m, n_grid)):
         gn = float(model.g(n))
         x = 1.0 / n
         gx = float(g_eval(m, x))

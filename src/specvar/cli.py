@@ -19,7 +19,8 @@ from .asymptotics import (RegularVariationModel, SlowlyVarying,
                           c_gamma, c_identity_residual, d_gamma, gamma_fit,
                           theorem_check)
 from .errors import NumericError, SpecvarError, ValidationError
-from .fejer_variance import BoundsReport, sandwich, variance_spectral
+from .fejer_variance import (BoundsReport, _variance_rows, sandwich,
+                             variance_spectral)
 from .simulate import empirical_variance, simulate
 from .spectral_measure import measure_from_dict
 
@@ -121,7 +122,7 @@ def _parse_slowly_varying(text: str) -> SlowlyVarying:
 def _cmd_variance(args, out):
     m = parse_measure(args.measure)
     ns = parse_n_values(args.n)
-    rows = [variance_spectral(m, n) for n in ns]
+    rows = _variance_rows(m, ns)
     out.write("n,variance\n")
     for n, v in zip(ns, rows):
         out.write(f"{n},{_fmt(v)}\n")

@@ -15,6 +15,13 @@ panel and ``g cos(ny)`` is integrated through the modified moments
 whose estimates miss the tolerance are bisected by the same loop
 (``quadrature.bisect_panels``) that refines the head's panels.
 
+A grid of n (``_variance_rows``, which the CLI's ``variance`` and
+``asymptotics.theorem_check`` call once per grid) shares this work: the atoms
+take one sum per run of consecutive n, and a piece's tail panels take one
+density evaluation and one moment recurrence per batch of rows, with the BLAS
+products kept per row.  So every row equals ``variance_spectral`` at its n
+bit for bit, and no row depends on the others in its grid.
+
 The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
 cross-check at every n; on atoms it sums the lags per atom, also in
@@ -38,12 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
-from .quadrature import (_CC, _CHEB_MAX_PANELS, _cheb_moments, bisect_panels,
-                         chebyshev_panels)
+from .quadrature import (_CC, _CHEB_MAX_PANELS, _cheb_moments, _offsets,
+                         bisect_panels, chebyshev_panels)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval,
                                robinson_integral)
@@ -58,6 +66,10 @@ _HEAD_ARCS = 32
 # absolute accuracy target of a density piece's integral against I_n (half
 # for its head, half for its tail)
 _TOL = 1e-10
+# most tail panels in one batch of rows of _variance_rows: the batch's arrays
+# stay a few MB on a grid of any length (a row has at most 60-odd panels,
+# plus a table's knots)
+_BATCH_PANELS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -125,14 +137,14 @@ def _kernel_breakpoints(n: int, lo: float, hi: float) -> np.ndarray:
 def _tail_edges(piece, start):
     """Dyadic panel edges start, 2 start, 4 start, .. up to piece.hi, broken
     at a table's grid points."""
-    doublings = math.ceil(math.log2(piece.hi / start))
-    edges = start * 2.0 ** np.arange(doublings + 1)
-    knots = np.asarray(getattr(piece, "ys", ()), dtype=float)
-    inner = np.concatenate([edges, knots[knots > start]])
-    return np.unique(np.append(inner[inner < piece.hi], piece.hi))
+    hi = piece.hi
+    edges = {math.ldexp(start, k)
+             for k in range(math.ceil(math.log2(hi / start)) + 1)}
+    edges.update(getattr(piece, "ys", ()))
+    return np.array(sorted(y for y in edges if start <= y < hi) + [hi])
 
 
-def _fcc_panels(density, n: float, a, b):
+def _fcc_panels(density, n, a, b, blocks=None):
     """Values and error estimates of ``int density I_n`` on the panels
     [a[i], b[i]] by Filon-Clenshaw-Curtis.
 
@@ -144,32 +156,110 @@ def _fcc_panels(density, n: float, a, b):
     product: its error eps n c multiplies an oscillatory part of size
     g(c)/n.  A panel's error estimate is its Chebyshev tail
     (|c_23| + |c_24|) h.
+
+    n is a float or one float per panel.  blocks: offsets that split the
+    panels into the rows of a grid of n (one row by default); g is evaluated
+    once for all rows, and the BLAS products, which BLAS rounds by their
+    shape, run per row, so every row gets the values of its panels alone.
     """
     c, h, coef, err = chebyshev_panels(
-        lambda y: density(y) / (2.0 * np.sin(0.5 * y) ** 2), a, b)
-    flat = h * (coef @ _CC)
+        lambda y: density(y) / (2.0 * np.sin(0.5 * y) ** 2), a, b, blocks)
+    flat = np.empty_like(h)
+    for lo, hi in pairwise(_offsets(blocks, len(h))):
+        np.matmul(coef[lo:hi], _CC, out=flat[lo:hi])
     osc = h * (np.exp(1j * (n * c))
-               * (coef * _cheb_moments(n * h)).sum(axis=1)).real
-    return flat - osc, err
+               * (coef * _cheb_moments(n * h, blocks)).sum(axis=1)).real
+    return h * flat - osc, err
 
 
-def _piece_variance(piece, n: int) -> float:
-    """``int density I_n`` for one density piece: head plus tail."""
-    cut = _HEAD_ARCS * PI / n
-    total = 0.0
-    if piece.lo < cut:
-        hi = min(cut, piece.hi)
-        total += piece.integrate_against(
-            lambda y: _kernel_raw(n, y),
-            points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * _TOL,
-            max_panels=4 * _HEAD_ARCS + 64, hi=hi)
-    if piece.hi > cut:
-        # dyadic tail panels; one whose estimate is too large (a density not
-        # smooth inside it) is bisected, as QUADPACK's QAWO does
-        tail = partial(_fcc_panels, piece.formula, float(n))
-        total += bisect_panels(tail, _tail_edges(piece, max(cut, piece.lo)),
-                               tol=0.5 * _TOL, max_panels=_CHEB_MAX_PANELS)[0]
-    return total
+def _tail_batches(piece, ns):
+    """The rows (n, tail edges) of the n in ns, in batches of at most
+    _BATCH_PANELS panels (or of one row)."""
+    batch, size = [], 0
+    for n in ns:
+        edges = _tail_edges(piece, max(_HEAD_ARCS * PI / n, piece.lo))
+        if batch and size + len(edges) - 1 > _BATCH_PANELS:
+            yield batch
+            batch, size = [], 0
+        batch.append((n, edges))
+        size += len(edges) - 1
+    if batch:
+        yield batch
+
+
+def _tail_rows(piece, ns):
+    """The tail part of ``int density I_n`` for each n in ns (each > 32 pi /
+    piece.hi).
+
+    A batch of rows takes its first-round panels from one ``_fcc_panels``
+    call: one density evaluation and one moment recurrence.  Each row then
+    goes to ``bisect_panels`` with its own first round; one whose estimate
+    misses the tolerance (a density not smooth inside a panel) is bisected
+    there by the same rule, as QUADPACK's QAWO does.
+    """
+    out = []
+    for batch in _tail_batches(piece, ns):
+        counts = [len(edges) - 1 for _, edges in batch]
+        offsets = [0, *accumulate(counts)]
+        a = np.concatenate([edges[:-1] for _, edges in batch])
+        b = np.concatenate([edges[1:] for _, edges in batch])
+        n_panel = np.repeat([float(n) for n, _ in batch], counts)
+        ik, err = _fcc_panels(piece.formula, n_panel, a, b, offsets)
+        for (n, edges), lo, hi in zip(batch, offsets[:-1], offsets[1:]):
+            rule = partial(_fcc_panels, piece.formula, float(n))
+            out.append(bisect_panels(rule, edges, tol=0.5 * _TOL,
+                                     max_panels=_CHEB_MAX_PANELS,
+                                     first=(ik[lo:hi], err[lo:hi]))[0])
+    return out
+
+
+def _piece_rows(piece, ns):
+    """``int density I_n`` for one density piece and each n in ns: the head
+    per n, plus the tail (``_tail_rows``)."""
+    rows = [0.0] * len(ns)
+    tails = []
+    for i, n in enumerate(ns):
+        cut = _HEAD_ARCS * PI / n
+        if piece.lo < cut:
+            hi = min(cut, piece.hi)
+            rows[i] += piece.integrate_against(
+                partial(_kernel_raw, n),
+                points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * _TOL,
+                max_panels=4 * _HEAD_ARCS + 64, hi=hi)
+        if piece.hi > cut:
+            tails.append(i)
+    for i, tail in zip(tails, _tail_rows(piece, [ns[i] for i in tails])):
+        rows[i] += tail
+    return rows
+
+
+def _atom_rows(m: SpectralMeasure, ns):
+    """The atoms' Fejer sums at each n in ns, from one ``atom_fejer_sums``
+    call per run of consecutive n among them."""
+    if not m.atoms:
+        return [0.0] * len(ns)
+    grid = sorted(set(ns))
+    starts = [i for i, n in enumerate(grid) if i == 0 or n != grid[i - 1] + 1]
+    sums = {}
+    for lo, hi in pairwise(starts + [len(grid)]):
+        sums.update(zip(grid[lo:hi],
+                        atom_fejer_sums(m, grid[lo], hi - lo).tolist()))
+    return [sums[n] for n in ns]
+
+
+def _variance_rows(m: SpectralMeasure, ns) -> list:
+    """``variance_spectral(m, n)`` for each n in ns (any order, repeats
+    allowed), bit for bit, with the work shared across the grid: the atoms
+    take one sum per run of consecutive n, and each density piece's tail one
+    density evaluation and one moment recurrence per batch of rows.  The
+    rows go in batches of at most _BATCH_PANELS tail panels, so the memory
+    stays bounded on a grid of any length."""
+    ns = [check_int(n, "n", 1) for n in ns]
+    rows = [m.atom_at_zero * float(n) ** 2 + atoms
+            for n, atoms in zip(ns, _atom_rows(m, ns))]
+    for piece in m.density:
+        rows = [total + v for total, v in zip(rows, _piece_rows(piece, ns))]
+    return rows
 
 
 def _piece_variance_covariance(piece, n: int) -> float:
@@ -193,11 +283,7 @@ def variance_spectral(m: SpectralMeasure, n) -> float:
     it) is bisected until the estimates meet it, at a cost that does not
     grow with n; NumericError when the bisection budget runs out first.
     """
-    n = check_int(n, "n", 1)
-    total = m.atom_at_zero * float(n) ** 2 + float(atom_fejer_sums(m, n, 1)[0])
-    for piece in m.density:
-        total += _piece_variance(piece, n)
-    return total
+    return _variance_rows(m, [n])[0]
 
 
 def variance_covariance(m: SpectralMeasure, n) -> float:

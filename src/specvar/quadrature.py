@@ -10,7 +10,11 @@ Golub-Welsch on numpy (Golub & Welsch, Math. Comp. 1969), so the module
 needs no scipy.  The loop also runs Chebyshev panels (``chebyshev_panels``,
 with the modified moments ``_cheb_moments`` of QUADPACK's QAWO): on the
 Fejer kernel's tail in ``fejer_variance``, and once per opaque density
-piece to choose the panels of its transforms and masses.
+piece to choose the panels of its transforms and masses.  A grid of Fejer
+tails evaluates its first round in one batch of blocks, one block per n, and
+hands each block's values to the loop (``first``); the BLAS products in
+``chebyshev_panels`` and ``_cheb_moments`` run per block, as BLAS rounds a
+product by its shape, so a block's values are those of its panels alone.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from itertools import pairwise
 
 import numpy as np
 
@@ -165,60 +170,106 @@ def _jacobi_edge(g, beta, b):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def chebyshev_panels(f, a, b):
+def _offsets(blocks, size):
+    """Offsets 0 = b_0 < b_1 < .. < b_k = size of row blocks; one block when
+    ``blocks`` is None."""
+    return (0, size) if blocks is None else blocks
+
+
+def chebyshev_panels(f, a, b, blocks=None):
     """Interpolate f at the 25 Chebyshev points of each panel [a[i], b[i]].
 
     Returns the panels' centres c and half-widths h, the Chebyshev
     coefficients (one row per panel, ``f(c + h x) = sum_j coef_j T_j(x)``)
     and each panel's error estimate, its Chebyshev tail (|c_23| + |c_24|) h,
     which estimates ``int |f - interpolant|`` over the panel.
+
+    blocks: offsets that split the panels into blocks of rows (one block by
+    default).  f is evaluated once for all of them, but BLAS rounds a matrix
+    product by its shape, so each block takes its own product from values to
+    coefficients: a block's coefficients are those of its panels alone.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     y = c[:, None] + h[:, None] * _CHEB_X
-    coef = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape) @ _DCT.T
+    values = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
+    coef = np.empty_like(values)
+    for lo, hi in pairwise(_offsets(blocks, len(c))):
+        np.matmul(values[lo:hi], _DCT.T, out=coef[lo:hi])
     return c, h, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
 
 
-def _cheb_moments(omega):
+def _cheb_moments(omega, blocks=None):
     """``int_{-1}^1 T_j(x) exp(i omega x) dx`` for j = 0 .. _DEG, one row per
-    omega >= 0 (Piessens & Branders' forward recurrence)."""
+    omega >= 0.
+
+    From omega = _RECURRENCE_MIN_OMEGA on, Piessens & Branders' forward
+    recurrence.  It runs on real rows, since the moments of even j are real
+    and those of odd j imaginary, and divides as complex arithmetic divides
+    by a real, through the reciprocal, so it gives the values of the
+    recurrence in complex numbers bit for bit.  Below, the 129-point table;
+    BLAS rounds that product by its row count, so with ``blocks`` (as in
+    ``chebyshev_panels``) each block takes its own, and a block's moments
+    are those of its omega alone.
+    """
     mu = np.empty((len(omega), _DEG + 1), dtype=complex)
     small = omega < _RECURRENCE_MIN_OMEGA
-    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
+    rows = np.flatnonzero(small)
+    block = np.searchsorted(_offsets(blocks, len(omega)), rows, side="right")
+    for part in np.split(rows, np.flatnonzero(np.diff(block)) + 1):
+        if len(part):
+            mu[part] = np.exp(1j * np.outer(omega[part], _FINE_X)) @ _FINE_T
     w = omega[~small]
     s, c = np.sin(w), np.cos(w)
-    m = mu[~small]
-    m[:, 0] = 2.0 * s / w
-    m[:, 1] = 2j * (s - w * c) / w ** 2
-    m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
-    # exp(i w) - (-1)**j exp(-i w) is 2i sin w for even j, 2 cos w for odd j
-    edge = (2j * s, 2.0 * c)
-    for j in range(2, _DEG):
-        m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
-                       + ((j + 1) / (j - 1)) * m[:, j - 1]
-                       + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
-    mu[~small] = m
+    r = 1.0 / w
+    # row j+1 = a_j row j + b_j row j-1 + e_j for j = 2 .. _DEG-1, with
+    # exp(i w) - (-1)**j exp(-i w) = 2i sin w (j even) or 2 cos w (j odd);
+    # an odd row holds imaginary parts, so i times it is minus its value
+    j = np.arange(2.0, _DEG)[:, None]
+    odd = j % 2.0 == 1.0
+    a = np.where(odd, -2.0, 2.0) * (j + 1.0) * r
+    b = ((j + 1.0) / (j - 1.0)).ravel().tolist()
+    e = np.where(odd, -4.0 * s, 4.0 * c) * (1.0 / (w * (j - 1.0)))
+    m = np.empty((_DEG + 1, len(w)))
+    row = list(m)
+    row[0][:] = 2.0 * s / w
+    row[1][:] = 2.0 * (s - w * c) * (1.0 / (w * w))
+    row[2][:] = row[0] - 4.0 * row[1] * r
+    for k, (ak, bk, ek) in enumerate(zip(a, b, e)):
+        np.multiply(ak, row[k + 2], out=row[k + 3])
+        row[k + 3] += bk * row[k + 1]
+        row[k + 3] += ek
+    large = np.zeros((len(w), _DEG + 1), dtype=complex)
+    large.real[:, 0::2] = m[0::2].T
+    large.imag[:, 1::2] = m[1::2].T
+    mu[~small] = large
     return mu
 
 
-def bisect_panels(rule, edges, *, tol, max_panels):
+def bisect_panels(rule, edges, *, tol, max_panels, first=None):
     """Integrate over the panels between ``edges`` (increasing), bisecting
     the ones whose estimates are too large until the total estimate meets
     ``tol`` or the roundoff floor of the total.
 
     rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
         [a[i], b[i]], given as arrays.
+    first: the rule's values and estimates on the panels between ``edges``,
+        when they are already known; the first round then evaluates nothing.
     Returns ``(value, error_estimate, edges)``, the last the final panels'
     edges; raises NumericError with the achieved estimate when
     ``max_panels`` or the _MAX_ROUNDS rounds run out first.
     """
     # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
     # across rounds, and each round evaluates only the panels in `fresh`
-    ik = np.empty(len(edges) - 1)
-    err = np.empty_like(ik)
-    fresh = np.arange(len(ik))
+    if first is None:
+        ik = np.empty(len(edges) - 1)
+        err = np.empty_like(ik)
+        fresh = np.arange(len(ik))
+    else:
+        ik, err = first
+        fresh = ()
     for _ in range(_MAX_ROUNDS):
-        ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
+        if len(fresh):
+            ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
         total = float(ik.sum())
         total_err = float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))

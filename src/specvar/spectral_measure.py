@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -53,6 +54,9 @@ def _clamp_pi(x: float, what: str) -> float:
             raise DomainError(f"{what} = {x!r} exceeds pi")
         return PI
     return x
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,10 @@ class PowerDensity:
 
     def robinson_part(self, a: float = 0.0) -> float:
         """``int y**-2 density(y) dy`` over (max(lo, a), hi]; +inf when
-        divergent at the origin.  With q = exponent - 1 it is (hi**q -
-        lo**q)/q, taken as ``b**q (-expm1(-|q| log(hi/lo))) / |q|`` (b = hi
-        for q > 0, else lo), which does not cancel as q -> 0 and never takes
-        expm1 of a positive argument."""
+        divergent at the origin or beyond the float range.  With q =
+        exponent - 1 it is (hi**q - lo**q)/q, taken as ``b**q (-expm1(-|q|
+        log(hi/lo))) / |q|`` (b = hi for q > 0, else lo), which does not
+        cancel as q -> 0 and never takes expm1 of a positive argument."""
         lo = max(self.lo, a)
         if self.coef == 0.0 or lo >= self.hi:
             return 0.0
@@ -136,7 +140,15 @@ class PowerDensity:
         if q == 0.0:
             return self.coef * log_ratio
         b = self.hi if q > 0.0 else lo
-        return self.coef * b ** q * -math.expm1(-abs(q) * log_ratio) / abs(q)
+        shrink = -math.expm1(-abs(q) * log_ratio)
+        try:
+            return self.coef * b ** q * shrink / abs(q)
+        except OverflowError:
+            # lo**q beyond the float range: the product through logarithms,
+            # +inf where it lies beyond the range too
+            log_r = (math.log(self.coef) + q * math.log(lo)
+                     + math.log(shrink / abs(q)))
+            return math.exp(log_r) if log_r < _LOG_FLOAT_MAX else math.inf
 
 
 @dataclass(frozen=True)

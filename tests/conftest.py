@@ -8,7 +8,8 @@ import pytest
 
 from specvar import PowerDensity, SpectralMeasure, g_eval
 from specvar import ddouble as dd
-from specvar.quadrature import integrate
+from specvar.quadrature import (_DEG, _FINE_T, _FINE_X,
+                                _RECURRENCE_MIN_OMEGA, integrate)
 from specvar.cli import run as cli_run
 
 
@@ -148,6 +149,29 @@ def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
             hi, lo = _total_reference(np.stack(v))
             grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
     return grid.ravel()[:count]
+
+
+def cheb_moments_reference(omega):
+    """``quadrature._cheb_moments`` as it was before its recurrence ran on
+    real rows: the forward recurrence in complex numbers, and the 129-point
+    table below omega = 24 taken in one product for every such omega."""
+    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
+    small = omega < _RECURRENCE_MIN_OMEGA
+    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
+    w = omega[~small]
+    s, c = np.sin(w), np.cos(w)
+    m = mu[~small]
+    m[:, 0] = 2.0 * s / w
+    m[:, 1] = 2j * (s - w * c) / w ** 2
+    m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
+    # exp(i w) - (-1)**j exp(-i w) is 2i sin w for even j, 2 cos w for odd j
+    edge = (2j * s, 2.0 * c)
+    for j in range(2, _DEG):
+        m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
+                       + ((j + 1) / (j - 1)) * m[:, j - 1]
+                       + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
+    mu[~small] = m
+    return mu
 
 
 def sandwich_upper_quadrature(m: SpectralMeasure, n: int, A: float) -> float:

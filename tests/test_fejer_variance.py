@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.special import digamma, polygamma
 
 from conftest import (atom_sums_reference, atomic_autocovariance_oracle,
                       atomic_variance_exact, atomic_variance_oracle,
-                      covariance_variance_oracle, run_cli,
-                      sandwich_upper_quadrature, scale_measure)
+                      cheb_moments_reference, covariance_variance_oracle,
+                      run_cli, sandwich_upper_quadrature, scale_measure)
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SpectralMeasure, TableDensity, autocovariance,
                      autocovariance_batch, counterexample, fejer_kernel,
@@ -19,7 +20,7 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      variance_spectral, white_noise, with_origin_atom)
 from specvar import ddouble as dd
 from specvar import spectral_measure as sm
-from specvar.fejer_variance import _piece_variance, _piece_variance_covariance
+from specvar.fejer_variance import _variance_rows
 from specvar.quadrature import _cheb_moments
 from test_spectral_measure import measures
 
@@ -379,10 +380,10 @@ def test_oracle_equivalence_spot(gallery_measures):
 def test_large_n_route_continuity():
     # the piece rule and the cosine-transform sum are independent at every n
     for m in (power_law(0.5), power_law(1.5), quadratic()):
-        piece = m.density[0]
+        assert len(m.density) == 1 and not m.atoms
         for n in (2 ** 14, 2 ** 16, 2 ** 18):
-            a = _piece_variance(piece, n)
-            b = _piece_variance_covariance(piece, n)
+            a = variance_spectral(m, n)
+            b = variance_covariance(m, n)
             assert a == pytest.approx(b, rel=1e-9), n
 
 
@@ -414,6 +415,32 @@ def test_cheb_moments_against_composite_gauss():
             want = complex(math.fsum(terms[:, j].real),
                            math.fsum(terms[:, j].imag))
             assert abs(value - want) <= 1.5e-15, (om, j)
+
+
+def test_cheb_moments_equal_the_complex_recurrence():
+    # the recurrence on real rows gives the moments of the recurrence in
+    # complex numbers bit for bit: log-uniform omega from the switch to
+    # 1e19, and a mix with omega below the switch
+    rng = np.random.default_rng(2026)
+    large = np.exp(rng.uniform(math.log(24.0), math.log(1e19), 5000))
+    mixed = rng.permutation(np.concatenate([
+        large[:200], rng.uniform(0.0, 24.0, 100),
+        [0.0, 24.0, np.nextafter(24.0, 0.0)]]))
+    for omega in (large, mixed, large[:1], mixed[:3], mixed[:0]):
+        assert np.array_equal(_cheb_moments(omega),
+                              cheb_moments_reference(omega))
+
+
+def test_cheb_moment_blocks_equal_calls_on_each_block():
+    # BLAS rounds the table product below omega = 24 by its row count, so
+    # each block takes its own: its moments are those of a call on it alone
+    rng = np.random.default_rng(7)
+    omega = np.where(rng.random(60) < 0.4, rng.uniform(0.0, 24.0, 60),
+                     rng.uniform(24.0, 1e6, 60))
+    offsets = [0, 1, 2, 5, 17, 18, 40, 60]
+    got = _cheb_moments(omega, offsets)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        assert np.array_equal(got[lo:hi], _cheb_moments(omega[lo:hi]))
 
 
 @pytest.mark.parametrize("n", [64, 2 ** 14 + 1, 2 ** 20])
@@ -516,6 +543,75 @@ def test_profile_of_one_row(m):
     prof = variance_profile(m, 1)
     assert prof.shape == (1,)
     assert prof[0] == pytest.approx(variance_spectral(m, 1), rel=1e-13)
+
+
+def _row_measures():
+    """Every kind of density piece, a jump and a kink inside tail panels
+    (some rows of _ROW_GRID go on bisecting after their first round), a
+    power piece with lo > 0, and atoms with density."""
+    return {
+        "power05": power_law(0.5), "power15": power_law(1.5),
+        "quadratic": quadratic(), "whitenoise": white_noise(),
+        "table": _power_and_table(),
+        "opaque_smooth": SpectralMeasure(density=(OpaqueDensity(
+            0.0, PI, lambda y: 1.0 + np.cos(y) ** 2),)),
+        "opaque_kink": SpectralMeasure(density=(OpaqueDensity(
+            0.0, PI, lambda y: np.abs(y - 1.0) + 0.5),)),
+        "opaque_jump": SpectralMeasure(density=(OpaqueDensity(
+            0.0, PI, lambda y: np.where(y < 1.0, 1.0, 2.0)),)),
+        "power_lo": SpectralMeasure(density=(
+            PowerDensity(0.3, 2.9, 1.3, -0.4),)),
+        "atoms_and_density": SpectralMeasure(
+            atom_at_zero=0.25, atoms=((0.3, 0.2), (PI, 0.05)),
+            density=_power_and_table().density),
+    }
+
+
+# unsorted, with repeats, rows with no tail (n < 32), n up to 2**62, and a
+# run of n whose first tail panels differ in number and width
+_ROW_GRID = [33, 3, 1, 31, 32, 2 ** 62, 97, 33, 4097, 2 ** 14 + 1, 3 ** 20,
+             2 ** 53 + 1, 1000, 2 ** 40, 2, 3 ** 39, 2 ** 62 - 1, 100, 65,
+             *range(34, 72)]
+
+
+@pytest.mark.parametrize("name", sorted(_row_measures()))
+def test_rows_equal_single_n_calls(name):
+    # each row adds the same numbers in the same order as variance_spectral
+    # at its n, so no row depends on the others in its grid
+    m = _row_measures()[name]
+    rows = _variance_rows(m, _ROW_GRID)
+    assert rows == [variance_spectral(m, n) for n in _ROW_GRID]
+    assert _variance_rows(m, _ROW_GRID[::-1]) == rows[::-1]
+    assert _variance_rows(m, _ROW_GRID[5:9]) == rows[5:9]
+
+
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic", "origin"])
+def test_atom_rows_from_runs_equal_single_n_calls(name):
+    # one atom sum per run of consecutive n, equal to the sum at each n
+    m = {"counterexample": counterexample(), "nonergodic": nonergodic(),
+         "origin": with_origin_atom(nonergodic(), 0.3)}[name]
+    ns = ([*range(1, 201), *range(2 ** 40, 2 ** 40 + 100), 7, 2 ** 62]
+          + [2 ** r for r in range(9, 62, 4)])
+    assert _variance_rows(m, ns) == [variance_spectral(m, n) for n in ns]
+
+
+def test_rows_memory_bounded_on_a_long_grid():
+    # 2**16 rows up to n = 2**62 go in batches of at most _BATCH_PANELS
+    # tail panels, so the peak stays a few MB; the arrays of all 5 * 2**16
+    # first-round panels at once would take some hundreds of MB.  A table
+    # piece from 0.5 has no head from n = 202 on, so the tail does all the
+    # work.
+    m = SpectralMeasure(density=(_power_and_table().density[1],))
+    ns = [int(n) for n in np.geomspace(2.0 ** 10, 2.0 ** 62, 2 ** 16)]
+    tracemalloc.start()
+    try:
+        rows = _variance_rows(m, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    for i in (0, 1, 4099, 2 ** 15, 2 ** 16 - 1):
+        assert rows[i] == variance_spectral(m, ns[i])
 
 
 def test_variance_domain():

@@ -367,6 +367,20 @@ def test_robinson_power_near_exponent_one(exponent, exact):
     assert piece.robinson_part() == pytest.approx(exact, rel=1e-14)
 
 
+def test_robinson_power_beyond_the_float_range():
+    # lo**q overflows for q = -1.5 and lo = 1e-300: +inf where the integral
+    # does too, and the product through logarithms where a small
+    # coefficient brings it back into range
+    m = SpectralMeasure(density=(PowerDensity(1e-300, 1.0, 1.0, -0.5),))
+    assert robinson_integral(m) == math.inf
+    assert robinson_integral(m, 1e-300) == math.inf
+    # 1e-300 (1e-300**-1.5 - 1) / 1.5, the floats taken exactly, by mpmath
+    # at 40 digits
+    piece = PowerDensity(1e-300, 1.0, 1e-300, -0.5)
+    assert piece.robinson_part() == pytest.approx(6.6666666666666665831e149,
+                                                  rel=1e-12)
+
+
 def test_robinson_a_zero_unchanged_on_gallery(gallery_measures):
     # R(0) = int_[0,pi] y**-2 dG, bit for bit as before R took a lower limit
     expected = {"counterexample": float.fromhex("0x1.0000000000000p+61"),
