@@ -2,25 +2,18 @@
 
 The spectral route integrates the Fejer kernel ``I_n(y) = sin(ny/2)**2 /
 sin(y/2)**2`` against the folded measure:  ``Var(S_n) = int_[0,pi] I_n dG``.
-Atoms are summed in double-double and rounded once.  A density piece is
-integrated in two parts, at a cost of O(log n) for every n < 2**63: its
-head, the part of (0, 32 pi/n], on Gauss-Kronrod panels over the half-arcs
-of I_n (with a Gauss-Jacobi rule at a singular origin), and its tail on
-dyadic panels [a, 2a] (broken at a table's grid points) by Filon-Clenshaw-
-Curtis: with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the smooth factor
-``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points per
-panel and ``g cos(ny)`` is integrated through the modified moments
-``int T_j(x) exp(i omega x) dx`` (QUADPACK QAWO's method; Piessens et al.
-1983, error bounds in Dominguez, Graham & Smyshlyaev 2011).  Tail panels
-whose estimates miss the tolerance are bisected by the same loop
-(``quadrature.bisect_panels``) that refines the head's panels.
-
-A grid of n (``_variance_rows``, which the CLI's ``variance`` and
-``asymptotics.theorem_check`` call once per grid) shares this work: the atoms
-take one sum per run of consecutive n, and a piece's tail panels take one
-density evaluation and one moment recurrence per batch of rows, with the BLAS
-products kept per row.  So every row equals ``variance_spectral`` at its n
-bit for bit, and no row depends on the others in its grid.
+Atoms are summed in double-double and rounded once.  A density piece reads
+its integral at every n < 2**63, at a cost of O(log n), from one panel set
+chosen once from the density alone (``_panel_set``, where a kink or a jump
+is bisected): with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the factor
+``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points on
+dyadic panels, and ``g cos(ny)`` integrated through the modified moments
+``int T_j(x) exp(i omega x) dx`` (Filon-Clenshaw-Curtis, QUADPACK QAWO's
+method; Piessens et al. 1983, error bounds in Dominguez, Graham &
+Smyshlyaev 2011).  A grid of n (``_variance_rows``, which the CLI's
+``variance`` and ``asymptotics.theorem_check`` call) takes the atoms from one
+sum per run of consecutive n and a piece's moments from one recurrence per
+batch of rows; every row equals ``variance_spectral`` at its n bit for bit.
 
 The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
@@ -44,14 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, pairwise
+from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_int
-from .quadrature import (_CC, _CHEB_MAX_PANELS, _cheb_moments, _offsets,
-                         bisect_panels, chebyshev_panels)
+from .errors import DomainError, NumericError, ValidationError, check_int
+from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _ROUNDOFF,
+                         _cheb_moments, bisect_panels, chebyshev_panels)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval,
                                robinson_integral)
@@ -60,16 +53,17 @@ from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
 # still import it
 KERNEL_QUAD_MAX_N = 2 ** 14
 
-# A density piece's part of (0, _HEAD_ARCS pi/n] is integrated over the
-# half-arcs of I_n (the head), the rest on dyadic Chebyshev panels (the tail)
-_HEAD_ARCS = 32
-# absolute accuracy target of a density piece's integral against I_n (half
-# for its head, half for its tail)
+# absolute accuracy target of a density piece's integral against I_n
 _TOL = 1e-10
-# most tail panels in one batch of rows of _variance_rows: the batch's arrays
-# stay a few MB on a grid of any length (a row has at most 60-odd panels,
-# plus a table's knots)
-_BATCH_PANELS = 2 ** 12
+# a density piece's panels start at _E0: every n < _N_MAX has n _E0 <
+# 2**-65, where I_n = n**2 to rounding, so (0, _E0] contributes n**2 G(_E0)
+_E0 = math.ldexp(PI, -130)
+_N_MAX = 2.0 ** 63
+# the Clenshaw-Curtis weights on the values at the 25 Chebyshev points
+_CC_NODES = _CC @ _DCT
+# most (row, panel) cells in one batch of rows of _variance_rows: the
+# batch's arrays stay a few MB on a grid of any length
+_BATCH_CELLS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -125,112 +119,96 @@ def fejer_kernel(n: int, y):
     return float(out[0]) if scalar else out
 
 
-def _kernel_breakpoints(n: int, lo: float, hi: float) -> np.ndarray:
-    """Half-arc edges of I_n (multiples of pi/n) inside (lo, hi)."""
-    j0 = int(math.floor(lo * n / PI)) + 1
-    j1 = int(math.ceil(hi * n / PI)) - 1
-    if j1 < j0:
-        return np.empty(0)
-    return np.arange(j0, j1 + 1) * (PI / n)
+def _envelope(n, b):
+    """``min(2, (n b)**2 / 2)`` >= ``1 - cos(ny)`` on y <= b: a panel's
+    estimate of ``int |g - interpolant|`` times it bounds its error at n."""
+    return np.minimum(2.0, 0.5 * (n * b) ** 2)
 
 
-def _tail_edges(piece, start):
-    """Dyadic panel edges start, 2 start, 4 start, .. up to piece.hi, broken
-    at a table's grid points."""
-    hi = piece.hi
-    edges = {math.ldexp(start, k)
-             for k in range(math.ceil(math.log2(hi / start)) + 1)}
-    edges.update(getattr(piece, "ys", ()))
-    return np.array(sorted(y for y in edges if start <= y < hi) + [hi])
+@lru_cache(maxsize=64)
+def _panel_set(piece):
+    """The panels from which every n reads the piece's Fejer integral: their
+    right edges b, nodes y, the values there of ``g = density / (2
+    sin(y/2)**2)``, centres c, half-widths h, Chebyshev coefficients,
+    ``int g`` and estimates, and the piece's mass below _E0.
 
-
-def _fcc_panels(density, n, a, b, blocks=None):
-    """Values and error estimates of ``int density I_n`` on the panels
-    [a[i], b[i]] by Filon-Clenshaw-Curtis.
-
-    With ``g = density / (2 sin(y/2)**2)`` the integrand is
-    ``g (1 - cos ny)``.  On each panel g is interpolated at 25 Chebyshev
-    points; ``int g`` takes Clenshaw-Curtis weights and ``int g cos(ny)``
-    the modified moments at omega = n h (h the half-width), so a panel costs
-    the same at any n.  The phase n c of the panel centre c is a plain float
-    product: its error eps n c multiplies an oscillatory part of size
-    g(c)/n.  A panel's error estimate is its Chebyshev tail
-    (|c_23| + |c_24|) h.
-
-    n is a float or one float per panel.  blocks: offsets that split the
-    panels into the rows of a grid of n (one row by default); g is evaluated
-    once for all rows, and the BLAS products, which BLAS rounds by their
-    shape, run per row, so every row gets the values of its panels alone.
+    The panels lie between the piece's ends, a table's grid points and the
+    dyadic points pi 2**-j in [_E0, pi].  A kink or a jump inside one is
+    bisected until the estimates, weighted by ``_envelope`` at _N_MAX, sum
+    to _TOL / 10, so the bound holds at every n, with a margin for a
+    Chebyshev tail that undershoots a break's error by a few times.  Two
+    estimates count as met, since halving cannot shrink them: one at the
+    roundoff floor of its panel's ``int g``, and one on a panel at most two
+    floats wide, which a break at y can leave at about ``eps y`` times the
+    density's jump there, while the rows nearby hold ``y`` times it; the
+    rows' relative floor covers both.
     """
-    c, h, coef, err = chebyshev_panels(
-        lambda y: density(y) / (2.0 * np.sin(0.5 * y) ** 2), a, b, blocks)
-    flat = np.empty_like(h)
-    for lo, hi in pairwise(_offsets(blocks, len(h))):
-        np.matmul(coef[lo:hi], _CC, out=flat[lo:hi])
-    osc = h * (np.exp(1j * (n * c))
-               * (coef * _cheb_moments(n * h, blocks)).sum(axis=1)).real
-    return h * flat - osc, err
+    def g(y):
+        return piece.formula(y) / (2.0 * np.sin(0.5 * y) ** 2)
+
+    def rule(a, b):
+        _, h, _, coef, err = chebyshev_panels(g, a, b)
+        settled = ((err <= _ROUNDOFF * np.abs(h * (coef @ _CC)))
+                   | (b - a <= 2.0 * np.spacing(b)))
+        return np.zeros_like(h), np.where(settled, 0.0,
+                                          err * _envelope(_N_MAX, b))
+
+    lo, hi = max(piece.lo, _E0), piece.hi
+    edges = np.array([hi])
+    if lo < hi:
+        points = {math.ldexp(PI, -j) for j in range(131)}
+        points.update(getattr(piece, "ys", ()))
+        edges = np.array([lo, *sorted(y for y in points if lo < y < hi), hi])
+        edges = bisect_panels(rule, edges, tol=0.1 * _TOL,
+                              max_panels=_CHEB_MAX_PANELS)[2]
+    c, h, values, coef, err = chebyshev_panels(g, edges[:-1], edges[1:])
+    return (edges[1:], c[:, None] + h[:, None] * _CHEB_X, values, c, h, coef,
+            h * (coef @ _CC), err,
+            float(piece.mass_upto(np.array([min(_E0, hi)]))[0]))
 
 
-def _tail_batches(piece, ns):
-    """The rows (n, tail edges) of the n in ns, in batches of at most
-    _BATCH_PANELS panels (or of one row)."""
-    batch, size = [], 0
-    for n in ns:
-        edges = _tail_edges(piece, max(_HEAD_ARCS * PI / n, piece.lo))
-        if batch and size + len(edges) - 1 > _BATCH_PANELS:
-            yield batch
-            batch, size = [], 0
-        batch.append((n, edges))
-        size += len(edges) - 1
-    if batch:
-        yield batch
+def _batch_rows(panels, ns) -> list:
+    """``int density I_n`` from a ``_panel_set`` for each n in ns.
 
-
-def _tail_rows(piece, ns):
-    """The tail part of ``int density I_n`` for each n in ns (each > 32 pi /
-    piece.hi).
-
-    A batch of rows takes its first-round panels from one ``_fcc_panels``
-    call: one density evaluation and one moment recurrence.  Each row then
-    goes to ``bisect_panels`` with its own first round; one whose estimate
-    misses the tolerance (a density not smooth inside a panel) is bisected
-    there by the same rule, as QUADPACK's QAWO does.
+    A (row, panel) cell depends on its n and panel alone: Clenshaw-Curtis
+    of ``g 2 sin(ny/2)**2`` at the nodes where n b <= 1, where ``1 - cos
+    ny`` would cancel, and ``int g - h Re(exp(i n c) sum_j coef_j mu_j(n
+    h))`` elsewhere, the moments from one ``_cheb_moments`` call with a
+    block per row.  The phase n c is a plain float product: its error eps n
+    c multiplies an oscillatory part of size g(c)/n.  NumericError when a
+    row's estimate, the panels' weighted by ``_envelope`` at its n, misses
+    max(_TOL, roundoff of the row).
     """
-    out = []
-    for batch in _tail_batches(piece, ns):
-        counts = [len(edges) - 1 for _, edges in batch]
-        offsets = [0, *accumulate(counts)]
-        a = np.concatenate([edges[:-1] for _, edges in batch])
-        b = np.concatenate([edges[1:] for _, edges in batch])
-        n_panel = np.repeat([float(n) for n, _ in batch], counts)
-        ik, err = _fcc_panels(piece.formula, n_panel, a, b, offsets)
-        for (n, edges), lo, hi in zip(batch, offsets[:-1], offsets[1:]):
-            rule = partial(_fcc_panels, piece.formula, float(n))
-            out.append(bisect_panels(rule, edges, tol=0.5 * _TOL,
-                                     max_panels=_CHEB_MAX_PANELS,
-                                     first=(ik[lo:hi], err[lo:hi]))[0])
-    return out
+    b, y, values, c, h, coef, flat, err, below = panels
+    n = np.array(ns, dtype=float)[:, None]
+    cells = np.empty((len(ns), len(b)))
+    r, p = np.nonzero(n * b <= 1.0)
+    kernel = 2.0 * np.sin(0.5 * n[r] * y[p]) ** 2
+    cells[r, p] = h[p] * (values[p] * kernel * _CC_NODES).sum(axis=1)
+    r, p = np.nonzero(n * b > 1.0)
+    nr = n[r, 0]
+    mu = _cheb_moments(nr * h[p], np.searchsorted(r, range(len(ns) + 1)))
+    osc = (np.exp(1j * (nr * c[p])) * (coef[p] * mu).sum(axis=1)).real
+    cells[r, p] = flat[p] - h[p] * osc
+    rows = n[:, 0] ** 2 * below + cells.sum(axis=1)
+    achieved = (err * _envelope(n, b)).sum(axis=1)
+    missed = np.flatnonzero(achieved > np.maximum(_TOL,
+                                                  _ROUNDOFF * np.abs(rows)))
+    if len(missed):
+        i = missed[0]
+        raise NumericError(f"Fejer integral of a density piece at n={ns[i]} "
+                           f"did not reach tol={_TOL:.1e}",
+                           achieved=float(achieved[i]))
+    return rows.tolist()
 
 
-def _piece_rows(piece, ns):
-    """``int density I_n`` for one density piece and each n in ns: the head
-    per n, plus the tail (``_tail_rows``)."""
-    rows = [0.0] * len(ns)
-    tails = []
-    for i, n in enumerate(ns):
-        cut = _HEAD_ARCS * PI / n
-        if piece.lo < cut:
-            hi = min(cut, piece.hi)
-            rows[i] += piece.integrate_against(
-                partial(_kernel_raw, n),
-                points=_kernel_breakpoints(n, piece.lo, hi), tol=0.5 * _TOL,
-                max_panels=4 * _HEAD_ARCS + 64, hi=hi)
-        if piece.hi > cut:
-            tails.append(i)
-    for i, tail in zip(tails, _tail_rows(piece, [ns[i] for i in tails])):
-        rows[i] += tail
-    return rows
+def _piece_rows(piece, ns) -> list:
+    """``int density I_n`` for one density piece and each n in ns, in
+    batches of at most _BATCH_CELLS (row, panel) cells."""
+    panels = _panel_set(piece)
+    step = max(1, _BATCH_CELLS // max(1, len(panels[0])))
+    return [v for i in range(0, len(ns), step)
+            for v in _batch_rows(panels, ns[i:i + step])]
 
 
 def _atom_rows(m: SpectralMeasure, ns):
@@ -250,10 +228,10 @@ def _atom_rows(m: SpectralMeasure, ns):
 def _variance_rows(m: SpectralMeasure, ns) -> list:
     """``variance_spectral(m, n)`` for each n in ns (any order, repeats
     allowed), bit for bit, with the work shared across the grid: the atoms
-    take one sum per run of consecutive n, and each density piece's tail one
-    density evaluation and one moment recurrence per batch of rows.  The
-    rows go in batches of at most _BATCH_PANELS tail panels, so the memory
-    stays bounded on a grid of any length."""
+    take one sum per run of consecutive n, and each density piece's rows
+    one moment recurrence per batch of rows, from the piece's one panel
+    set.  The rows go in batches of at most _BATCH_CELLS (row, panel)
+    cells, so the memory stays bounded on a grid of any length."""
     ns = [check_int(n, "n", 1) for n in ns]
     rows = [m.atom_at_zero * float(n) ** 2 + atoms
             for n, atoms in zip(ns, _atom_rows(m, ns))]
@@ -272,16 +250,14 @@ def variance_spectral(m: SpectralMeasure, n) -> float:
     """Var(S_n) by integrating the Fejer kernel against the measure.
 
     Any origin atom contributes ``atom_at_zero * n**2`` and atoms in (0, pi]
-    contribute ``I_n(loc) * mass`` exactly.  A density piece's part of
-    (0, 32 pi/n] is integrated with Gauss-Kronrod panels on the half-arcs of
-    I_n, the rest with Filon-Clenshaw-Curtis panels on dyadic intervals, so
-    its cost is O(log n) and no array grows with n, for every n < 2**63.
-    Against exact references (white noise, the quadratic measure) the
-    relative error stays below 1e-15 from n = 1 to 2**62.  A piece aims at
-    an absolute error estimate of _TOL = 1e-10.  A panel on which the
-    density is not smooth enough for its estimate (a kink or a jump inside
-    it) is bisected until the estimates meet it, at a cost that does not
-    grow with n; NumericError when the bisection budget runs out first.
+    contribute ``I_n(loc) * mass`` exactly.  A density piece's integral
+    comes from its panel set (``_panel_set``), so its cost is O(log n) and
+    no array grows with n, for every n < 2**63.  Against exact references
+    (white noise, the quadratic measure) the relative error stays below
+    1e-15 from n = 1 to 2**62.  A piece aims at an absolute error estimate
+    of _TOL = 1e-10, or the roundoff floor of its value; NumericError when
+    the estimate misses it, or when the bisection budget of a panel set
+    runs out.
     """
     return _variance_rows(m, [n])[0]
 

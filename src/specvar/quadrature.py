@@ -8,13 +8,13 @@ Gauss-Jacobi rule on the leftmost panel so that adaptive bisection never has
 to chase the singularity.  The Gauss-Jacobi rules are computed here, by
 Golub-Welsch on numpy (Golub & Welsch, Math. Comp. 1969), so the module
 needs no scipy.  The loop also runs Chebyshev panels (``chebyshev_panels``,
-with the modified moments ``_cheb_moments`` of QUADPACK's QAWO): on the
-Fejer kernel's tail in ``fejer_variance``, and once per opaque density
-piece to choose the panels of its transforms and masses.  A grid of Fejer
-tails evaluates its first round in one batch of blocks, one block per n, and
-hands each block's values to the loop (``first``); the BLAS products in
-``chebyshev_panels`` and ``_cheb_moments`` run per block, as BLAS rounds a
-product by its shape, so a block's values are those of its panels alone.
+with the modified moments ``_cheb_moments`` of QUADPACK's QAWO), once per
+density piece: to choose the panel set from which ``fejer_variance`` reads
+the piece's Fejer integral at every n, and, for an opaque piece, the panels
+of its transforms and masses.  A grid of n takes its moments in one
+``_cheb_moments`` call split into blocks, one block per n; the small-omega
+product runs per block, as BLAS rounds a product by its shape, so a block's
+moments are those of its omega alone.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -24,12 +24,11 @@ the result is the same, bit for bit, as re-evaluating every panel each round.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, partial
-from itertools import pairwise
 
 import numpy as np
 
+from . import ddouble as dd
 from .errors import DomainError, NumericError
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1], QUADPACK qk15's
@@ -116,44 +115,60 @@ def _gk_batch(f, lo, hi):
     return ik, np.abs(ik - ig)
 
 
-def _jacobi_orthonormal(x, a, rb, p0):
-    """The orthonormal recurrence at the points ``x``: returns p_n(x), its
-    derivative, and the sum of p_k(x)**2 over k < n."""
-    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
-    d_prev, d = np.zeros_like(x), np.zeros_like(x)
-    ssq = p * p
-    for j in range(len(a)):
-        c = rb[j - 1] if j else 0.0
-        p_prev, p, d_prev, d = (
-            p, ((x - a[j]) * p - c * p_prev) / rb[j],
-            d, (p + (x - a[j]) * d - c * d_prev) / rb[j])
-        if j < len(a) - 1:
-            ssq += p * p
-    return p, d, ssq
+def _jacobi_recurrence(npts: int, beta: float):
+    """Double-double a[k], rb[k] (k < npts) of the orthonormal recurrence
+    ``x p_k = rb[k] p_{k+1} + a[k] p_k + rb[k-1] p_{k-1}`` of the weight
+    (1 + x)**beta on [-1, 1]: with s_k = 2k + beta, a[0] = beta / s_1,
+    a[k] = beta**2 / (s_k (s_k + 2)), rb[k] = 2 (k+1) (k+1 + beta) /
+    (s_{k+1} sqrt(s_{k+1}**2 - 1))."""
+    k = np.arange(1.0, npts + 1.0)
+    b = np.full(npts, beta)
+    s = dd.two_sum(2.0 * k, b)
+    a = dd.div(dd.two_prod(b, b), dd.mul(s, dd.add(s, (2.0, 0.0))))
+    a0 = dd.div((b[:1], 0.0), (s[0][:1], s[1][:1]))
+    a = tuple(np.concatenate([x0, x[:-1]]) for x0, x in zip(a0, a))
+    root = dd.sqrt(dd.mul(dd.add(s, (1.0, 0.0)), dd.add(s, (-1.0, 0.0))))
+    rb = dd.div(dd.mul((2.0 * k, 0.0), dd.two_sum(k, b)), dd.mul(s, root))
+    return a, rb
+
+
+def _jacobi_orthonormal(x, a, rb):
+    """The orthonormal recurrence from p_0 = 1 at the double-double points
+    ``x``: the double-double p_k(x) for k = 0 .. n."""
+    inv = dd.div((np.ones_like(rb[0]), np.zeros_like(rb[0])), rb)
+    p = [(np.zeros_like(x[0]), np.zeros_like(x[0])),
+         (np.ones_like(x[0]), np.zeros_like(x[0]))]
+    for j in range(len(a[0])):
+        c = (-rb[0][j - 1], -rb[1][j - 1]) if j else (0.0, 0.0)
+        xa = dd.add(x, (-a[0][j], -a[1][j]))
+        p.append(dd.mul(dd.add(dd.mul(xa, p[-1]), dd.mul(c, p[-2])),
+                        (inv[0][j], inv[1][j])))
+    return p[1:]
 
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(npts: int, beta: float):
     # Gauss rule for the weight (1 + x)**beta on [-1, 1] (Jacobi, alpha = 0)
-    # by Golub-Welsch.  The monic recurrence is p_{k+1} = (x - a[k]) p_k -
-    # rb[k-1]**2 p_{k-1}; the nodes are the eigenvalues of its Jacobi matrix,
-    # each polished by one Newton step on p_n, and the weights are the
-    # Christoffel numbers 1 / sum_{k<n} p_k(x)**2 of the orthonormal
-    # polynomials, which start at p_0 = mu_0**-0.5 with mu_0 the total mass
-    # 2**(beta + 1) / (beta + 1)
-    k = np.arange(1.0, npts + 1.0)
-    s = 2.0 * k + beta
-    a = np.empty(npts)
-    a[0] = beta / (beta + 2.0)
-    a[1:] = beta ** 2 / (s[:-1] * (s[:-1] + 2.0))
-    rb = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    # by Golub-Welsch: the eigenvalues of the Jacobi matrix, each polished
+    # by one Newton step on p_n, and the Christoffel numbers mu_0 /
+    # sum_{k<n} p_k(x)**2 (mu_0 the total mass).  p_n and the sums run in
+    # double-double: in float64 the weights were up to 5e-14 off near beta
+    # = -0.9, which kept a 15/31-point edge estimate above its roundoff
+    # floor every round.  The Newton step is of the order of the
+    # eigenvalues' rounding, so p_n' may carry float64's.
+    a, rb = _jacobi_recurrence(npts, float(beta))
     # eigvalsh reads the lower triangle
-    x = np.linalg.eigvalsh(np.diag(a) + np.diag(rb[:-1], -1))
-    p0 = 1.0 / math.sqrt(2.0 ** (beta + 1.0) / (beta + 1.0))
-    p, d, _ = _jacobi_orthonormal(x, a, rb, p0)
-    x = x - p / d
-    _, _, ssq = _jacobi_orthonormal(x, a, rb, p0)
-    return x, 1.0 / ssq
+    x = np.linalg.eigvalsh(np.diag(a[0]) + np.diag(rb[0][:-1], -1))
+    p = [q[0] for q in _jacobi_orthonormal((x, np.zeros_like(x)), a, rb)]
+    d = [np.zeros_like(x), np.zeros_like(x)]
+    for j in range(npts):
+        c = rb[0][j - 1] if j else 0.0
+        d.append((p[j] + (x - a[0][j]) * d[-1] - c * d[-2]) / rb[0][j])
+    x = dd.add((x, np.zeros_like(x)), (-(p[-1] / d[-1]), np.zeros_like(x)))
+    ssq = (np.zeros_like(x[0]), np.zeros_like(x[0]))
+    for q in _jacobi_orthonormal(x, a, rb)[:-1]:
+        ssq = dd.add(ssq, dd.sqr(q))
+    return x[0], (2.0 ** (beta + 1.0) / (beta + 1.0)) / ssq[0]
 
 
 def _jacobi_edge(g, beta, b):
@@ -170,32 +185,20 @@ def _jacobi_edge(g, beta, b):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def _offsets(blocks, size):
-    """Offsets 0 = b_0 < b_1 < .. < b_k = size of row blocks; one block when
-    ``blocks`` is None."""
-    return (0, size) if blocks is None else blocks
-
-
-def chebyshev_panels(f, a, b, blocks=None):
+def chebyshev_panels(f, a, b):
     """Interpolate f at the 25 Chebyshev points of each panel [a[i], b[i]].
 
-    Returns the panels' centres c and half-widths h, the Chebyshev
-    coefficients (one row per panel, ``f(c + h x) = sum_j coef_j T_j(x)``)
-    and each panel's error estimate, its Chebyshev tail (|c_23| + |c_24|) h,
-    which estimates ``int |f - interpolant|`` over the panel.
-
-    blocks: offsets that split the panels into blocks of rows (one block by
-    default).  f is evaluated once for all of them, but BLAS rounds a matrix
-    product by its shape, so each block takes its own product from values to
-    coefficients: a block's coefficients are those of its panels alone.
+    Returns the panels' centres c and half-widths h, the values of f at the
+    points ``c + h _CHEB_X`` (one row per panel), their Chebyshev
+    coefficients (``f(c + h x) = sum_j coef_j T_j(x)``) and each panel's
+    error estimate, its Chebyshev tail (|c_23| + |c_24|) h, which estimates
+    ``int |f - interpolant|`` over the panel.
     """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     y = c[:, None] + h[:, None] * _CHEB_X
     values = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
-    coef = np.empty_like(values)
-    for lo, hi in pairwise(_offsets(blocks, len(c))):
-        np.matmul(values[lo:hi], _DCT.T, out=coef[lo:hi])
-    return c, h, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+    coef = values @ _DCT.T
+    return c, h, values, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
 
 
 def _cheb_moments(omega, blocks=None):
@@ -207,14 +210,15 @@ def _cheb_moments(omega, blocks=None):
     and those of odd j imaginary, and divides as complex arithmetic divides
     by a real, through the reciprocal, so it gives the values of the
     recurrence in complex numbers bit for bit.  Below, the 129-point table;
-    BLAS rounds that product by its row count, so with ``blocks`` (as in
-    ``chebyshev_panels``) each block takes its own, and a block's moments
-    are those of its omega alone.
+    BLAS rounds that product by its row count, so with ``blocks`` (offsets
+    0 = b_0 <= b_1 <= .. <= b_k = len(omega) of blocks of rows) each block
+    takes its own, and a block's moments are those of its omega alone.
     """
     mu = np.empty((len(omega), _DEG + 1), dtype=complex)
     small = omega < _RECURRENCE_MIN_OMEGA
     rows = np.flatnonzero(small)
-    block = np.searchsorted(_offsets(blocks, len(omega)), rows, side="right")
+    blocks = (0, len(omega)) if blocks is None else blocks
+    block = np.searchsorted(blocks, rows, side="right")
     for part in np.split(rows, np.flatnonzero(np.diff(block)) + 1):
         if len(part):
             mu[part] = np.exp(1j * np.outer(omega[part], _FINE_X)) @ _FINE_T
@@ -245,31 +249,24 @@ def _cheb_moments(omega, blocks=None):
     return mu
 
 
-def bisect_panels(rule, edges, *, tol, max_panels, first=None):
+def bisect_panels(rule, edges, *, tol, max_panels):
     """Integrate over the panels between ``edges`` (increasing), bisecting
     the ones whose estimates are too large until the total estimate meets
     ``tol`` or the roundoff floor of the total.
 
     rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
         [a[i], b[i]], given as arrays.
-    first: the rule's values and estimates on the panels between ``edges``,
-        when they are already known; the first round then evaluates nothing.
     Returns ``(value, error_estimate, edges)``, the last the final panels'
     edges; raises NumericError with the achieved estimate when
     ``max_panels`` or the _MAX_ROUNDS rounds run out first.
     """
     # panel i is [edges[i], edges[i + 1]]; its value and estimate are kept
     # across rounds, and each round evaluates only the panels in `fresh`
-    if first is None:
-        ik = np.empty(len(edges) - 1)
-        err = np.empty_like(ik)
-        fresh = np.arange(len(ik))
-    else:
-        ik, err = first
-        fresh = ()
+    ik = np.empty(len(edges) - 1)
+    err = np.empty_like(ik)
+    fresh = np.arange(len(ik))
     for _ in range(_MAX_ROUNDS):
-        if len(fresh):
-            ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
+        ik[fresh], err[fresh] = rule(edges[fresh], edges[fresh + 1])
         total = float(ik.sum())
         total_err = float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))

@@ -87,6 +87,8 @@ def trig_power_moments(p: float, x, x_lo=0.0):
         raise DomainError("moment endpoint must be nonnegative")
     d = int(math.ceil(p)) if p > 0 else 0
     mu = p - d
+    if mu == -1.0:  # p below 2**-53: u**p is 1 to rounding
+        d, mu = 0, 0.0
 
     c = np.zeros_like(x)
     s = np.zeros_like(x)

@@ -86,11 +86,14 @@ class PowerDensity:
                 f"power density exponent must exceed -1, got {self.exponent}")
 
     def mass_upto(self, x):
-        """Integral of the density over (lo, min(x, hi)]; vectorized in x."""
+        """Integral of the density over (lo, min(x, hi)]; vectorized in x.
+        Exactly 0 for x <= lo, where numpy's b**q and Python's lo**q may
+        differ by an ulp."""
         x = np.asarray(x, dtype=float)
         b = np.clip(x, self.lo, self.hi)
         q = self.exponent + 1.0
-        return self.coef * (b ** q - self.lo ** q) / q
+        return np.where(b > self.lo, self.coef * (b ** q - self.lo ** q) / q,
+                        0.0)
 
     @property
     def mass(self) -> float:
@@ -114,7 +117,8 @@ class PowerDensity:
 
     def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
-        support) for smooth (piecewise) vectorized g."""
+        support) for smooth (piecewise) vectorized g.  No route calls it;
+        perfbench/tracing.py wraps it on each piece class by name."""
         p = self.exponent
         hi = self.hi if hi is None else hi
         if self.lo == 0.0 and p != 0.0 and not p.is_integer():
@@ -286,13 +290,14 @@ class OpaqueDensity:
         # Clenshaw-Curtis with Chebyshev-tail estimates; they do not depend
         # on any lag or point asked for later
         def rule(a, b):
-            _, h, coef, err = chebyshev_panels(self.formula, a, b)
+            _, h, _, coef, err = chebyshev_panels(self.formula, a, b)
             return h * (coef @ _CC), err
 
         _, _, edges = bisect_panels(rule, np.array([self.lo, self.hi]),
                                     tol=_OPAQUE_TOL,
                                     max_panels=_CHEB_MAX_PANELS)
-        c, h, coef, _ = chebyshev_panels(self.formula, edges[:-1], edges[1:])
+        c, h, _, coef, _ = chebyshev_panels(self.formula, edges[:-1],
+                                            edges[1:])
         cum = np.concatenate([[0.0], np.cumsum(h * (coef @ _CC))])
         return edges, c, h, coef, cum
 

@@ -11,7 +11,8 @@ from scipy.special import digamma, polygamma
 from conftest import (atom_sums_reference, atomic_autocovariance_oracle,
                       atomic_variance_exact, atomic_variance_oracle,
                       cheb_moments_reference, covariance_variance_oracle,
-                      run_cli, sandwich_upper_quadrature, scale_measure)
+                      power_fejer_reference, run_cli,
+                      sandwich_upper_quadrature, scale_measure)
 from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      SpectralMeasure, TableDensity, autocovariance,
                      autocovariance_batch, counterexample, fejer_kernel,
@@ -390,8 +391,8 @@ def test_large_n_route_continuity():
 @pytest.mark.parametrize("n", [2 ** 20, 2 ** 30, 2 ** 40, 2 ** 53 + 1,
                                2 ** 62])
 def test_density_exact_at_any_n(n):
-    # the dyadic tail costs O(log n), so exact references can be met far
-    # beyond any n the covariance sum reaches
+    # the dyadic panel set costs O(log n), so exact references can be met
+    # far beyond any n the covariance sum reaches
     v = variance_spectral(quadratic(), n)
     assert abs(v - quadratic_exact(n)) <= 1e-14 * v
     assert abs(variance_spectral(white_noise(), n) - n) <= 1e-14 * n
@@ -443,6 +444,19 @@ def test_cheb_moment_blocks_equal_calls_on_each_block():
         assert np.array_equal(got[lo:hi], _cheb_moments(omega[lo:hi]))
 
 
+@pytest.mark.parametrize("piece", [
+    PowerDensity(0.0, PI, 1.0, -0.92), PowerDensity(1.0, 2.0, 1.0, 1.125),
+    PowerDensity(0.3, PI, 2.0, 0.06)], ids=["-0.92", "1.125", "0.06"])
+@pytest.mark.parametrize("n", [2, 100])
+def test_covariance_route_with_base_exponent_near_minus_1(piece, n):
+    # the cosine transforms of y**p take the moments of u**mu cos u with
+    # mu = p - ceil(p) near -0.9 here from a Gauss-Jacobi edge rule, whose
+    # float64 weights once made them raise NumericError
+    m = SpectralMeasure(density=(piece,))
+    v = variance_spectral(m, n)
+    assert abs(variance_covariance(m, n) - v) <= 1e-12 * v
+
+
 @pytest.mark.parametrize("n", [64, 2 ** 14 + 1, 2 ** 20])
 def test_opaque_density_matches_power_piece(n):
     piece = OpaqueDensity(0.0, PI, lambda y: 2.0 * y)
@@ -471,10 +485,10 @@ _BREAK_AT_ONE = pytest.mark.parametrize("whole, below, above", [
 @_BREAK_AT_ONE
 @pytest.mark.parametrize("n", [128, 2 ** 19, 2 ** 30, 2 ** 50, 2 ** 62])
 def test_density_not_smooth_inside_a_tail_panel(whole, below, above, n):
-    # the break at y = 1 lies inside a dyadic tail panel at every n here;
-    # that panel's Chebyshev estimate fails and it is bisected, so the
-    # result is that of the density split at the break into two smooth
-    # pieces, with no work or memory growing with n
+    # the break at y = 1 lies inside the dyadic panel [pi/4, pi/2]; its
+    # Chebyshev estimate fails and it is bisected once, when the panel set
+    # is chosen, so the result is that of the density split at the break
+    # into two smooth pieces, with no work or memory growing with n
     m, split = _whole_and_split(whole, below, above)
     assert variance_spectral(m, n) == pytest.approx(
         variance_spectral(split, n), rel=1e-12)
@@ -484,7 +498,7 @@ def test_density_not_smooth_inside_a_tail_panel(whole, below, above, n):
 def test_routes_agree_on_a_kinked_opaque_density(n):
     # C1 with the kink inside one of the opaque piece's Chebyshev panels,
     # which are bisected towards it until every cosine transform meets
-    # 1e-12, as the Fejer tail's are
+    # 1e-12, as the Fejer route's panel set is
     m = SpectralMeasure(density=(
         OpaqueDensity(0.0, PI, lambda y: np.abs(y - 1.0) + 0.5),))
     v = variance_spectral(m, n)
@@ -493,12 +507,84 @@ def test_routes_agree_on_a_kinked_opaque_density(n):
 
 @_BREAK_AT_ONE
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
-def test_density_not_smooth_inside_the_head(whole, below, above, n):
-    # the break at y = 1 lies inside the head (0, 32 pi/n], whose
-    # Gauss-Kronrod panels are bisected towards it until the head meets its
-    # share of the route's absolute target, 1e-10
+def test_density_not_smooth_at_small_n(whole, below, above, n):
+    # at small n the kernel varies little across the break at y = 1, so
+    # nothing of its error cancels: the panel set's bisection towards the
+    # break must meet the route's absolute target, 1e-10, at every n
     m, split = _whole_and_split(whole, below, above)
     assert abs(variance_spectral(m, n) - variance_spectral(split, n)) <= 1e-10
+
+
+@pytest.mark.parametrize("scale, at", [(1e6, 1.0), (1.0, 1e-6)],
+                         ids=["large_jump", "jump_near_zero"])
+@pytest.mark.parametrize("n", [1, 2 ** 10, 2 ** 40])
+def test_jump_beyond_the_absolute_target(scale, at, n):
+    # a jump whose panel cannot meet 1e-10 by bisection before its width
+    # reaches the float spacing at the jump: the panel set stops there, and
+    # each row meets the roundoff floor of its value
+    m = SpectralMeasure(density=(OpaqueDensity(
+        0.0, PI, lambda y: scale * np.where(y < at, 1.0, 2.0)),))
+    split = SpectralMeasure(density=(
+        OpaqueDensity(0.0, at, lambda y: np.full_like(y, scale)),
+        OpaqueDensity(at, PI, lambda y: np.full_like(y, 2.0 * scale))))
+    assert variance_spectral(m, n) == pytest.approx(
+        variance_spectral(split, n), rel=1e-13)
+
+
+# a power piece with exponent near -0.9 once raised NumericError at n = 17
+# and 18, its estimate short of the tolerance when the bisection rounds ran
+# out
+@pytest.mark.parametrize("n", [16, 17, 18, 19, 1000])
+def test_power_piece_with_exponent_near_minus_0_9(n):
+    p = -0.8963724607988205
+    m = SpectralMeasure(density=(PowerDensity(0.0, PI, 1.0, p),))
+    want = power_fejer_reference(1.0, p, n)
+    assert abs(variance_spectral(m, n) - want) <= 1e-14 * want
+
+
+@st.composite
+def density_pieces(draw):
+    """A density piece of any kind, with its closed-form twin when it is an
+    opaque piece: a table piece, a power piece with lo > 0, or an opaque
+    piece wrapping a power piece (from lo = 0 when its density is finite
+    there)."""
+    kind = draw(st.sampled_from(["table", "power", "opaque"]))
+    if kind == "table":
+        y0 = draw(st.floats(0.0, 1.0))
+        gaps = draw(st.lists(st.floats(0.01, 1.5), min_size=1, max_size=5))
+        ys = [y0]
+        for gap in gaps:
+            if ys[-1] + gap < PI:
+                ys.append(ys[-1] + gap)
+        if len(ys) == 1:
+            ys.append(PI)
+        vals = draw(st.lists(st.floats(0.0, 3.0), min_size=len(ys),
+                             max_size=len(ys)))
+        return TableDensity(tuple(ys), tuple(vals)), None
+    lo = draw(st.floats(0.01, 2.5))
+    if kind == "opaque" and draw(st.booleans()):
+        lo = 0.0
+    hi = draw(st.floats(lo + 0.5, PI))
+    expo = draw(st.floats(0.0 if lo == 0.0 else -0.9, 2.0))
+    power = PowerDensity(lo, hi, draw(st.floats(0.1, 3.0)), expo)
+    if kind == "power":
+        return power, None
+    return OpaqueDensity(lo, hi, power.formula), power
+
+
+@settings(max_examples=40, deadline=None)
+@given(density_pieces(), st.integers(1, 2 ** 62), st.integers(1, 2 ** 12))
+def test_every_piece_kind_against_twin_and_covariance(piece_twin, big_n, n):
+    # an opaque piece equals its closed-form twin at any n, and every kind
+    # of piece meets the covariance route within C1's tolerance
+    piece, twin = piece_twin
+    m = SpectralMeasure(density=(piece,))
+    if twin is not None:
+        assert variance_spectral(m, big_n) == pytest.approx(
+            variance_spectral(SpectralMeasure(density=(twin,)), big_n),
+            rel=1e-13)
+    v = variance_spectral(m, n)
+    assert abs(variance_covariance(m, n) - v) <= 1e-6 * max(1.0, v)
 
 
 def test_quadratic_profile_against_closed_form():
@@ -546,9 +632,9 @@ def test_profile_of_one_row(m):
 
 
 def _row_measures():
-    """Every kind of density piece, a jump and a kink inside tail panels
-    (some rows of _ROW_GRID go on bisecting after their first round), a
-    power piece with lo > 0, and atoms with density."""
+    """Every kind of density piece, a jump and a kink inside a dyadic panel
+    (bisected in the panel set), a power piece with lo > 0, and atoms with
+    density."""
     return {
         "power05": power_law(0.5), "power15": power_law(1.5),
         "quadratic": quadratic(), "whitenoise": white_noise(),
@@ -567,8 +653,9 @@ def _row_measures():
     }
 
 
-# unsorted, with repeats, rows with no tail (n < 32), n up to 2**62, and a
-# run of n whose first tail panels differ in number and width
+# unsorted, with repeats, n from 1 to 2**62, and a run of n whose panels
+# split differently between Clenshaw-Curtis (n b <= 1) and Filon-Clenshaw-
+# Curtis
 _ROW_GRID = [33, 3, 1, 31, 32, 2 ** 62, 97, 33, 4097, 2 ** 14 + 1, 3 ** 20,
              2 ** 53 + 1, 1000, 2 ** 40, 2, 3 ** 39, 2 ** 62 - 1, 100, 65,
              *range(34, 72)]
@@ -596,11 +683,9 @@ def test_atom_rows_from_runs_equal_single_n_calls(name):
 
 
 def test_rows_memory_bounded_on_a_long_grid():
-    # 2**16 rows up to n = 2**62 go in batches of at most _BATCH_PANELS
-    # tail panels, so the peak stays a few MB; the arrays of all 5 * 2**16
-    # first-round panels at once would take some hundreds of MB.  A table
-    # piece from 0.5 has no head from n = 202 on, so the tail does all the
-    # work.
+    # 2**16 rows up to n = 2**62 go in batches of at most _BATCH_CELLS
+    # (row, panel) cells, so the peak stays a few MB; the moments of all
+    # 6 * 2**16 cells at once would take about 150 MB.
     m = SpectralMeasure(density=(_power_and_table().density[1],))
     ns = [int(n) for n in np.geomspace(2.0 ** 10, 2.0 ** 62, 2 ** 16)]
     tracemalloc.start()
@@ -623,8 +708,8 @@ def test_variance_domain():
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 1.9), st.integers(1, 300), st.floats(0.1, 10.0))
-# once raised NumericError: the Gauss-Jacobi edge panel's roundoff-level
-# error estimate kept it bisecting until the round cap
+# once raised NumericError: a roundoff-level error estimate kept
+# bisecting until the round cap
 @example(gamma=1.8952076515176384, n=70, c=3.0)
 def test_variance_linear_in_measure(gamma, n, c):
     m = power_law(gamma)
@@ -725,6 +810,17 @@ def test_sandwich_rejects_subnormal_a_over_n_squared(spec, make):
     rc, out, err = run_cli(["bounds", "--measure", spec, "--n", "10",
                             "--A", "1e-200"])
     assert rc == 1 and out == "" and "2**-511" in err
+
+
+def test_power_piece_from_lo_has_no_mass_below_lo():
+    # numpy's lo**q and Python's can differ by an ulp, which once gave
+    # G(lo) = -6.7e-16 here: n**2 times it inverted the bracket at n = 2**40
+    m = SpectralMeasure(density=(
+        PowerDensity(1.890625, 3.0, 3.0, 6.103515625e-05),))
+    assert g_eval(m, 0.5) == 0.0 and g_eval(m, 1.890625) == 0.0
+    for n in (2 ** 10, 2 ** 40, 2 ** 62):
+        rep = sandwich(m, n)
+        assert 0.0 <= rep.lower <= rep.variance <= rep.upper, n
 
 
 def test_sandwich_counterexample_large_n():

@@ -69,6 +69,21 @@ def test_jacobi_rule_exact_on_moments(npts, beta, bound):
     assert np.abs(x - roots_jacobi(npts, 0.0, beta)[0]).max() <= 1e-15
 
 
+@pytest.mark.parametrize("npts", [15, 31])
+@pytest.mark.parametrize("beta", [-0.96, -0.94, -0.92, -0.8963724607988205,
+                                  -0.875, -0.5, 1.5])
+def test_jacobi_rule_rounded_once(npts, beta):
+    # the recurrence's coefficients, the Newton step and the Christoffel sums
+    # run in double-double, so the moments are off by a few ulps only; in
+    # float64 they were off by up to 2e-14 near beta = -0.9, which kept the
+    # 15/31-point estimate of an edge panel above its roundoff floor
+    x, w = _jacobi_rule(npts, beta)
+    for j in range(2 * npts):
+        want = 2.0 ** (beta + j + 1) / (beta + j + 1)
+        got = math.fsum(w * (1.0 + x) ** j)
+        assert abs(got / want - 1.0) <= 4e-15, j
+
+
 def test_budget_exhaustion_raises_with_achieved():
     # a needle the panel budget cannot resolve
     f = lambda y: 1.0 / (1e-14 + (y - 0.123456) ** 2)  # noqa: E731

@@ -76,6 +76,17 @@ def test_trig_moments_integer_exponent_closed_form():
     assert np.allclose(s, np.sin(xs) - xs * np.cos(xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-17, 2.0 ** -54])
+def test_trig_moments_of_an_exponent_below_2_to_minus_53(p):
+    # p - ceil(p) rounds to -1 there, which once reached the Gauss-Jacobi
+    # edge rule as the weight exponent -1; u**p is 1 to rounding, so the
+    # moments are those of p = 0: sin x and 1 - cos x
+    x = np.array([0.5, 3.0, 44.0, 50.0])
+    c, s = trig_power_moments(p, x)
+    assert np.allclose(c, np.sin(x), rtol=0.0, atol=1e-15)
+    assert np.allclose(s, 1.0 - np.cos(x), rtol=0.0, atol=1e-15)
+
+
 def test_trig_moments_zero_endpoint():
     c, s = trig_power_moments(-0.5, np.array([0.0, 1.0]))
     assert c[0] == 0.0 and s[0] == 0.0
