@@ -181,16 +181,17 @@ def theorem_check(m: SpectralMeasure, model: RegularVariationModel, n_grid,
     For each n the report carries Var(S_n), the model value K0 g(n) and their
     ratio, and at x = 1/n the measured G(x) against the matching small-x model
     C(gamma) K0 x**(2-gamma) L(1/x).  Both ratio columns approach 1 exactly
-    when the measure follows the model.
+    when the measure follows the model.  The variances come from one
+    ``_variance_rows`` call and G from one ``g_eval`` call on the grid.
     """
     n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
+    xs = [1.0 / n for n in n_grid]
     rows = []
-    for n, var in zip(n_grid, _variance_rows(m, n_grid)):
+    for n, var, x, gx in zip(n_grid, _variance_rows(m, n_grid), xs,
+                             g_eval(m, xs).tolist()):
         gn = float(model.g(n))
-        x = 1.0 / n
-        gx = float(g_eval(m, x))
         rows.append(ScanRow(
             n=n, variance=var, g_n=gn,
             var_ratio=var / (model.K0 * gn),
@@ -248,7 +249,7 @@ def growth_bound_report(m: SpectralMeasure, gamma: float, L: SlowlyVarying,
     sub_ratios = profile[idx] / (np.array(ns, dtype=float) ** gamma * L(np.array(ns)))
 
     xs = 1.0 / np.array(ns, dtype=float)
-    g_vals = np.array([g_eval(m, x) for x in xs])
+    g_vals = g_eval(m, xs)
     g_ratios = g_vals / (xs ** (2.0 - gamma) * L(1.0 / xs))
 
     return GrowthBoundReport(

@@ -9,6 +9,8 @@ order make identical invocations byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -19,7 +21,7 @@ from .asymptotics import (RegularVariationModel, SlowlyVarying,
                           c_gamma, c_identity_residual, d_gamma, gamma_fit,
                           theorem_check)
 from .errors import NumericError, SpecvarError, ValidationError
-from .fejer_variance import (BoundsReport, _variance_rows, sandwich,
+from .fejer_variance import (BoundsReport, _sandwich_rows, _variance_rows,
                              variance_spectral)
 from .simulate import empirical_variance, simulate
 from .spectral_measure import measure_from_dict
@@ -132,8 +134,7 @@ def _cmd_variance(args, out):
 def _cmd_bounds(args, out):
     m = parse_measure(args.measure)
     ns = parse_n_values(args.n)
-    rows = [sandwich(m, n, A=args.A) for n in ns]
-    out.write(BoundsReport.rows_to_csv(rows))
+    out.write(BoundsReport.rows_to_csv(_sandwich_rows(m, ns, args.A)))
     return 0
 
 
@@ -214,7 +215,10 @@ def _cmd_gallery(args, out):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it:
+    ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="specvar",
         description="Spectral-measure computations for variances of partial "
@@ -266,12 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv, out=None, err=None) -> int:
-    """Run one CLI invocation; returns the exit code."""
+    """Run one CLI invocation; returns the exit code.
+
+    out and err default to sys.stdout and sys.stderr at the call.  argparse's
+    usage, error and help text go to them too: it writes to sys.stdout and
+    sys.stderr, which are pointed at out and err while it parses.  The
+    parser is built once per process (``build_parser``) and reused.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -14,6 +14,8 @@ Smyshlyaev 2011).  A grid of n (``_variance_rows``, which the CLI's
 ``variance`` and ``asymptotics.theorem_check`` call) takes the atoms from one
 sum per run of consecutive n and a piece's moments from one recurrence per
 batch of rows; every row equals ``variance_spectral`` at its n bit for bit.
+The bracket's rows share it the same way: ``_sandwich_rows``, which the CLI's
+``bounds`` calls once per grid, and ``sandwich``, its one-row case.
 
 The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
@@ -314,24 +316,39 @@ def variance_profile(m: SpectralMeasure, n_max):
     return out
 
 
+def _sandwich_rows(m: SpectralMeasure, ns, A: float = 1.0) -> list:
+    """``sandwich(m, n, A)`` for each n in ns (any order, repeats allowed),
+    bit for bit, with the work shared across the grid: every n and A/n is
+    checked before any row is computed, the variances come from one
+    ``_variance_rows`` call, and G from one ``g_eval`` call at every 1/n,
+    one at every A/n and one at pi; only R(A/n) is taken row by row."""
+    ns = [check_int(n, "n", 1) for n in ns]
+    A = float(A)
+    for n in ns:
+        if not 0.0 < A <= n:
+            raise DomainError(f"sandwich requires 0 < A <= n, got A={A}, "
+                              f"n={n}")
+        if A / n < 2.0 ** -511:
+            raise DomainError(f"sandwich requires A/n >= 2**-511, got A={A}, "
+                              f"n={n}")
+    g_pi = g_eval(m, PI)
+    g_inv = g_eval(m, [1.0 / n for n in ns]).tolist()
+    g_a = g_eval(m, [A / n for n in ns]).tolist()
+    rows = []
+    for n, variance, g1, ga in zip(ns, _variance_rows(m, ns), g_inv, g_a):
+        lower = (4.0 / PI ** 2) * n ** 2 * g1
+        upper = (0.5 * g_pi
+                 + PI ** 2 * n ** 2 * ga * (0.25 + 0.5 / A ** 2)
+                 + 0.5 * PI ** 2 * robinson_integral(m, A / n))
+        rows.append(BoundsReport(n=n, A=A, lower=lower, variance=variance,
+                                 upper=float(upper)))
+    return rows
+
+
 def sandwich(m: SpectralMeasure, n, A: float = 1.0) -> BoundsReport:
     """Bracket Var(S_n) between the kernel's main-lobe lower bound and the
     split upper bound with free parameter A, in the closed form of the
     module docstring.  DomainError unless 0 < A <= n and A/n >= 2**-511,
     below which (A/n)**2 is not a normal float.
     """
-    n = check_int(n, "n", 1)
-    A = float(A)
-    if not 0.0 < A <= n:
-        raise DomainError(f"sandwich requires 0 < A <= n, got A={A}, n={n}")
-    a = A / n
-    if a < 2.0 ** -511:
-        raise DomainError(f"sandwich requires A/n >= 2**-511, got A={A}, "
-                          f"n={n}")
-    lower = (4.0 / PI ** 2) * n ** 2 * g_eval(m, 1.0 / n)
-    variance = variance_spectral(m, n)
-    upper = (0.5 * g_eval(m, PI)
-             + PI ** 2 * n ** 2 * g_eval(m, a) * (0.25 + 0.5 / A ** 2)
-             + 0.5 * PI ** 2 * robinson_integral(m, a))
-    return BoundsReport(n=n, A=A, lower=float(lower), variance=variance,
-                        upper=float(upper))
+    return _sandwich_rows(m, [n], A)[0]

@@ -308,7 +308,10 @@ class OpaqueDensity:
         [a, x] in the panel [a, b] holding x.  That integral is taken by
         25-point Clenshaw-Curtis on [a, x], which is exact on the degree-24
         interpolant and, unlike its indefinite Chebyshev series summed at x,
-        keeps a small value near a accurate relative to itself.
+        keeps a small value near a accurate relative to itself.  The rule's
+        terms are added one node at a time, not by a BLAS product whose
+        order depends on the length of x, so each value is the same float
+        whatever other points come with it.
         """
         x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
                     self.lo, self.hi)
@@ -317,7 +320,10 @@ class OpaqueDensity:
         u = (x - edges[i]) / (2.0 * h[i])  # x = a + 2 h u, u in [0, 1]
         t = -1.0 + u * (1.0 + _CHEB_X[:, None])
         p = np.polynomial.chebyshev.chebval(t, coef[i].T, tensor=False)
-        return cum[i] + h[i] * u * (_CC @ _DCT @ p)
+        total = np.zeros_like(x)
+        for w, row in zip(_CC @ _DCT, p):
+            total += w * row
+        return cum[i] + h[i] * u * total
 
     @property
     def mass(self) -> float:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from specvar import (DomainError, RegularVariationModel, ScanReport,
                      SlowlyVarying, c_gamma, c_identity_residual,
-                     counterexample, d_gamma, dichotomy_check, gamma_fit,
-                     growth_bound_report, nonergodic, power_law,
+                     counterexample, d_gamma, dichotomy_check, g_eval,
+                     gamma_fit, growth_bound_report, nonergodic, power_law,
                      subsequence_scan, theorem_check, white_noise,
                      with_origin_atom)
+from test_fejer_variance import _sandwich_measures
 
 PI = math.pi
 
@@ -174,6 +175,24 @@ def test_growth_bound_domain():
     with pytest.raises(DomainError):
         growth_bound_report(white_noise(), 1.0, SlowlyVarying.constant(),
                             [4, 2])
+
+
+@pytest.mark.parametrize("name", sorted(_sandwich_measures()))
+def test_g_columns_equal_per_row_g(name):
+    # one g_eval call takes the whole G column; each value equals G at its
+    # own 1/n bit for bit
+    m = _sandwich_measures()[name]
+    L = SlowlyVarying.log_power(0.5)
+    ns = [*range(1, 40), *(2 ** r for r in range(6, 63, 3))]
+    rep = theorem_check(m, RegularVariationModel(gamma=0.5, K0=1.0, L=L), ns)
+    assert [(r.x, r.G_x) for r in rep.rows] == [
+        (1.0 / n, g_eval(m, 1.0 / n)) for n in ns]
+    ns = [2 ** r for r in range(13)]
+    rep = growth_bound_report(m, 0.5, L, ns)
+    xs = 1.0 / np.array(ns, dtype=float)
+    ratios = (np.array([g_eval(m, x) for x in xs])
+              / (xs ** 1.5 * L(1.0 / xs)))
+    assert (rep.g_sup, rep.g_inf) == (ratios.max(), ratios.min())
 
 
 # --- dichotomy_check ---------------------------------------------------------

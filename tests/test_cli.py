@@ -150,8 +150,12 @@ def test_simulate_json_and_csv(tmp_path):
 
 
 def test_exit_code_usage_error():
+    # argparse's text goes to the streams passed to run
     rc, out, err = run_cli(["variance", "--measure", "gallery:whitenoise"])
-    assert rc == 1
+    assert rc == 1 and out == ""
+    assert "the following arguments are required" in err
+    rc, out, err = run_cli(["bounds", "--help"])
+    assert rc == 0 and err == "" and out.startswith("usage: specvar bounds")
     rc, out, err = run_cli(["variance", "--measure", "nonsense:x", "--n", "1"])
     assert rc == 1 and "measure spec" in err
 
@@ -246,6 +250,39 @@ def test_byte_identical_repeat_runs():
         rc2, out2, _ = run_cli(argv)
         assert rc1 == rc2 == 0
         assert out1 == out2, argv
+
+
+def _console(argv):
+    """``python -m specvar.cli argv`` in a fresh interpreter."""
+    import specvar
+    src = str(Path(specvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "specvar.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cached_parser_after_a_failed_parse_matches_a_fresh_process():
+    # one parser serves every run of a process; a run that fails to parse
+    # leaves nothing in it that changes the next runs
+    from specvar.cli import build_parser
+    assert build_parser() is build_parser()
+    usage = ["bounds", "--measure", "gallery:quadratic", "--A", "x"]
+    rc, out, err = run_cli(usage)
+    proc = _console(usage)
+    assert (rc, out, err) == (1, "", proc.stderr) and proc.returncode == 1
+    assert proc.stdout == ""
+    for argv in (
+            ["bounds", "--measure", "gallery:power:gamma=1.5",
+             "--n", "1:40", "--A", "1"],
+            ["bounds", "--measure", "gallery:nonergodic", "--n", "dyadic:1:62",
+             "--A", "2"],
+            ["simulate", "--measure", "gallery:counterexample", "--N", "256",
+             "--paths", "8", "--seed", "3", "--check-n", "1,16,256"]):
+        rc, out, err = run_cli(argv)
+        proc = _console(argv)
+        assert (rc, err) == (proc.returncode, proc.stderr) == (0, ""), argv
+        assert out == proc.stdout, argv
 
 
 def _variance_n(spec):

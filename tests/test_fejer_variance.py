@@ -20,8 +20,9 @@ from specvar import (DomainError, OpaqueDensity, PowerDensity,
                      variance_covariance, variance_profile,
                      variance_spectral, white_noise, with_origin_atom)
 from specvar import ddouble as dd
+from specvar import fejer_variance as fv
 from specvar import spectral_measure as sm
-from specvar.fejer_variance import _variance_rows
+from specvar.fejer_variance import _sandwich_rows, _variance_rows
 from specvar.quadrature import _cheb_moments
 from test_spectral_measure import measures
 
@@ -828,6 +829,44 @@ def test_sandwich_counterexample_large_n():
     assert rep.lower <= rep.variance <= rep.upper
     rep = sandwich(SpectralMeasure(atoms=((PI, 1.0),)), 2 ** 10, A=8.0)
     assert rep.lower <= rep.variance + 1e-12 <= rep.upper
+
+
+def _sandwich_measures():
+    """_row_measures (every piece kind, the benchmark's table measure, opaque
+    pieces) and the atomic gallery measures."""
+    return {**_row_measures(), "counterexample": counterexample(),
+            "nonergodic": nonergodic()}
+
+
+@pytest.mark.parametrize("name", sorted(_sandwich_measures()))
+def test_sandwich_rows_equal_single_n_calls(name):
+    # one variance grid and one G call per column, yet every field of every
+    # row equals sandwich at its n
+    m = _sandwich_measures()[name]
+    for A, ns in ((1.0, _ROW_GRID), (0.5, _ROW_GRID),
+                  (2.0, [n for n in _ROW_GRID if n >= 2])):
+        assert _sandwich_rows(m, ns, A) == [sandwich(m, n, A=A) for n in ns]
+    assert _sandwich_rows(m, [], 1.0) == []
+
+
+@pytest.mark.parametrize("ns, A, bad", [
+    ([4, 64, 2, 9], 3.0, 2),              # A > n
+    ([4, 2, 8, 3], 2.0 ** -509, 8),       # A/n < 2**-511
+], ids=["A-above-n", "A-over-n-subnormal-square"])
+def test_sandwich_rows_check_every_row_before_computing_any(monkeypatch, ns,
+                                                            A, bad):
+    m = power_law(0.5)
+    with pytest.raises(DomainError) as single:
+        sandwich(m, bad, A=A)
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a row was computed before the checks")
+
+    for name in ("_variance_rows", "g_eval", "robinson_integral"):
+        monkeypatch.setattr(fv, name, computed)
+    with pytest.raises(DomainError) as grid:
+        _sandwich_rows(m, ns, A)
+    assert str(grid.value) == str(single.value)
 
 
 def test_sandwich_domain():
