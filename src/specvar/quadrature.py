@@ -2,19 +2,17 @@
 
 ``bisect_panels`` is the adaptive loop: given a panel rule, it bisects the
 panels whose error estimates are too large until the total estimate meets the
-tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule;
-an integrable endpoint weight ``y**beta`` at ``lo == 0`` is handled by a
-Gauss-Jacobi rule on the leftmost panel so that adaptive bisection never has
-to chase the singularity.  The Gauss-Jacobi rules are computed here, by
-Golub-Welsch on numpy (Golub & Welsch, Math. Comp. 1969), so the module
-needs no scipy.  The loop also runs Chebyshev panels (``chebyshev_panels``,
-with the modified moments ``_cheb_moments`` of QUADPACK's QAWO), once per
-density piece: to choose the panel set from which ``fejer_variance`` reads
-the piece's Fejer integral at every n, and, for an opaque piece, the panels
-of its transforms and masses.  A grid of n takes its moments in one
-``_cheb_moments`` call split into blocks, one block per n; the small-omega
-product runs per block, as BLAS rounds a product by its shape, so a block's
-moments are those of its omega alone.
+tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule
+and has no special rule for an endpoint singularity: ``specfun`` takes the
+singular heads of its integrals on [0, 1] from Taylor series.  The loop also
+runs Chebyshev panels (``chebyshev_panels``, with the modified moments
+``_cheb_moments`` of QUADPACK's QAWO), once per density piece: to choose the
+panel set from which ``fejer_variance`` reads the piece's Fejer integral at
+every n, and, for an opaque piece, the panels of its transforms and masses.
+A grid of n takes its moments in one ``_cheb_moments`` call split into
+blocks, one block per n; the small-omega product runs per block, as BLAS
+rounds a product by its shape, so a block's moments are those of its omega
+alone.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -24,11 +22,10 @@ the result is the same, bit for bit, as re-evaluating every panel each round.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from . import ddouble as dd
 from .errors import DomainError, NumericError
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1], QUADPACK qk15's
@@ -113,76 +110,6 @@ def _gk_batch(f, lo, hi):
     ik = h * (fy * _WK[None, :]).sum(axis=1)
     ig = h * (fy * _WG[None, :]).sum(axis=1)
     return ik, np.abs(ik - ig)
-
-
-def _jacobi_recurrence(npts: int, beta: float):
-    """Double-double a[k], rb[k] (k < npts) of the orthonormal recurrence
-    ``x p_k = rb[k] p_{k+1} + a[k] p_k + rb[k-1] p_{k-1}`` of the weight
-    (1 + x)**beta on [-1, 1]: with s_k = 2k + beta, a[0] = beta / s_1,
-    a[k] = beta**2 / (s_k (s_k + 2)), rb[k] = 2 (k+1) (k+1 + beta) /
-    (s_{k+1} sqrt(s_{k+1}**2 - 1))."""
-    k = np.arange(1.0, npts + 1.0)
-    b = np.full(npts, beta)
-    s = dd.two_sum(2.0 * k, b)
-    a = dd.div(dd.two_prod(b, b), dd.mul(s, dd.add(s, (2.0, 0.0))))
-    a0 = dd.div((b[:1], 0.0), (s[0][:1], s[1][:1]))
-    a = tuple(np.concatenate([x0, x[:-1]]) for x0, x in zip(a0, a))
-    root = dd.sqrt(dd.mul(dd.add(s, (1.0, 0.0)), dd.add(s, (-1.0, 0.0))))
-    rb = dd.div(dd.mul((2.0 * k, 0.0), dd.two_sum(k, b)), dd.mul(s, root))
-    return a, rb
-
-
-def _jacobi_orthonormal(x, a, rb):
-    """The orthonormal recurrence from p_0 = 1 at the double-double points
-    ``x``: the double-double p_k(x) for k = 0 .. n."""
-    inv = dd.div((np.ones_like(rb[0]), np.zeros_like(rb[0])), rb)
-    p = [(np.zeros_like(x[0]), np.zeros_like(x[0])),
-         (np.ones_like(x[0]), np.zeros_like(x[0]))]
-    for j in range(len(a[0])):
-        c = (-rb[0][j - 1], -rb[1][j - 1]) if j else (0.0, 0.0)
-        xa = dd.add(x, (-a[0][j], -a[1][j]))
-        p.append(dd.mul(dd.add(dd.mul(xa, p[-1]), dd.mul(c, p[-2])),
-                        (inv[0][j], inv[1][j])))
-    return p[1:]
-
-
-@lru_cache(maxsize=256)
-def _jacobi_rule(npts: int, beta: float):
-    # Gauss rule for the weight (1 + x)**beta on [-1, 1] (Jacobi, alpha = 0)
-    # by Golub-Welsch: the eigenvalues of the Jacobi matrix, each polished
-    # by one Newton step on p_n, and the Christoffel numbers mu_0 /
-    # sum_{k<n} p_k(x)**2 (mu_0 the total mass).  p_n and the sums run in
-    # double-double: in float64 the weights were up to 5e-14 off near beta
-    # = -0.9, which kept a 15/31-point edge estimate above its roundoff
-    # floor every round.  The Newton step is of the order of the
-    # eigenvalues' rounding, so p_n' may carry float64's.
-    a, rb = _jacobi_recurrence(npts, float(beta))
-    # eigvalsh reads the lower triangle
-    x = np.linalg.eigvalsh(np.diag(a[0]) + np.diag(rb[0][:-1], -1))
-    p = [q[0] for q in _jacobi_orthonormal((x, np.zeros_like(x)), a, rb)]
-    d = [np.zeros_like(x), np.zeros_like(x)]
-    for j in range(npts):
-        c = rb[0][j - 1] if j else 0.0
-        d.append((p[j] + (x - a[0][j]) * d[-1] - c * d[-2]) / rb[0][j])
-    x = dd.add((x, np.zeros_like(x)), (-(p[-1] / d[-1]), np.zeros_like(x)))
-    ssq = (np.zeros_like(x[0]), np.zeros_like(x[0]))
-    for q in _jacobi_orthonormal(x, a, rb)[:-1]:
-        ssq = dd.add(ssq, dd.sqr(q))
-    return x[0], (2.0 ** (beta + 1.0) / (beta + 1.0)) / ssq[0]
-
-
-def _jacobi_edge(g, beta, b):
-    """``int_0^b y**beta * g(y) dy`` with smooth ``g``; value and error estimate.
-
-    The error estimate compares the 15- and 31-point rules.
-    """
-    vals = []
-    for npts in (15, 31):
-        x, w = _jacobi_rule(npts, float(beta))
-        y = b * (x + 1.0) / 2.0
-        gy = np.asarray(g(y), dtype=float)
-        vals.append((b / 2.0) ** (beta + 1.0) * float((w * gy).sum()))
-    return vals[1], abs(vals[1] - vals[0])
 
 
 def chebyshev_panels(f, a, b):
@@ -302,15 +229,11 @@ def bisect_panels(rule, edges, *, tol, max_panels):
         f"tol={tol:.1e}", achieved=total_err)
 
 
-def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
-              max_panels=200_000):
+def integrate(f, lo, hi, *, points=(), tol=1e-10, max_panels=200_000):
     """Integrate ``f`` over ``[lo, hi]`` with breakpoint-seeded adaptivity.
 
     points: interior breakpoints (oscillation zeros, knots); values outside
         (lo, hi) are ignored.
-    edge_beta: when given, the full integrand is ``y**edge_beta * f(y)`` with
-        ``lo == 0`` and ``f`` smooth; the leftmost panel then uses the
-        Gauss-Jacobi edge rule.
     Returns ``(value, error_estimate)``; raises NumericError if the estimate
     cannot be pushed below the effective tolerance within ``max_panels``
     panels and 64 bisection rounds (``bisect_panels``).
@@ -321,24 +244,8 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, edge_beta=None,
         raise DomainError(f"empty integration range [{lo}, {hi}]")
     if hi == lo:
         return 0.0, 0.0
-    if edge_beta is None:
-        rule = partial(_gk_batch, f)
-    elif lo != 0.0:
-        raise DomainError("edge_beta requires lo == 0")
-    else:
-        full = lambda y: y ** edge_beta * f(y)  # noqa: E731
-
-        def rule(a, b):
-            if a[0] != 0.0:
-                return _gk_batch(full, a, b)
-            # the edge panel [0, b[0]] takes the Gauss-Jacobi rule
-            ik0, err0 = _jacobi_edge(f, edge_beta, b[0])
-            if len(a) == 1:
-                return ik0, err0
-            ik, err = _gk_batch(full, a[1:], b[1:])
-            return np.concatenate(([ik0], ik)), np.concatenate(([err0], err))
-
     pts = np.asarray(points, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
-    return bisect_panels(rule, edges, tol=tol, max_panels=max_panels)[:2]
+    return bisect_panels(partial(_gk_batch, f), edges, tol=tol,
+                         max_panels=max_panels)[:2]

@@ -117,16 +117,13 @@ class PowerDensity:
 
     def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
-        support) for smooth (piecewise) vectorized g.  No route calls it;
+        support) for smooth (piecewise) vectorized g, by Gauss-Kronrod
+        panels; towards a singular y**exponent at 0 they bisect, and near
+        exponent -1 raise NumericError.  No route calls it;
         perfbench/tracing.py wraps it on each piece class by name."""
-        p = self.exponent
-        hi = self.hi if hi is None else hi
-        if self.lo == 0.0 and p != 0.0 and not p.is_integer():
-            return integrate(lambda y: self.coef * g(y), 0.0, hi,
-                             points=points, tol=tol, edge_beta=p,
-                             max_panels=max_panels)[0]
-        return integrate(lambda y: self.formula(y) * g(y), self.lo, hi,
-                         points=points, tol=tol, max_panels=max_panels)[0]
+        return integrate(lambda y: self.formula(y) * g(y), self.lo,
+                         self.hi if hi is None else hi, points=points,
+                         tol=tol, max_panels=max_panels)[0]
 
     def robinson_part(self, a: float = 0.0) -> float:
         """``int y**-2 density(y) dy`` over (max(lo, a), hi]; +inf when

@@ -451,9 +451,20 @@ def test_cheb_moment_blocks_equal_calls_on_each_block():
 @pytest.mark.parametrize("n", [2, 100])
 def test_covariance_route_with_base_exponent_near_minus_1(piece, n):
     # the cosine transforms of y**p take the moments of u**mu cos u with
-    # mu = p - ceil(p) near -0.9 here from a Gauss-Jacobi edge rule, whose
-    # float64 weights once made them raise NumericError
+    # mu = p - ceil(p) near -0.9 here; they once came from a Gauss-Jacobi
+    # edge rule, whose float64 weights made them raise NumericError
     m = SpectralMeasure(density=(piece,))
+    v = variance_spectral(m, n)
+    assert abs(variance_covariance(m, n) - v) <= 1e-12 * v
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.7])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_covariance_route_on_a_piece_near_the_origin(p, n):
+    # every k hi is at most 1e-5, where the moments of u**p cos u come from
+    # their Taylor series at p; raising the base moments to p by parts
+    # cancelled there, which put the covariance route 80 % off at p = 1.5
+    m = SpectralMeasure(density=(PowerDensity(0.0, 1e-8, 1.0, p),))
     v = variance_spectral(m, n)
     assert abs(variance_covariance(m, n) - v) <= 1e-12 * v
 

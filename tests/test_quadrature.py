@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from specvar.errors import NumericError
-from specvar.quadrature import (_ROUNDOFF, _WG, _WK, _XK, _gk_batch,
-                                _jacobi_edge, _jacobi_rule, integrate)
+from specvar.quadrature import _ROUNDOFF, _WG, _WK, _XK, _gk_batch, integrate
 
 
 def test_polynomial_exact():
@@ -37,53 +36,6 @@ def test_oscillatory_without_breakpoints_still_adapts():
     assert val == pytest.approx(math.sin(k) / k, abs=1e-10)
 
 
-def test_jacobi_edge_weight():
-    # int_0^1 y^-0.5 * exp(y) dy, known via series/quad reference
-    from scipy.integrate import quad
-    ref, _ = quad(lambda y: math.exp(y) / math.sqrt(y), 0.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13)
-    val, _ = integrate(np.exp, 0.0, 1.0, edge_beta=-0.5)
-    assert val == pytest.approx(ref, abs=1e-10)
-
-
-def test_jacobi_edge_positive_exponent():
-    # int_0^2 y^1.5 dy = 2^2.5/2.5
-    val, _ = integrate(lambda y: np.ones_like(y), 0.0, 2.0, edge_beta=1.5)
-    assert val == pytest.approx(2.0 ** 2.5 / 2.5, rel=1e-12)
-
-
-@pytest.mark.parametrize("npts", [15, 31])
-@pytest.mark.parametrize("beta, bound", [
-    *((b, 2e-14) for b in (-0.9, -0.5, 0.0, 0.5, 0.9, 1.5, 3.0)),
-    (-0.999, 1e-12), (-0.9999, 1e-12)])
-def test_jacobi_rule_exact_on_moments(npts, beta, bound):
-    # int_{-1}^1 (1+x)^beta (1+x)^j dx = 2^(beta+j+1) / (beta+j+1) for every
-    # j < 2 npts; near beta = -1 the first node lies within 1e-6 of -1, where
-    # the float spacing of x alone puts a few 1e-13 on the j = 1 moment
-    from scipy.special import roots_jacobi
-    x, w = _jacobi_rule(npts, beta)
-    for j in range(2 * npts):
-        want = 2.0 ** (beta + j + 1) / (beta + j + 1)
-        got = math.fsum(w * (1.0 + x) ** j)
-        assert abs(got / want - 1.0) <= bound, j
-    assert np.abs(x - roots_jacobi(npts, 0.0, beta)[0]).max() <= 1e-15
-
-
-@pytest.mark.parametrize("npts", [15, 31])
-@pytest.mark.parametrize("beta", [-0.96, -0.94, -0.92, -0.8963724607988205,
-                                  -0.875, -0.5, 1.5])
-def test_jacobi_rule_rounded_once(npts, beta):
-    # the recurrence's coefficients, the Newton step and the Christoffel sums
-    # run in double-double, so the moments are off by a few ulps only; in
-    # float64 they were off by up to 2e-14 near beta = -0.9, which kept the
-    # 15/31-point estimate of an edge panel above its roundoff floor
-    x, w = _jacobi_rule(npts, beta)
-    for j in range(2 * npts):
-        want = 2.0 ** (beta + j + 1) / (beta + j + 1)
-        got = math.fsum(w * (1.0 + x) ** j)
-        assert abs(got / want - 1.0) <= 4e-15, j
-
-
 def test_budget_exhaustion_raises_with_achieved():
     # a needle the panel budget cannot resolve
     f = lambda y: 1.0 / (1e-14 + (y - 0.123456) ** 2)  # noqa: E731
@@ -96,18 +48,11 @@ def test_empty_interval():
     assert integrate(np.sin, 1.0, 1.0) == (0.0, 0.0)
 
 
-def _every_panel_each_round(f, lo, hi, tol=1e-10, edge_beta=None,
-                            max_rounds=30):
+def _every_panel_each_round(f, lo, hi, tol=1e-10, max_rounds=30):
     """The adaptive loop without memory: each round evaluates every panel."""
-    full = f if edge_beta is None else (lambda y: y ** edge_beta * f(y))
     edges = np.array([lo, hi])
     for _ in range(max_rounds):
-        if edge_beta is None:
-            ik, err = _gk_batch(full, edges[:-1], edges[1:])
-        else:
-            v0, e0 = _jacobi_edge(f, edge_beta, edges[1])
-            ik, err = _gk_batch(full, edges[1:-1], edges[2:])
-            ik, err = np.r_[v0, ik], np.r_[e0, err]
+        ik, err = _gk_batch(f, edges[:-1], edges[1:])
         total, total_err = float(ik.sum()), float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))
         if total_err <= eff_tol:
@@ -120,24 +65,17 @@ def _every_panel_each_round(f, lo, hi, tol=1e-10, edge_beta=None,
     raise AssertionError("reference loop did not converge")
 
 
-# at tol=1e-13 one panel of cos(23 y) converges a round before the others
-@pytest.mark.parametrize("f, hi, edge_beta, tol", [
-    (lambda y: np.cos(23 * y), 1.0, None, 1e-13),
-    (lambda y: np.cos(40 * y), 3.0, -0.5, 1e-10),
-])
-def test_no_panel_is_evaluated_twice(f, hi, edge_beta, tol):
+def test_no_panel_is_evaluated_twice():
+    # at tol=1e-13 one panel of cos(23 y) converges a round before the others
+    f = lambda y: np.cos(23 * y)  # noqa: E731
     seen = []
 
     def recording(y):
         seen.append(np.array(y, copy=True))
         return f(y)
 
-    got = integrate(recording, 0.0, hi, tol=tol, edge_beta=edge_beta)
+    got = integrate(recording, 0.0, 1.0, tol=1e-13)
     ys = np.concatenate(seen)
     assert len(seen) > 3  # several rounds of bisection
-    if edge_beta is not None:
-        # the Jacobi edge rule ran on more than one edge panel
-        assert sum(len(y) == 31 for y in seen) > 1
     assert len(np.unique(ys)) == len(ys)
-    assert got == _every_panel_each_round(f, 0.0, hi, tol=tol,
-                                          edge_beta=edge_beta)
+    assert got == _every_panel_each_round(f, 0.0, 1.0, tol=1e-13)

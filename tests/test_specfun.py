@@ -107,7 +107,8 @@ def test_small_x_moments_memo_changes_nothing_but_cost(monkeypatch):
     c1, s1 = trig_power_moments(p, x)
     first = len(calls)
     c2, s2 = trig_power_moments(p, x)
-    assert first == 2 * len(x)  # one cos and one sin integral per point
+    # one cos and one sin integral per point above 1, where the series stops
+    assert first == 2 * int((x > 1.0).sum())
     assert len(calls) == first
     assert c1.tobytes() == c2.tobytes() and s1.tobytes() == s2.tobytes()
     # and the memoized base moments are what the bare function computes
@@ -123,7 +124,46 @@ def test_trig_moments_domain():
         trig_power_moments(0.5, np.array([-2.0]))
 
 
-@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.5, 1.75])
+# the moments by the hypergeometric closed forms x**(p+1)/(p+1) 1F2((p+1)/2;
+# 1/2, (p+3)/2; -x**2/4) and x**(p+2)/(p+2) 1F2((p+2)/2; 3/2, (p+4)/2;
+# -x**2/4), by mpmath at 40 digits; 1 + 2**-52 is the first float above the
+# series cut, where the series at 1 meets the quadrature above it
+@pytest.mark.parametrize("p, x, cos_moment, sin_moment", [
+    (-0.9999999, 0.001, 9999993.097510416, 0.0009999991536692766),
+    (-0.9999999, 0.5, 9999999.250263846, 0.49310733409391766),
+    (-0.9999999, 1.0, 9999999.765451828, 0.946082972186113),
+    (-0.9999999, 1.0000000000000002, 9999999.765451828, 0.9460829721861133),
+    (-0.92, 0.001, 7.192999078387565, 0.0005328147256551402),
+    (-0.92, 0.5, 11.769466638759264, 0.43163874311079353),
+    (-0.92, 1.0, 12.269602409580308, 0.8734260686143588),
+    (-0.92, 1.0000000000000002, 12.269602409580308, 0.8734260686143589),
+    (-0.5, 0.001, 0.06324554687881256, 2.108184956194274e-05),
+    (-0.5, 0.5, 1.3792650758684297, 0.23152662614970718),
+    (-0.5, 1.0, 1.809048475800544, 0.6205366034467622),
+    (-0.5, 1.0000000000000002, 1.8090484758005443, 0.6205366034467624),
+    (2.0 ** -52, 0.001, 0.00099999983333334, 4.99999958333334e-07),
+    (2.0 ** -52, 0.5, 0.47942553860420284, 0.12241743810962726),
+    (2.0 ** -52, 1.0, 0.8414709848078963, 0.45969769413186023),
+    (2.0 ** -52, 1.0000000000000002, 0.8414709848078964, 0.4596976941318604),
+    (1.0, 0.001, 4.999998750000069e-07, 3.3333330000000123e-10),
+    (1.0, 0.5, 0.11729533119247422, 0.04063425765901664),
+    (1.0, 1.0, 0.3817732906760362, 0.3011686789397568),
+    (1.0, 1.0000000000000002, 0.3817732906760363, 0.30116867893975696),
+    (1.5, 0.001, 1.2649107127031876e-08, 9.03507807078659e-12),
+    (1.5, 0.5, 0.06587058865481858, 0.02459031423741412),
+    (1.5, 1.0, 0.29513808675969794, 0.25650171875863337),
+    (1.5, 1.0000000000000002, 0.2951380867596981, 0.2565017187586336),
+])
+def test_trig_moments_near_the_series_cut(p, x, cos_moment, sin_moment):
+    # up to x = 1 the moments are the Taylor series at p itself; raising
+    # the base moments to p by parts once cancelled there (at x = 1e-3,
+    # p = 1.5 was 1.5e-9 off, relative)
+    c, s = trig_power_moments(p, np.array([x]))
+    assert c[0] == pytest.approx(cos_moment, rel=1e-14, abs=0.0)
+    assert s[0] == pytest.approx(sin_moment, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.25, 0.5, 1.0, 1.5, 1.75, 1.99])
 def test_sin_sq_moment_identity(gamma):
     # 2^(2-g) (2-g) * integral must invert C(g); residual far below 1e-8
     from specvar.asymptotics import c_gamma
