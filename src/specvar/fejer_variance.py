@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, check_int
 from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _ROUNDOFF,
-                         _cheb_moments, bisect_panels, chebyshev_panels)
+                         bisect_panels, chebyshev_panels, fine_fold,
+                         interpolant_moments)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval,
                                robinson_integral)
@@ -61,6 +62,9 @@ _TOL = 1e-10
 # 2**-65, where I_n = n**2 to rounding, so (0, _E0] contributes n**2 G(_E0)
 _E0 = math.ldexp(PI, -130)
 _N_MAX = 2.0 ** 63
+# a row's panels with n b below it, where 2 sin(ny/2)**2 = (ny)**2/2 to
+# rounding, add n**2 times a prefix sum of their int g y**2/2
+_HEAD_NB = 2.0 ** -27
 # the Clenshaw-Curtis weights on the values at the 25 Chebyshev points
 _CC_NODES = _CC @ _DCT
 # most (row, panel) cells in one batch of rows of _variance_rows: the
@@ -131,8 +135,9 @@ def _envelope(n, b):
 def _panel_set(piece):
     """The panels from which every n reads the piece's Fejer integral: their
     right edges b, nodes y, the values there of ``g = density / (2
-    sin(y/2)**2)``, centres c, half-widths h, Chebyshev coefficients,
-    ``int g`` and estimates, and the piece's mass below _E0.
+    sin(y/2)**2)``, centres c, half-widths h, Chebyshev coefficients and
+    ``fine_fold``, ``int g`` and estimates, and the head sums: the mass
+    below _E0 plus ``int g y**2/2`` over the first i panels, i = 0, 1, ..
 
     The panels lie between the piece's ends, a table's grid points and the
     dyadic points pi 2**-j in [_E0, pi].  A kink or a jump inside one is
@@ -164,35 +169,37 @@ def _panel_set(piece):
         edges = bisect_panels(rule, edges, tol=0.1 * _TOL,
                               max_panels=_CHEB_MAX_PANELS)[2]
     c, h, values, coef, err = chebyshev_panels(g, edges[:-1], edges[1:])
-    return (edges[1:], c[:, None] + h[:, None] * _CHEB_X, values, c, h, coef,
-            h * (coef @ _CC), err,
-            float(piece.mass_upto(np.array([min(_E0, hi)]))[0]))
+    y = c[:, None] + h[:, None] * _CHEB_X
+    head = [piece.mass_upto(np.array([min(_E0, hi)])),
+            h * (values * (0.5 * y * y) * _CC_NODES).sum(axis=1)]
+    return (edges[1:], y, values, c, h, coef, fine_fold(coef),
+            h * (coef @ _CC), err, np.cumsum(np.concatenate(head)))
 
 
 def _batch_rows(panels, ns) -> list:
     """``int density I_n`` from a ``_panel_set`` for each n in ns.
 
-    A (row, panel) cell depends on its n and panel alone: Clenshaw-Curtis
-    of ``g 2 sin(ny/2)**2`` at the nodes where n b <= 1, where ``1 - cos
-    ny`` would cancel, and ``int g - h Re(exp(i n c) sum_j coef_j mu_j(n
-    h))`` elsewhere, the moments from one ``_cheb_moments`` call with a
-    block per row.  The phase n c is a plain float product: its error eps n
-    c multiplies an oscillatory part of size g(c)/n.  NumericError when a
-    row's estimate, the panels' weighted by ``_envelope`` at its n, misses
-    max(_TOL, roundoff of the row).
+    A row takes n**2 times a head sum for its panels with n b < _HEAD_NB, and
+    a cell from each other panel, which depends on its n and panel alone:
+    Clenshaw-Curtis of ``g 2 sin(ny/2)**2`` at the nodes where n b <= 1, where
+    ``1 - cos ny`` would cancel, and ``int g - h Re(exp(i n c) sum_j coef_j
+    mu_j(n h))`` elsewhere (``interpolant_moments``).  The phase n c is a
+    plain float product: its error eps n c multiplies an oscillatory part of
+    size g(c)/n.  NumericError when a row's estimate, the panels' weighted by
+    ``_envelope`` at its n, misses max(_TOL, roundoff of the row).
     """
-    b, y, values, c, h, coef, flat, err, below = panels
+    b, y, values, c, h, coef, fold, flat, err, head = panels
     n = np.array(ns, dtype=float)[:, None]
-    cells = np.empty((len(ns), len(b)))
-    r, p = np.nonzero(n * b <= 1.0)
+    nb = n * b
+    cells = np.zeros((len(ns), len(b)))
+    r, p = np.nonzero((nb >= _HEAD_NB) & (nb <= 1.0))
     kernel = 2.0 * np.sin(0.5 * n[r] * y[p]) ** 2
     cells[r, p] = h[p] * (values[p] * kernel * _CC_NODES).sum(axis=1)
-    r, p = np.nonzero(n * b > 1.0)
+    r, p = np.nonzero(nb > 1.0)
     nr = n[r, 0]
-    mu = _cheb_moments(nr * h[p], np.searchsorted(r, range(len(ns) + 1)))
-    osc = (np.exp(1j * (nr * c[p])) * (coef[p] * mu).sum(axis=1)).real
-    cells[r, p] = flat[p] - h[p] * osc
-    rows = n[:, 0] ** 2 * below + cells.sum(axis=1)
+    v = interpolant_moments(nr * h[p], p, coef, fold)
+    cells[r, p] = flat[p] - h[p] * (np.exp(1j * (nr * c[p])) * v).real
+    rows = n[:, 0] ** 2 * head[(nb < _HEAD_NB).sum(axis=1)] + cells.sum(axis=1)
     achieved = (err * _envelope(n, b)).sum(axis=1)
     missed = np.flatnonzero(achieved > np.maximum(_TOL,
                                                   _ROUNDOFF * np.abs(rows)))

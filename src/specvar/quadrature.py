@@ -5,14 +5,12 @@ panels whose error estimates are too large until the total estimate meets the
 tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule
 and has no special rule for an endpoint singularity: ``specfun`` takes the
 singular heads of its integrals on [0, 1] from Taylor series.  The loop also
-runs Chebyshev panels (``chebyshev_panels``, with the modified moments
-``_cheb_moments`` of QUADPACK's QAWO), once per density piece: to choose the
-panel set from which ``fejer_variance`` reads the piece's Fejer integral at
-every n, and, for an opaque piece, the panels of its transforms and masses.
-A grid of n takes its moments in one ``_cheb_moments`` call split into
-blocks, one block per n; the small-omega product runs per block, as BLAS
-rounds a product by its shape, so a block's moments are those of its omega
-alone.
+runs Chebyshev panels (``chebyshev_panels``), once per density piece: to
+choose the panel set from which ``fejer_variance`` reads the piece's Fejer
+integral at every n, and, for an opaque piece, the panels of its transforms
+and masses; ``interpolant_moments`` integrates a panel's interpolant against
+exp(i omega x) with no matrix product, which BLAS would round by its shape,
+so each (omega, panel) cell is the same float in any batch.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -22,7 +20,7 @@ the result is the same, bit for bit, as re-evaluating every panel each round.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -90,12 +88,9 @@ def _chebyshev_rule(deg: int):
 _DEG = 24
 _CHEB_X, _DCT, _CC = _chebyshev_rule(_DEG)
 # the forward moment recurrence is stable from this frequency on; below it
-# the moments come from a 129-point Clenshaw-Curtis rule, exact to rounding
-# on T_j(x) exp(i omega x) there
+# a panel's interpolant takes the 129-point Clenshaw-Curtis rule, exact to
+# rounding on T_j(x) exp(i omega x) there
 _RECURRENCE_MIN_OMEGA = 24.0
-_FINE_X, _dct, _cc = _chebyshev_rule(128)
-_FINE_T = (np.cos(np.pi * np.outer(np.arange(129), np.arange(_DEG + 1)) / 128)
-           * (_cc @ _dct)[:, None])  # weight times T_j(x_k), column j
 # panel budget of a Chebyshev panel set: enough to bisect a panel holding a
 # jump down to the tolerance, and few enough to bound the memory
 _CHEB_MAX_PANELS = 2 ** 12
@@ -128,28 +123,14 @@ def chebyshev_panels(f, a, b):
     return c, h, values, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
 
 
-def _cheb_moments(omega, blocks=None):
-    """``int_{-1}^1 T_j(x) exp(i omega x) dx`` for j = 0 .. _DEG, one row per
-    omega >= 0.
-
-    From omega = _RECURRENCE_MIN_OMEGA on, Piessens & Branders' forward
-    recurrence.  It runs on real rows, since the moments of even j are real
-    and those of odd j imaginary, and divides as complex arithmetic divides
-    by a real, through the reciprocal, so it gives the values of the
-    recurrence in complex numbers bit for bit.  Below, the 129-point table;
-    BLAS rounds that product by its row count, so with ``blocks`` (offsets
-    0 = b_0 <= b_1 <= .. <= b_k = len(omega) of blocks of rows) each block
-    takes its own, and a block's moments are those of its omega alone.
+def _cheb_moments(w):
+    """``int_{-1}^1 T_j(x) exp(i w x) dx`` for j = 0 .. _DEG, one row per
+    w >= _RECURRENCE_MIN_OMEGA, by Piessens & Branders' forward recurrence.
+    It runs on real rows, since the moments of even j are real and those of
+    odd j imaginary, and divides as complex arithmetic divides by a real,
+    through the reciprocal, so it gives the values of the recurrence in
+    complex numbers bit for bit.
     """
-    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
-    small = omega < _RECURRENCE_MIN_OMEGA
-    rows = np.flatnonzero(small)
-    blocks = (0, len(omega)) if blocks is None else blocks
-    block = np.searchsorted(blocks, rows, side="right")
-    for part in np.split(rows, np.flatnonzero(np.diff(block)) + 1):
-        if len(part):
-            mu[part] = np.exp(1j * np.outer(omega[part], _FINE_X)) @ _FINE_T
-    w = omega[~small]
     s, c = np.sin(w), np.cos(w)
     r = 1.0 / w
     # row j+1 = a_j row j + b_j row j-1 + e_j for j = 2 .. _DEG-1, with
@@ -169,11 +150,46 @@ def _cheb_moments(omega, blocks=None):
         np.multiply(ak, row[k + 2], out=row[k + 3])
         row[k + 3] += bk * row[k + 1]
         row[k + 3] += ek
-    large = np.zeros((len(w), _DEG + 1), dtype=complex)
-    large.real[:, 0::2] = m[0::2].T
-    large.imag[:, 1::2] = m[1::2].T
-    mu[~small] = large
+    mu = np.zeros((len(w), _DEG + 1), dtype=complex)
+    mu.real[:, 0::2] = m[0::2].T
+    mu.imag[:, 1::2] = m[1::2].T
     return mu
+
+
+@lru_cache(maxsize=1)
+def _fine_rule():
+    """The points x_k = cos(k pi/128) >= 0 of the 129-point Clenshaw-Curtis
+    rule, and T_j(x_k) times twice its weight there (once at x = 0), row j."""
+    x, dct, cc = _chebyshev_rule(128)
+    w = 2.0 * (cc @ dct)[:65]
+    w[64] *= 0.5
+    return x[:65], np.cos(np.pi * np.outer(np.arange(_DEG + 1),
+                                           np.arange(65)) / 128) * w
+
+
+def fine_fold(coef):
+    """Each panel's interpolant p = sum_j coef_j T_j at the points x of
+    ``_fine_rule``, folded into rows A = w (p(x) + p(-x)) and B = w (p(x) -
+    p(-x)) from p's even and odd terms, w the rule's weight (halved at 0)."""
+    _, t = _fine_rule()
+    return np.stack([coef[:, 0::2] @ t[0::2], coef[:, 1::2] @ t[1::2]], axis=1)
+
+
+def interpolant_moments(omega, panel, coef, fold):
+    """``sum_j coef_j mu_j(omega)``, the integral of a panel's interpolant p
+    against exp(i omega x) on [-1, 1], per cell (omega >= 0, panel): from
+    the moments of ``_cheb_moments`` from _RECURRENCE_MIN_OMEGA on, and
+    below, ``sum A cos(omega x) + i sum B sin(omega x)`` from p's
+    ``fine_fold``.  Elementwise work and sums along contiguous rows make
+    each cell's value independent of the other cells."""
+    out = np.empty(len(omega), dtype=complex)
+    small = omega < _RECURRENCE_MIN_OMEGA
+    out[~small] = (coef[panel[~small]]
+                   * _cheb_moments(omega[~small])).sum(axis=1)
+    wx = omega[small, None] * _fine_rule()[0]
+    out.real[small] = (fold[panel[small], 0] * np.cos(wx)).sum(axis=1)
+    out.imag[small] = (fold[panel[small], 1] * np.sin(wx)).sum(axis=1)
+    return out
 
 
 def bisect_panels(rule, edges, *, tol, max_panels):

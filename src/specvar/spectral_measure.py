@@ -32,8 +32,9 @@ import numpy as np
 
 from . import ddouble as dd
 from .errors import DomainError, SerializationError, ValidationError, check_int
-from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _cheb_moments,
-                         bisect_panels, chebyshev_panels, integrate)
+from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, bisect_panels,
+                         chebyshev_panels, fine_fold, integrate,
+                         interpolant_moments)
 from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
@@ -296,7 +297,7 @@ class OpaqueDensity:
         c, h, _, coef, _ = chebyshev_panels(self.formula, edges[:-1],
                                             edges[1:])
         cum = np.concatenate([[0.0], np.cumsum(h * (coef @ _CC))])
-        return edges, c, h, coef, cum
+        return edges, c, h, coef, fine_fold(coef), cum
 
     def mass_upto(self, x):
         """Integral of the density over (lo, min(x, hi)]; vectorized in x.
@@ -312,7 +313,7 @@ class OpaqueDensity:
         """
         x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
                     self.lo, self.hi)
-        edges, _, h, coef, cum = self._panels
+        edges, _, h, coef, _, cum = self._panels
         i = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(h) - 1)
         u = (x - edges[i]) / (2.0 * h[i])  # x = a + 2 h u, u in [0, 1]
         t = -1.0 + u * (1.0 + _CHEB_X[:, None])
@@ -331,21 +332,22 @@ class OpaqueDensity:
         [1, MAX_LAGS], to about _OPAQUE_TOL at every lag.
 
         A panel with centre c and half-width h contributes
-        ``h Re(exp(i k c) sum_j coef_j mu_j(k h))``, with the modified
-        moments mu_j of ``_cheb_moments`` and the phase k c taken as an exact
-        angle, as in a table piece's transform.
+        ``h Re(exp(i k c) sum_j coef_j mu_j(k h))``, the sum from
+        ``interpolant_moments`` and the phase k c taken as an exact angle,
+        as in a table piece's transform.  A lag sums its panels along a
+        contiguous row, so it is the same float whatever lags come with it.
         """
         k = _lag_array(k)
-        _, c, h, coef, _ = self._panels
+        _, c, h, coef, fold, _ = self._panels
         out = np.empty_like(k)
         step = max(1, _PANEL_CELLS // len(h))
+        panel = np.arange(len(h))
         for i0 in range(0, len(k), step):
-            kk = k[i0:i0 + step]
-            mu = _cheb_moments((h[:, None] * kk).ravel())
-            v = (mu.reshape(len(h), len(kk), -1) * coef[:, None, :]).sum(2)
-            s, co = sin_cos(*dd.two_prod(kk, c[:, None]))
-            out[i0:i0 + step] = (h[:, None]
-                                 * (co * v.real - s * v.imag)).sum(0)
+            kk = k[i0:i0 + step, None]
+            v = interpolant_moments((kk * h).ravel(), np.tile(panel, len(kk)),
+                                    coef, fold).reshape(len(kk), len(h))
+            s, co = sin_cos(*dd.two_prod(kk, c))
+            out[i0:i0 + step] = (h * (co * v.real - s * v.imag)).sum(axis=1)
         return out
 
     def formula(self, y):

@@ -8,8 +8,7 @@ import pytest
 
 from specvar import PowerDensity, SpectralMeasure, g_eval
 from specvar import ddouble as dd
-from specvar.quadrature import (_DEG, _FINE_T, _FINE_X,
-                                _RECURRENCE_MIN_OMEGA, integrate)
+from specvar.quadrature import _DEG, integrate
 from specvar.cli import run as cli_run
 
 
@@ -153,14 +152,10 @@ def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
 
 def cheb_moments_reference(omega):
     """``quadrature._cheb_moments`` as it was before its recurrence ran on
-    real rows: the forward recurrence in complex numbers, and the 129-point
-    table below omega = 24 taken in one product for every such omega."""
-    mu = np.empty((len(omega), _DEG + 1), dtype=complex)
-    small = omega < _RECURRENCE_MIN_OMEGA
-    mu[small] = np.exp(1j * np.outer(omega[small], _FINE_X)) @ _FINE_T
-    w = omega[~small]
+    real rows: the forward recurrence in complex numbers, for omega >= 24."""
+    w = omega
     s, c = np.sin(w), np.cos(w)
-    m = mu[~small]
+    m = np.empty((len(omega), _DEG + 1), dtype=complex)
     m[:, 0] = 2.0 * s / w
     m[:, 1] = 2j * (s - w * c) / w ** 2
     m[:, 2] = m[:, 0] + 4j * m[:, 1] / w
@@ -170,8 +165,7 @@ def cheb_moments_reference(omega):
         m[:, j + 1] = ((2j * (j + 1) / w) * m[:, j]
                        + ((j + 1) / (j - 1)) * m[:, j - 1]
                        + 2j * edge[(j + 1) % 2] / (w * (j - 1)))
-    mu[~small] = m
-    return mu
+    return m
 
 
 def sandwich_upper_quadrature(m: SpectralMeasure, n: int, A: float) -> float:

@@ -23,7 +23,7 @@ from specvar import ddouble as dd
 from specvar import fejer_variance as fv
 from specvar import spectral_measure as sm
 from specvar.fejer_variance import _sandwich_rows, _variance_rows
-from specvar.quadrature import _cheb_moments
+from specvar.quadrature import _cheb_moments, fine_fold, interpolant_moments
 from test_spectral_measure import measures
 
 PI = math.pi
@@ -400,17 +400,22 @@ def test_density_exact_at_any_n(n):
 
 
 def test_cheb_moments_against_composite_gauss():
-    # both sides of the switch from the Clenshaw-Curtis rule to the forward
-    # recurrence at omega = 24, against 12-point Gauss-Legendre on each of
-    # 128 subintervals, summed exactly
-    omega = [0.7, 23.9, 24.0, 30.0, 100.0]
+    # interpolant_moments on the unit coefficient rows e_j gives mu_j, on
+    # both sides of the switch from the 129-point rule on the folded
+    # interpolant to the forward recurrence at omega = 24, against 12-point
+    # Gauss-Legendre on each of 128 subintervals, summed exactly
+    omega = [0.0, 1e-300, 1e-8, 0.25, 0.7, 5.0, 12.0, 23.9,
+             np.nextafter(24.0, 0.0), 24.0, 30.0, 100.0]
     x, w = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(-1.0, 1.0, 129)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     xs = (mid[:, None] + half[:, None] * x).ravel()
     ws = (half[:, None] * w).ravel()
     cheb = np.polynomial.chebyshev.chebvander(xs, 24)
-    got = _cheb_moments(np.array(omega))
+    unit = np.eye(25)
+    cells = np.repeat(np.array(omega), 25)
+    got = interpolant_moments(cells, np.tile(np.arange(25), len(omega)),
+                              unit, fine_fold(unit)).reshape(len(omega), 25)
     for row, om in zip(got, omega):
         terms = (ws * np.exp(1j * om * xs))[:, None] * cheb
         for j, value in enumerate(row):
@@ -422,27 +427,15 @@ def test_cheb_moments_against_composite_gauss():
 def test_cheb_moments_equal_the_complex_recurrence():
     # the recurrence on real rows gives the moments of the recurrence in
     # complex numbers bit for bit: log-uniform omega from the switch to
-    # 1e19, and a mix with omega below the switch
+    # 1e19, and a mix with omega at the switch and just above it
     rng = np.random.default_rng(2026)
     large = np.exp(rng.uniform(math.log(24.0), math.log(1e19), 5000))
     mixed = rng.permutation(np.concatenate([
-        large[:200], rng.uniform(0.0, 24.0, 100),
-        [0.0, 24.0, np.nextafter(24.0, 0.0)]]))
+        large[:200], rng.uniform(24.0, 48.0, 100),
+        [24.0, np.nextafter(24.0, 25.0)]]))
     for omega in (large, mixed, large[:1], mixed[:3], mixed[:0]):
         assert np.array_equal(_cheb_moments(omega),
                               cheb_moments_reference(omega))
-
-
-def test_cheb_moment_blocks_equal_calls_on_each_block():
-    # BLAS rounds the table product below omega = 24 by its row count, so
-    # each block takes its own: its moments are those of a call on it alone
-    rng = np.random.default_rng(7)
-    omega = np.where(rng.random(60) < 0.4, rng.uniform(0.0, 24.0, 60),
-                     rng.uniform(24.0, 1e6, 60))
-    offsets = [0, 1, 2, 5, 17, 18, 40, 60]
-    got = _cheb_moments(omega, offsets)
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        assert np.array_equal(got[lo:hi], _cheb_moments(omega[lo:hi]))
 
 
 @pytest.mark.parametrize("piece", [
@@ -552,6 +545,32 @@ def test_power_piece_with_exponent_near_minus_0_9(n):
     m = SpectralMeasure(density=(PowerDensity(0.0, PI, 1.0, p),))
     want = power_fejer_reference(1.0, p, n)
     assert abs(variance_spectral(m, n) - want) <= 1e-14 * want
+
+
+def test_density_rows_exact_across_the_head_cut():
+    # a row's panels with n b below 2**-27 contribute n**2 times a prefix
+    # sum of int g y**2/2: white noise (exactly n) and the quadratic
+    # measure stay within 1e-15 on both sides of every power of two, from
+    # n = 1 to 2**62, and at every n up to 3000
+    ns = sorted({*range(1, 3001),
+                 *(2 ** k + d for k in range(1, 63) for d in (-1, 0, 1))})
+    white = _variance_rows(white_noise(), ns)
+    quad = _variance_rows(quadratic(), ns)
+    for n, w, q in zip(ns, white, quad):
+        assert abs(w - n) <= 1e-15 * n, n
+        want = quadratic_exact(n)
+        assert abs(q - want) <= 1e-15 * want, n
+
+
+@pytest.mark.parametrize("p", [-0.95, -0.92, -0.9, -0.85, -0.8])
+def test_power_pieces_near_minus_0_9_across_the_head_cut(p):
+    # y**p grows towards the origin, where the head panels lie; the
+    # reference's singular first arc stays smooth for p <= -0.8
+    m = SpectralMeasure(density=(PowerDensity(0.0, PI, 1.0, p),))
+    ns = [1, 2, 3, 16, 17, 63, 64, 65, 1000, 1023, 1024, 1025, 4096]
+    for n, v in zip(ns, _variance_rows(m, ns)):
+        want = power_fejer_reference(1.0, p, n)
+        assert abs(v - want) <= 1e-14 * want, n
 
 
 @st.composite

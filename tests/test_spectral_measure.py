@@ -522,6 +522,24 @@ def test_opaque_cos_transform_closed_forms(fn, exact, tol):
     assert np.abs(got - exact(k)).max() <= tol
 
 
+@pytest.mark.parametrize("fn", [
+    lambda y: 1.0 + np.cos(y) ** 2, lambda y: np.abs(y - 1.0) + 0.5,
+], ids=["one_plus_cos_squared", "kink"])
+def test_opaque_lag_is_the_same_float_in_any_call(fn):
+    # a lag's transform depends on its lag and the panels alone; its
+    # small-omega moments once came from a BLAS product, which rounds by
+    # its shape, so a single-lag call differed from a batch in the last bit
+    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, fn),))
+    batch = autocovariance_batch(m, 400)
+    for k in range(1, 400):
+        assert autocovariance(m, k) == batch[k], k
+    k = np.arange(1.0, 400.0)
+    perm = np.random.default_rng(5).permutation(len(k))
+    piece = m.density[0]
+    assert np.array_equal(piece.cos_transform(k[perm]), batch[1:][perm])
+    assert np.array_equal(piece.cos_transform(k[17:40]), batch[18:41])
+
+
 def test_opaque_masses_closed_form():
     # a small G(x) keeps its relative accuracy down to x = 1e-300
     m = SpectralMeasure(density=(_one_plus_cos_squared(),))
