@@ -45,9 +45,9 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, check_int
-from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, _ROUNDOFF,
-                         bisect_panels, chebyshev_panels, fine_fold,
-                         interpolant_moments)
+from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _CHEB_X,
+                         _ROUNDOFF, bisect_panels, chebyshev_panels,
+                         clenshaw_curtis, fine_fold, interpolant_moments)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval,
                                robinson_integral)
@@ -65,8 +65,6 @@ _N_MAX = 2.0 ** 63
 # a row's panels with n b below it, where 2 sin(ny/2)**2 = (ny)**2/2 to
 # rounding, add n**2 times a prefix sum of their int g y**2/2
 _HEAD_NB = 2.0 ** -27
-# the Clenshaw-Curtis weights on the values at the 25 Chebyshev points
-_CC_NODES = _CC @ _DCT
 # most (row, panel) cells in one batch of rows of _variance_rows: the
 # batch's arrays stay a few MB on a grid of any length
 _BATCH_CELLS = 2 ** 12
@@ -154,11 +152,11 @@ def _panel_set(piece):
         return piece.formula(y) / (2.0 * np.sin(0.5 * y) ** 2)
 
     def rule(a, b):
-        _, h, _, coef, err = chebyshev_panels(g, a, b)
-        settled = ((err <= _ROUNDOFF * np.abs(h * (coef @ _CC)))
+        value, err = clenshaw_curtis(g, a, b)
+        settled = ((err <= _ROUNDOFF * np.abs(value))
                    | (b - a <= 2.0 * np.spacing(b)))
-        return np.zeros_like(h), np.where(settled, 0.0,
-                                          err * _envelope(_N_MAX, b))
+        return np.zeros_like(value), np.where(settled, 0.0,
+                                              err * _envelope(_N_MAX, b))
 
     lo, hi = max(piece.lo, _E0), piece.hi
     edges = np.array([hi])

@@ -1,16 +1,20 @@
-"""Adaptive panel quadrature.
+"""Adaptive panel quadrature on one panel rule.
 
-``bisect_panels`` is the adaptive loop: given a panel rule, it bisects the
-panels whose error estimates are too large until the total estimate meets the
-tolerance.  ``integrate`` runs it with a vectorized Gauss-Kronrod 7/15 rule
-and has no special rule for an endpoint singularity: ``specfun`` takes the
-singular heads of its integrals on [0, 1] from Taylor series.  The loop also
-runs Chebyshev panels (``chebyshev_panels``), once per density piece: to
-choose the panel set from which ``fejer_variance`` reads the piece's Fejer
-integral at every n, and, for an opaque piece, the panels of its transforms
-and masses; ``interpolant_moments`` integrates a panel's interpolant against
-exp(i omega x) with no matrix product, which BLAS would round by its shape,
-so each (omega, panel) cell is the same float in any batch.
+A panel interpolates its integrand at 25 Chebyshev points
+(``chebyshev_panels``); ``clenshaw_curtis`` integrates the interpolant and
+takes its Chebyshev tail as the error estimate.  ``bisect_panels`` is the
+adaptive loop: given that rule, it bisects the panels whose error estimates
+are too large until the total estimate meets the tolerance.
+
+``integrate`` runs the loop on an integrand and breakpoints, and has no
+special rule for an endpoint singularity: ``specfun`` takes the singular
+heads of its integrals on [0, 1] from Taylor series.  The same rule chooses,
+once per density piece, the panel set from which ``fejer_variance`` reads
+the piece's Fejer integral at every n and, for an opaque piece, the panels of
+its transforms and masses; ``interpolant_moments`` integrates a panel's
+interpolant against exp(i omega x) with no matrix product, which BLAS would
+round by its shape, so each (omega, panel) cell is the same float in any
+batch.
 
 Every panel is evaluated once: a panel's value and estimate are kept across
 rounds, and a round evaluates only the two children of each bisected panel
@@ -25,43 +29,6 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, NumericError
-
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1], QUADPACK qk15's
-# 33-digit values (float64 rounds each once).  The 7-point Gauss weights are
-# zero-padded onto the Kronrod nodes so both rules share one function
-# evaluation batch.
-_XK_HALF = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-])
-_WK_HALF = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-])
-_WK_MID = 0.209482141084727828012999174891714
-_WG_HALF = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-])
-_WG_MID = 0.417959183673469387755102040816327
-
-_XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
-_WK = np.concatenate([_WK_HALF, [_WK_MID], _WK_HALF[::-1]])
-_WG = np.zeros(15)
-_WG[1:7:2] = _WG_HALF
-_WG[7] = _WG_MID
-_WG[9:15:2] = _WG_HALF[::-1]
 
 # relative roundoff floor of a quadrature sum: no estimate is asked to go
 # below it, for the total or for a single panel
@@ -87,6 +54,8 @@ def _chebyshev_rule(deg: int):
 # a Chebyshev panel interpolates at 25 Chebyshev points
 _DEG = 24
 _CHEB_X, _DCT, _CC = _chebyshev_rule(_DEG)
+# the Clenshaw-Curtis weights at the points themselves
+_CC_NODES = _CC @ _DCT
 # the forward moment recurrence is stable from this frequency on; below it
 # a panel's interpolant takes the 129-point Clenshaw-Curtis rule, exact to
 # rounding on T_j(x) exp(i omega x) there
@@ -96,15 +65,12 @@ _RECURRENCE_MIN_OMEGA = 24.0
 _CHEB_MAX_PANELS = 2 ** 12
 
 
-def _gk_batch(f, lo, hi):
-    """Kronrod values and |K - G| error estimates for a batch of panels."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    y = c[:, None] + h[:, None] * _XK[None, :]
-    fy = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
-    ik = h * (fy * _WK[None, :]).sum(axis=1)
-    ig = h * (fy * _WG[None, :]).sum(axis=1)
-    return ik, np.abs(ik - ig)
+def _panel_values(f, a, b):
+    """The centres c and half-widths h of the panels [a[i], b[i]], and the
+    values of f at their 25 Chebyshev points ``c + h _CHEB_X``, a row each."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    y = c[:, None] + h[:, None] * _CHEB_X
+    return c, h, np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
 
 
 def chebyshev_panels(f, a, b):
@@ -116,11 +82,22 @@ def chebyshev_panels(f, a, b):
     error estimate, its Chebyshev tail (|c_23| + |c_24|) h, which estimates
     ``int |f - interpolant|`` over the panel.
     """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    y = c[:, None] + h[:, None] * _CHEB_X
-    values = np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
+    c, h, values = _panel_values(f, a, b)
     coef = values @ _DCT.T
     return c, h, values, coef, h * (np.abs(coef[:, -2]) + np.abs(coef[:, -1]))
+
+
+def clenshaw_curtis(f, a, b):
+    """The panel rule that ``bisect_panels`` runs: each panel's 25-point
+    Clenshaw-Curtis value and the Chebyshev-tail error estimate of
+    ``chebyshev_panels``.  Both are sums along the panel's own row of
+    values, not BLAS products, which round by the number of panels, so a
+    panel is the same float in any batch.  The points include both ends of
+    the panel."""
+    _, h, values = _panel_values(f, a, b)
+    tail = (np.abs((values * _DCT[-2]).sum(axis=1))
+            + np.abs((values * _DCT[-1]).sum(axis=1)))
+    return h * (values * _CC_NODES).sum(axis=1), h * tail
 
 
 def _cheb_moments(w):
@@ -252,7 +229,9 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, max_panels=200_000):
         (lo, hi) are ignored.
     Returns ``(value, error_estimate)``; raises NumericError if the estimate
     cannot be pushed below the effective tolerance within ``max_panels``
-    panels and 64 bisection rounds (``bisect_panels``).
+    panels and 64 bisection rounds (``bisect_panels``).  The rule is
+    ``clenshaw_curtis``, which evaluates f at both ends of every panel, so f
+    must be finite on [lo, hi] and at each breakpoint.
     """
     lo = float(lo)
     hi = float(hi)
@@ -263,5 +242,5 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, max_panels=200_000):
     pts = np.asarray(points, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
-    return bisect_panels(partial(_gk_batch, f), edges, tol=tol,
+    return bisect_panels(partial(clenshaw_curtis, f), edges, tol=tol,
                          max_panels=max_panels)[:2]

@@ -2,7 +2,7 @@
 
 * the oscillatory power moments ``int_0^x u**p cos(u) du`` and the sine
   analogue, evaluated by their Taylor series for ``x <= 1``, by the series
-  at 1 plus Gauss-Kronrod quadrature for moderate ``x`` and by
+  at 1 plus adaptive quadrature for moderate ``x`` and by
   constant-minus-asymptotic-tail for large ``x``.  These give closed-form
   cosine transforms of power-law densities for arbitrarily large frequency,
 * sin and cos of an angle given as a TwoProduct pair (``sin_cos``),
@@ -10,7 +10,13 @@
 
 Near the origin each integrand is a power times a power series (DLMF 4.19),
 so its singular head on [0, 1] is a sum of powers' integrals and no
-quadrature rule has to resolve the singularity.
+quadrature rule has to resolve the singularity.  Above 1 both integrals
+take ``quadrature.integrate``, whose 25-point Chebyshev panels are the rule
+the Fejer route's panel sets use.  So the covariance route's power moments
+share that rule but not its assembly: they bisect panels cut at the
+multiples of pi/2 for each endpoint, while a Fejer row reads a piece's fixed
+panel set through ``interpolant_moments``.  C1, the agreement of the two
+routes, keeps its tolerance.
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ def _series_pair(p: float, x):
 @lru_cache(maxsize=4096)
 def _base_pair_small(mu: float, x: float):
     """Base moments at exponent mu in (-1, 0) for one x below the asymptotic
-    cut: the series on [0, min(x, _SERIES_CUT)] and Gauss-Kronrod panels,
-    cut at the multiples of pi/2, above.
+    cut: the series on [0, min(x, _SERIES_CUT)] and, above, ``integrate``'s
+    Clenshaw-Curtis panels, cut at the multiples of pi/2.
 
     Memoized: the points ``k * hi`` below the cut depend on the density piece
     only, so every n of a scan asks for the same few again.
@@ -166,12 +172,14 @@ def sin_sq_moment(gamma: float) -> float:
 
     On [0, 1] the Taylor series of sin(y)**2 = (1 - cos 2y) / 2 integrates
     term by term: the sum over m >= 1 of (-1)**(m+1) 2**(2m-1) / ((2m)!
-    (2m - gamma)).  Above 1, Gauss-Kronrod panels per half-oscillation up
-    to Y ~ 1e4, and beyond Y the exact mean ``Y**-gamma / (2 gamma)`` minus
-    the oscillatory remainder ``(1/2) int_Y^inf cos(2y) y**(-1-gamma) dy``
-    summed by parts.  A raw ``sin**2 <= 1`` truncation cannot reach usable
-    accuracy at any feasible Y for small gamma, which is why the tail is
-    split this way.
+    (2m - gamma)).  Above 1, ``integrate``'s Clenshaw-Curtis panels per
+    half-oscillation up to Y ~ 1e4, and beyond Y the exact mean
+    ``Y**-gamma / (2 gamma)`` minus the oscillatory remainder
+    ``(1/2) int_Y^inf cos(2y) y**(-1-gamma) dy`` summed by parts.  A raw
+    ``sin**2 <= 1`` truncation cannot reach usable accuracy at any feasible
+    Y for small gamma, which is why the tail is split this way.  At nine
+    gamma from 0.01 to 1.99 the sum is within 4e-16 relative of the closed
+    form -2**(gamma-1) Gamma(-gamma) cos(pi gamma/2), which it never uses.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 2.0:

@@ -25,16 +25,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
 
 from . import ddouble as dd
 from .errors import DomainError, SerializationError, ValidationError, check_int
-from .quadrature import (_CC, _CHEB_MAX_PANELS, _CHEB_X, _DCT, bisect_panels,
-                         chebyshev_panels, fine_fold, integrate,
-                         interpolant_moments)
+from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _CHEB_X,
+                         bisect_panels, chebyshev_panels, clenshaw_curtis,
+                         fine_fold, integrate, interpolant_moments)
 from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
@@ -118,10 +118,11 @@ class PowerDensity:
 
     def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
         """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
-        support) for smooth (piecewise) vectorized g, by Gauss-Kronrod
-        panels; towards a singular y**exponent at 0 they bisect, and near
-        exponent -1 raise NumericError.  No route calls it;
-        perfbench/tracing.py wraps it on each piece class by name."""
+        support) for smooth (piecewise) vectorized g, by ``integrate``'s
+        Clenshaw-Curtis panels.  A panel evaluates both its ends, so a
+        singular y**exponent at lo = 0 reads inf there and raises
+        NumericError.  No route calls it, on any piece class; it stays only
+        because perfbench/tracing.py wraps it on each class by name."""
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi, points=points,
                          tol=tol, max_panels=max_panels)[0]
@@ -227,6 +228,8 @@ class TableDensity:
         return np.interp(y, ys, vals)
 
     def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
+        """``PowerDensity.integrate_against``, breakpoints at the grid
+        points."""
         pts = np.concatenate([np.asarray(points, dtype=float), np.asarray(self.ys)])
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi,
@@ -287,11 +290,8 @@ class OpaqueDensity:
         # the panels that meet _OPAQUE_TOL, bisected from [lo, hi] by
         # Clenshaw-Curtis with Chebyshev-tail estimates; they do not depend
         # on any lag or point asked for later
-        def rule(a, b):
-            _, h, _, coef, err = chebyshev_panels(self.formula, a, b)
-            return h * (coef @ _CC), err
-
-        _, _, edges = bisect_panels(rule, np.array([self.lo, self.hi]),
+        _, _, edges = bisect_panels(partial(clenshaw_curtis, self.formula),
+                                    np.array([self.lo, self.hi]),
                                     tol=_OPAQUE_TOL,
                                     max_panels=_CHEB_MAX_PANELS)
         c, h, _, coef, _ = chebyshev_panels(self.formula, edges[:-1],
@@ -319,7 +319,7 @@ class OpaqueDensity:
         t = -1.0 + u * (1.0 + _CHEB_X[:, None])
         p = np.polynomial.chebyshev.chebval(t, coef[i].T, tensor=False)
         total = np.zeros_like(x)
-        for w, row in zip(_CC @ _DCT, p):
+        for w, row in zip(_CC_NODES, p):
             total += w * row
         return cum[i] + h[i] * u * total
 
@@ -361,6 +361,8 @@ class OpaqueDensity:
         return v
 
     def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
+        """``PowerDensity.integrate_against``, by ``integrate``, not the
+        piece's panel set."""
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi, points=points,
                          tol=tol, max_panels=max_panels)[0]
@@ -369,12 +371,19 @@ class OpaqueDensity:
         """``int y**-2 density(y) dy`` over (max(lo, a), hi] by adaptive
         quadrature, seeded from lo > 0 with the dyadic panels [lo, 2 lo], ..
         that resolve y**-2; divergence at a 0 endpoint cannot be decided
-        symbolically, so there it converges or raises NumericError."""
+        symbolically, so there it converges or raises NumericError.  The
+        integrand reads 0 at y = 0, where a panel's end point falls, so the
+        first panel bisects toward 0 until its share is met or fails."""
         lo = max(self.lo, a)
         if lo >= self.hi:
             return 0.0
         doublings = math.ceil(math.log2(self.hi / lo)) if lo > 0.0 else 1
-        return integrate(lambda y: self.formula(y) / y ** 2, lo, self.hi,
+
+        def integrand(y):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(y > 0.0, self.formula(y) / y ** 2, 0.0)
+
+        return integrate(integrand, lo, self.hi,
                          points=lo * 2.0 ** np.arange(1, doublings),
                          tol=1e-9)[0]
 

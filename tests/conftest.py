@@ -8,7 +8,7 @@ import pytest
 
 from specvar import PowerDensity, SpectralMeasure, g_eval
 from specvar import ddouble as dd
-from specvar.quadrature import _DEG, integrate
+from specvar.quadrature import _DEG
 from specvar.cli import run as cli_run
 
 
@@ -170,16 +170,25 @@ def cheb_moments_reference(omega):
 
 def sandwich_upper_quadrature(m: SpectralMeasure, n: int, A: float) -> float:
     """The sandwich's upper bound G(pi) + (pi^2/4) n^2 G(a) + pi^2 int_a^pi
-    G(y) y^-3 dy at a = A/n, its tail by adaptive Gauss-Kronrod quadrature
-    as before the closed form: breakpoints at the atoms, the piece ends and
-    65 log-spaced points, and an absolute target of 1e-10."""
+    G(y) y^-3 dy at a = A/n, its tail by scipy's adaptive quad, with no code
+    shared with the package's quadrature: once per interval between
+    breakpoints at the atoms, the piece ends and log-spaced points at most a
+    factor e apart.  quad never evaluates an interval's ends, so the
+    right-continuous G is read only where it is smooth."""
+    from scipy.integrate import quad  # test_cli checks the CLI never loads it
+
     pi = math.pi
     a = A / n
     locs, _ = m.atom_arrays()
-    pts = [locs[(locs > a) & (locs < pi)], np.geomspace(a, pi, 65)]
-    pts += [np.array([piece.lo, piece.hi]) for piece in m.density]
-    tail, _ = integrate(lambda y: g_eval(m, y) / y ** 3, a, pi,
-                        points=np.concatenate(pts), tol=1e-10)
+    efolds = np.geomspace(a, pi, max(2, math.ceil(math.log(pi / a)) + 1))
+    pts = [[a, pi], locs, efolds]
+    pts += [[piece.lo, piece.hi] for piece in m.density]
+    edges = np.unique(np.concatenate(pts))
+    edges = edges[(edges >= a) & (edges <= pi)]
+    tail = math.fsum(
+        quad(lambda y: g_eval(m, y) / y ** 3, lo, hi, epsabs=1e-14,
+             epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]))
     return (g_eval(m, pi) + (pi ** 2 / 4.0) * n ** 2 * g_eval(m, a)
             + pi ** 2 * tail)
 

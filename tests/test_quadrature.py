@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specvar.errors import NumericError
-from specvar.quadrature import _ROUNDOFF, _WG, _WK, _XK, _gk_batch, integrate
+from specvar.quadrature import _CHEB_X, _ROUNDOFF, clenshaw_curtis, integrate
 
 
 def test_polynomial_exact():
@@ -13,14 +13,15 @@ def test_polynomial_exact():
     assert err < 1e-10
 
 
-def test_gauss_kronrod_constants_are_exact_on_monomials():
-    # K15 is exact to degree 22 and G7 to degree 13; with the constants
-    # rounded once from 33 digits, float64 misses 2/(k+1) (or 0) by ulps
-    for rule, degree in ((_WK, 22), (_WG, 13)):
-        for k in range(degree + 1):
-            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            got = math.fsum(rule * _XK ** k)
-            assert abs(got - want) <= 4 * np.finfo(float).eps, (degree, k)
+def test_clenshaw_curtis_is_exact_on_monomials():
+    # 25 points integrate every polynomial of degree <= 25 exactly; float64
+    # misses the integrals of y**k on [-1, 1] and [0, 2] by a few ulps
+    eps = np.finfo(float).eps
+    for k in range(26):
+        val, _ = clenshaw_curtis(lambda y: y ** k, np.array([-1.0, 0.0]),
+                                 np.array([1.0, 2.0]))
+        assert abs(val[0] - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 8 * eps
+        assert val[1] == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=8 * eps)
 
 
 def test_oscillatory_with_breakpoints():
@@ -52,7 +53,7 @@ def _every_panel_each_round(f, lo, hi, tol=1e-10, max_rounds=30):
     """The adaptive loop without memory: each round evaluates every panel."""
     edges = np.array([lo, hi])
     for _ in range(max_rounds):
-        ik, err = _gk_batch(f, edges[:-1], edges[1:])
+        ik, err = clenshaw_curtis(f, edges[:-1], edges[1:])
         total, total_err = float(ik.sum()), float(err.sum())
         eff_tol = max(tol, _ROUNDOFF * abs(total))
         if total_err <= eff_tol:
@@ -66,8 +67,9 @@ def _every_panel_each_round(f, lo, hi, tol=1e-10, max_rounds=30):
 
 
 def test_no_panel_is_evaluated_twice():
-    # at tol=1e-13 one panel of cos(23 y) converges a round before the others
-    f = lambda y: np.cos(23 * y)  # noqa: E731
+    # at tol=1e-13 the quarters of [0, 1/2] converge a round before those
+    # of [1/2, 1], where cos(40 y**2) oscillates fastest
+    f = lambda y: np.cos(40 * y * y)  # noqa: E731
     seen = []
 
     def recording(y):
@@ -75,7 +77,9 @@ def test_no_panel_is_evaluated_twice():
         return f(y)
 
     got = integrate(recording, 0.0, 1.0, tol=1e-13)
-    ys = np.concatenate(seen)
+    # adjacent panels share an end point, so a panel is its row of nodes
+    panels = np.concatenate(seen).reshape(-1, len(_CHEB_X))
     assert len(seen) > 3  # several rounds of bisection
-    assert len(np.unique(ys)) == len(ys)
+    assert len(panels) < 2 ** len(seen) - 1  # a round kept some panels
+    assert len(np.unique(panels, axis=0)) == len(panels)
     assert got == _every_panel_each_round(f, 0.0, 1.0, tol=1e-13)

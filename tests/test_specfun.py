@@ -171,6 +171,23 @@ def test_sin_sq_moment_identity(gamma):
     assert quad_val == pytest.approx(1.0 / c_gamma(gamma), abs=1e-10)
 
 
+# -2**(gamma-1) Gamma(-gamma) cos(pi gamma/2), pi/2 at gamma = 1, by mpmath
+# at 40 digits at the float gamma
+@pytest.mark.parametrize("gamma, want", [
+    (0.01, 50.637170874582367293),
+    (0.1, 5.6561349870924080677),
+    (0.5, 1.7724538509055160273),
+    (0.9, 1.5428638601953992594),
+    (1.0, 1.5707963267948966192),
+    (1.1, 1.6288068624193808115),
+    (1.5, 2.3632718012073547031),
+    (1.9, 10.253956878153765869),
+    (1.99, 100.23204107923943393),
+])
+def test_sin_sq_moment_closed_form(gamma, want):
+    assert sin_sq_moment(gamma) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_sin_sq_moment_known_value():
     # gamma = 1: int sin^2 y / y^2 = pi/2
     assert sin_sq_moment(1.0) == pytest.approx(math.pi / 2.0, abs=1e-12)

@@ -11,13 +11,14 @@ from scipy.integrate import quad
 
 from conftest import _PI_EXACT, _reduce
 
-from specvar import (DomainError, OpaqueDensity, PowerDensity,
-                     SerializationError, SpectralMeasure, TableDensity,
-                     ValidationError, autocovariance, autocovariance_batch,
-                     counterexample, g_eval, measure_from_dict,
-                     measure_from_json, measure_to_dict, measure_to_json,
-                     nonergodic, power_law, quadratic, robinson_integral,
-                     variance_spectral, white_noise, with_origin_atom)
+from specvar import (DomainError, NumericError, OpaqueDensity,
+                     PowerDensity, SerializationError, SpectralMeasure,
+                     TableDensity, ValidationError, autocovariance,
+                     autocovariance_batch, counterexample, g_eval,
+                     measure_from_dict, measure_from_json, measure_to_dict,
+                     measure_to_json, nonergodic, power_law, quadratic,
+                     robinson_integral, variance_spectral, white_noise,
+                     with_origin_atom)
 from specvar.spectral_measure import atom_fejer_sums
 
 PI = math.pi
@@ -354,6 +355,25 @@ def test_robinson_table_cases():
     flat = SpectralMeasure(density=(
         TableDensity(ys=(1.0, 2.0), vals=(3.0, 3.0)),))
     assert robinson_integral(flat) == pytest.approx(3.0 * (1.0 - 0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize("fn, exact", [
+    (lambda y: y ** 2, PI),
+    (lambda y: y ** 3, PI ** 2 / 2.0),
+    (lambda y: y ** 1.5, 2.0 * math.sqrt(PI)),
+    (lambda y: np.ones_like(y), None),
+    (lambda y: y, None),
+], ids=["y^2", "y^3", "y^1.5", "1", "y"])
+def test_robinson_opaque_piece_from_zero(fn, exact):
+    # a panel evaluates its ends, and the integrand reads 0 at y = 0, not
+    # f(0)/0**2: the first panel bisects toward 0 until the integral
+    # converges, or the divergent ones raise
+    m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, fn),))
+    if exact is None:
+        with pytest.raises(NumericError):
+            robinson_integral(m, 0.0)
+    else:
+        assert robinson_integral(m, 0.0) == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("exponent, exact", [
