@@ -1,30 +1,26 @@
-"""Adaptive panel quadrature on one panel rule.
+"""Panel quadrature on one panel rule.
 
 A panel interpolates its integrand at 25 Chebyshev points
 (``chebyshev_panels``); ``clenshaw_curtis`` integrates the interpolant and
-takes its Chebyshev tail as the error estimate.  ``bisect_panels`` is the
-adaptive loop: given that rule, it bisects the panels whose error estimates
-are too large until the total estimate meets the tolerance.
+takes its Chebyshev tail as the error estimate.  ``integrate`` takes one
+pass of that rule over the panels its caller cuts where the integrand is
+smooth.  ``bisect_panels`` is the only adaptive loop, and it chooses panel
+sets: once per density piece, the set from which ``fejer_variance`` reads
+its Fejer integral at every n and, for an opaque piece, the panels of its
+transforms; ``interpolant_moments`` integrates a panel's interpolant against
+exp(i omega x) with no matrix product, which BLAS would round by its shape,
+so each (omega, panel) cell is the same float in any batch.
 
-``integrate`` runs the loop on an integrand and breakpoints, and has no
-special rule for an endpoint singularity: ``specfun`` takes the singular
-heads of its integrals on [0, 1] from Taylor series.  The same rule chooses,
-once per density piece, the panel set from which ``fejer_variance`` reads
-the piece's Fejer integral at every n and, for an opaque piece, the panels of
-its transforms and masses; ``interpolant_moments`` integrates a panel's
-interpolant against exp(i omega x) with no matrix product, which BLAS would
-round by its shape, so each (omega, panel) cell is the same float in any
-batch.
-
-Every panel is evaluated once: a panel's value and estimate are kept across
-rounds, and a round evaluates only the two children of each bisected panel
-(as QUADPACK's QAG does).  The children replace their parent in edge order, so
-the result is the same, bit for bit, as re-evaluating every panel each round.
+``bisect_panels`` evaluates every panel once: a round evaluates only the two
+children of each bisected panel (as QUADPACK's QAG does), which replace
+their parent in edge order, so the result is bit for bit that of
+re-evaluating every panel each round.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +29,7 @@ from .errors import DomainError, NumericError
 # relative roundoff floor of a quadrature sum: no estimate is asked to go
 # below it, for the total or for a single panel
 _ROUNDOFF = 64.0 * np.finfo(float).eps
-# most bisection rounds of one integral; a panel holding a jump halves each
+# most bisection rounds of one panel set; a panel holding a jump halves each
 # round, so 64 rounds take it far below any tolerance the package asks for
 _MAX_ROUNDS = 64
 
@@ -170,9 +166,9 @@ def interpolant_moments(omega, panel, coef, fold):
 
 
 def bisect_panels(rule, edges, *, tol, max_panels):
-    """Integrate over the panels between ``edges`` (increasing), bisecting
-    the ones whose estimates are too large until the total estimate meets
-    ``tol`` or the roundoff floor of the total.
+    """Choose a panel set: from the panels between ``edges`` (increasing),
+    bisect the ones whose estimates are too large until the total estimate
+    meets ``tol`` or the roundoff floor of the total.
 
     rule: ``rule(a, b) -> (values, error_estimates)`` for the panels
         [a[i], b[i]], given as arrays.
@@ -222,16 +218,16 @@ def bisect_panels(rule, edges, *, tol, max_panels):
         f"tol={tol:.1e}", achieved=total_err)
 
 
-def integrate(f, lo, hi, *, points=(), tol=1e-10, max_panels=200_000):
-    """Integrate ``f`` over ``[lo, hi]`` with breakpoint-seeded adaptivity.
+def integrate(f, lo, hi, *, points=(), tol=1e-10):
+    """Integrate ``f`` over ``[lo, hi]`` in one pass of ``clenshaw_curtis``
+    over the panels between lo, hi and the breakpoints inside (lo, hi).
 
-    points: interior breakpoints (oscillation zeros, knots); values outside
-        (lo, hi) are ignored.
-    Returns ``(value, error_estimate)``; raises NumericError if the estimate
-    cannot be pushed below the effective tolerance within ``max_panels``
-    panels and 64 bisection rounds (``bisect_panels``).  The rule is
-    ``clenshaw_curtis``, which evaluates f at both ends of every panel, so f
-    must be finite on [lo, hi] and at each breakpoint.
+    points: breakpoints (oscillation zeros, knots) that cut [lo, hi] into
+        panels on which f is smooth; values outside (lo, hi) are ignored.
+    Returns ``(value, error_estimate)``; raises NumericError with the
+    achieved estimate when it misses max(tol, the roundoff floor of the
+    value), or when f or the sum is not finite.  The rule evaluates f at
+    both ends of every panel, so f must be finite on [lo, hi].
     """
     lo = float(lo)
     hi = float(hi)
@@ -242,5 +238,12 @@ def integrate(f, lo, hi, *, points=(), tol=1e-10, max_panels=200_000):
     pts = np.asarray(points, dtype=float)
     pts = pts[(pts > lo) & (pts < hi)]
     edges = np.unique(np.concatenate([[lo, hi], pts]))
-    return bisect_panels(partial(clenshaw_curtis, f), edges, tol=tol,
-                         max_panels=max_panels)[:2]
+    with np.errstate(all="ignore"):  # inf and nan fail the check below
+        ik, err = clenshaw_curtis(f, edges[:-1], edges[1:])
+    total, total_err = float(ik.sum()), float(err.sum())
+    if not (math.isfinite(total)
+            and total_err <= max(tol, _ROUNDOFF * abs(total))):
+        raise NumericError(
+            f"quadrature on [{lo}, {hi}] did not reach tol={tol:.1e} on "
+            f"{len(ik)} panels", achieved=total_err)
+    return total, total_err

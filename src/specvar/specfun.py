@@ -2,9 +2,9 @@
 
 * the oscillatory power moments ``int_0^x u**p cos(u) du`` and the sine
   analogue, evaluated by their Taylor series for ``x <= 1``, by the series
-  at 1 plus adaptive quadrature for moderate ``x`` and by
-  constant-minus-asymptotic-tail for large ``x``.  These give closed-form
-  cosine transforms of power-law densities for arbitrarily large frequency,
+  at 1 plus one quadrature pass cut at pi/2 multiples for moderate ``x``
+  and by constant-minus-asymptotic-tail for large ``x``: closed-form
+  cosine transforms of power-law densities at any frequency,
 * sin and cos of an angle given as a TwoProduct pair (``sin_cos``),
 * the improper integral ``int_0^inf sin(y)**2 / y**(1+gamma) dy``.
 
@@ -13,10 +13,10 @@ so its singular head on [0, 1] is a sum of powers' integrals and no
 quadrature rule has to resolve the singularity.  Above 1 both integrals
 take ``quadrature.integrate``, whose 25-point Chebyshev panels are the rule
 the Fejer route's panel sets use.  So the covariance route's power moments
-share that rule but not its assembly: they bisect panels cut at the
-multiples of pi/2 for each endpoint, while a Fejer row reads a piece's fixed
-panel set through ``interpolant_moments``.  C1, the agreement of the two
-routes, keeps its tolerance.
+share that rule but not its assembly: they take one pass over panels cut at
+the multiples of pi/2, while a Fejer row reads a piece's fixed panel set
+through ``interpolant_moments``.  C1, the agreement of the two routes, keeps
+its tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .quadrature import integrate
 _ASYMPTOTIC_CUT = 45.0
 # up to this endpoint the integrals are taken from their Taylor series
 _SERIES_CUT = 1.0
+# sin_sq_moment's oscillating part is summed by parts beyond this point
+_SIN_SQ_TAIL = 64.0
 # terms of the series; at the cut the first one left out is below 1e-26 of
 # the sum, also for sin(y)**2, whose series runs in 2y
 _SERIES_TERMS = 16
@@ -97,8 +99,8 @@ def _series_pair(p: float, x):
 @lru_cache(maxsize=4096)
 def _base_pair_small(mu: float, x: float):
     """Base moments at exponent mu in (-1, 0) for one x below the asymptotic
-    cut: the series on [0, min(x, _SERIES_CUT)] and, above, ``integrate``'s
-    Clenshaw-Curtis panels, cut at the multiples of pi/2.
+    cut: the series on [0, min(x, _SERIES_CUT)] and, above, one
+    ``integrate`` pass over panels cut at the multiples of pi/2.
 
     Memoized: the points ``k * hi`` below the cut depend on the density piece
     only, so every n of a scan asks for the same few again.
@@ -172,29 +174,22 @@ def sin_sq_moment(gamma: float) -> float:
 
     On [0, 1] the Taylor series of sin(y)**2 = (1 - cos 2y) / 2 integrates
     term by term: the sum over m >= 1 of (-1)**(m+1) 2**(2m-1) / ((2m)!
-    (2m - gamma)).  Above 1, ``integrate``'s Clenshaw-Curtis panels per
-    half-oscillation up to Y ~ 1e4, and beyond Y the exact mean
-    ``Y**-gamma / (2 gamma)`` minus the oscillatory remainder
-    ``(1/2) int_Y^inf cos(2y) y**(-1-gamma) dy`` summed by parts.  A raw
-    ``sin**2 <= 1`` truncation cannot reach usable accuracy at any feasible
-    Y for small gamma, which is why the tail is split this way.  At nine
-    gamma from 0.01 to 1.99 the sum is within 4e-16 relative of the closed
-    form -2**(gamma-1) Gamma(-gamma) cos(pi gamma/2), which it never uses.
+    (2m - gamma)).  Above 1 the same identity splits the integral into its
+    mean, 1 / (2 gamma), and ``-2**(gamma-1) int_2^inf cos(u) u**(-1-gamma)
+    du``: one ``integrate`` pass on [2, _SIN_SQ_TAIL] at the multiples of
+    pi/2 and, beyond, ``_tail_pair``.  At nine gamma from 0.01 to 1.99 the
+    sum is within 4e-16 relative of the closed form -2**(gamma-1)
+    Gamma(-gamma) cos(pi gamma/2), which it never uses.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < 2.0:
         raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
     series = math.fsum(_SIGN * 2.0 ** (_M2 + 1.0) * _INV_FACT[2::2]
                        / (_M2 + 2.0 - gamma))
-    integrand = lambda y: np.sin(y) ** 2 * y ** (-1.0 - gamma)  # noqa: E731
-    head, _ = integrate(integrand, _SERIES_CUT, math.pi, tol=1e-14)
-    n_panels = 3183  # Y = n_panels * pi ~ 1e4
-    edges = np.arange(1, n_panels + 1) * math.pi
-    mid, _ = integrate(integrand, edges[0], edges[-1], points=edges[1:-1],
-                       tol=1e-13)
-    y_cut = float(edges[-1])
-    tail_mean = y_cut ** (-gamma) / (2.0 * gamma)
-    x_cut = np.array([2.0 * y_cut])
-    tc, _ = _tail_pair(-1.0 - gamma, x_cut, *sin_cos(x_cut))
-    tail_osc = 0.5 * 2.0 ** gamma * float(tc[0])
-    return series + head + mid + tail_mean - tail_osc
+    q = -1.0 - gamma
+    cuts = np.arange(1, int(2.0 * _SIN_SQ_TAIL / math.pi) + 1) * (math.pi / 2.0)
+    mid, _ = integrate(lambda u: u ** q * np.cos(u), 2.0, _SIN_SQ_TAIL,
+                       points=cuts, tol=1e-15)
+    x_cut = np.array([_SIN_SQ_TAIL])
+    tc, _ = _tail_pair(q, x_cut, *sin_cos(x_cut))
+    return series + 0.5 / gamma - 2.0 ** (gamma - 1.0) * (mid + float(tc[0]))

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import ddouble as dd
 from .errors import DomainError, SerializationError, ValidationError, check_int
-from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _CHEB_X,
-                         bisect_panels, chebyshev_panels, clenshaw_curtis,
-                         fine_fold, integrate, interpolant_moments)
+from .quadrature import (_CHEB_MAX_PANELS, bisect_panels,
+                         chebyshev_panels, clenshaw_curtis, fine_fold,
+                         integrate, interpolant_moments)
 from .specfun import sin_cos, trig_power_moments
 
 PI = math.pi
@@ -116,16 +116,16 @@ class PowerDensity:
         """The density at y in [lo, hi], both ends included."""
         return self.coef * np.asarray(y, dtype=float) ** self.exponent
 
-    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
+    def integrate_against(self, g, points=(), *, tol, hi=None):
         """``int density(y) * g(y) dy`` over (lo, hi] (by default the whole
-        support) for smooth (piecewise) vectorized g, by ``integrate``'s
-        Clenshaw-Curtis panels.  A panel evaluates both its ends, so a
-        singular y**exponent at lo = 0 reads inf there and raises
-        NumericError.  No route calls it, on any piece class; it stays only
-        because perfbench/tracing.py wraps it on each class by name."""
+        support) by one ``integrate`` pass, with ``points`` cutting the
+        product into smooth panels.  A panel evaluates both its ends, so a
+        singular y**exponent at lo = 0 raises NumericError.  No route calls
+        it, on any piece class; it stays only because perfbench/tracing.py
+        wraps it on each class by name."""
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi, points=points,
-                         tol=tol, max_panels=max_panels)[0]
+                         tol=tol)[0]
 
     def robinson_part(self, a: float = 0.0) -> float:
         """``int y**-2 density(y) dy`` over (max(lo, a), hi]; +inf when
@@ -227,13 +227,13 @@ class TableDensity:
         ys, vals = self._arrays()
         return np.interp(y, ys, vals)
 
-    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
-        """``PowerDensity.integrate_against``, breakpoints at the grid
-        points."""
+    def integrate_against(self, g, points=(), *, tol, hi=None):
+        """``PowerDensity.integrate_against``, with the grid points among
+        the breakpoints."""
         pts = np.concatenate([np.asarray(points, dtype=float), np.asarray(self.ys)])
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi,
-                         points=pts, tol=tol, max_panels=max_panels)[0]
+                         points=pts, tol=tol)[0]
 
     def robinson_part(self, a: float = 0.0) -> float:
         """``int y**-2 density(y) dy`` over (max(lo, a), hi], exact per
@@ -261,6 +261,8 @@ _OPAQUE_TOL = 1e-12
 # (panels x lags) cells per block of an opaque piece's cosine transforms;
 # bounds the moment temporaries
 _PANEL_CELLS = 1 << 12
+# most dyadic points of an opaque piece's G (toward lo) and R(a) (toward 0)
+_MASS_CUTS, _ROBINSON_CUTS = 520, 511
 
 
 @dataclass(frozen=True)
@@ -269,9 +271,10 @@ class OpaqueDensity:
 
     The evaluator must accept ndarray input and return finite, nonnegative
     values on [lo, hi], both ends included (``formula`` checks every value).
-    Opaque pieces cannot be serialized.  Their masses and cosine transforms
-    come from one set of Chebyshev panels, chosen once from the density
-    alone (``_panels``).
+    Opaque pieces cannot be serialized.  Their cosine transforms come from
+    one set of Chebyshev panels, chosen once from the density alone
+    (``_panels``); G and R(a) read those panels' edges plus dyadic points
+    toward lo and the origin, so both stay accurate relative to themselves.
     """
 
     lo: float
@@ -289,39 +292,37 @@ class OpaqueDensity:
     def _panels(self):
         # the panels that meet _OPAQUE_TOL, bisected from [lo, hi] by
         # Clenshaw-Curtis with Chebyshev-tail estimates; they do not depend
-        # on any lag or point asked for later
+        # on any lag or point asked for later.  The mass grid adds points
+        # dyadic toward lo; cum holds the mass below each of its points
         _, _, edges = bisect_panels(partial(clenshaw_curtis, self.formula),
                                     np.array([self.lo, self.hi]),
                                     tol=_OPAQUE_TOL,
                                     max_panels=_CHEB_MAX_PANELS)
         c, h, _, coef, _ = chebyshev_panels(self.formula, edges[:-1],
                                             edges[1:])
-        cum = np.concatenate([[0.0], np.cumsum(h * (coef @ _CC))])
-        return edges, c, h, coef, fine_fold(coef), cum
+        span = edges[1] - self.lo
+        cuts = self.lo + span * 2.0 ** -np.arange(_MASS_CUTS, 0, -1)
+        grid = np.concatenate([edges[:1], cuts[cuts > self.lo], edges[1:]])
+        cum = np.cumsum(clenshaw_curtis(self.formula, grid[:-1], grid[1:])[0])
+        return (edges, c, h, coef, fine_fold(coef), grid,
+                np.concatenate([[0.0], cum]))
 
     def mass_upto(self, x):
         """Integral of the density over (lo, min(x, hi)]; vectorized in x.
 
-        The mass of the panels below x, plus the interpolant's integral over
-        [a, x] in the panel [a, b] holding x.  That integral is taken by
-        25-point Clenshaw-Curtis on [a, x], which is exact on the degree-24
-        interpolant and, unlike its indefinite Chebyshev series summed at x,
-        keeps a small value near a accurate relative to itself.  The rule's
-        terms are added one node at a time, not by a BLAS product whose
-        order depends on the length of x, so each value is the same float
-        whatever other points come with it.
+        The mass below the point a of the mass grid (``_panels``) next below
+        x, plus ``clenshaw_curtis`` of the density on [a, x]: the grid is
+        dyadic toward lo, so the value stays accurate relative to itself
+        down to x - lo = 2**-520 (edges[1] - lo), or an ulp of lo > 0.  The
+        rule sums along each point's own row, so a value is the same float
+        whatever points come with it.
         """
         x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)),
                     self.lo, self.hi)
-        edges, _, h, coef, _, cum = self._panels
-        i = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(h) - 1)
-        u = (x - edges[i]) / (2.0 * h[i])  # x = a + 2 h u, u in [0, 1]
-        t = -1.0 + u * (1.0 + _CHEB_X[:, None])
-        p = np.polynomial.chebyshev.chebval(t, coef[i].T, tensor=False)
-        total = np.zeros_like(x)
-        for w, row in zip(_CC_NODES, p):
-            total += w * row
-        return cum[i] + h[i] * u * total
+        grid, cum = self._panels[5:]
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0,
+                    len(grid) - 2)
+        return cum[i] + clenshaw_curtis(self.formula, grid[i], x)[0]
 
     @property
     def mass(self) -> float:
@@ -338,7 +339,7 @@ class OpaqueDensity:
         contiguous row, so it is the same float whatever lags come with it.
         """
         k = _lag_array(k)
-        _, c, h, coef, fold, _ = self._panels
+        _, c, h, coef, fold = self._panels[:5]
         out = np.empty_like(k)
         step = max(1, _PANEL_CELLS // len(h))
         panel = np.arange(len(h))
@@ -360,31 +361,32 @@ class OpaqueDensity:
                               f">= 0, got {float(v[bad].flat[0])}")
         return v
 
-    def integrate_against(self, g, points=(), *, tol, max_panels, hi=None):
-        """``PowerDensity.integrate_against``, by ``integrate``, not the
-        piece's panel set."""
+    def integrate_against(self, g, points=(), *, tol, hi=None):
+        """``PowerDensity.integrate_against``, over the breakpoints
+        ``points``, not the piece's panel set."""
         return integrate(lambda y: self.formula(y) * g(y), self.lo,
                          self.hi if hi is None else hi, points=points,
-                         tol=tol, max_panels=max_panels)[0]
+                         tol=tol)[0]
 
     def robinson_part(self, a: float = 0.0) -> float:
-        """``int y**-2 density(y) dy`` over (max(lo, a), hi] by adaptive
-        quadrature, seeded from lo > 0 with the dyadic panels [lo, 2 lo], ..
-        that resolve y**-2; divergence at a 0 endpoint cannot be decided
-        symbolically, so there it converges or raises NumericError.  The
-        integrand reads 0 at y = 0, where a panel's end point falls, so the
-        first panel bisects toward 0 until its share is met or fails."""
+        """``int y**-2 density(y) dy`` over (max(lo, a), hi] by one
+        ``integrate`` pass over the piece's panel edges and the cuts hi
+        2**-j above max(lo, a), j <= _ROBINSON_CUTS.  Divergence at a 0
+        endpoint cannot be decided symbolically: the integrand reads 0 at
+        y = 0, on a first panel that holds a negligible share of a
+        convergent integral, and a divergent one raises NumericError."""
         lo = max(self.lo, a)
         if lo >= self.hi:
             return 0.0
-        doublings = math.ceil(math.log2(self.hi / lo)) if lo > 0.0 else 1
+        span = math.log2(self.hi) - math.log2(lo) if lo > 0.0 else math.inf
+        cuts = self.hi * 2.0 ** -np.arange(1, min(span, _ROBINSON_CUTS) + 1)
 
         def integrand(y):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(y > 0.0, self.formula(y) / y ** 2, 0.0)
 
         return integrate(integrand, lo, self.hi,
-                         points=lo * 2.0 ** np.arange(1, doublings),
+                         points=np.concatenate([self._panels[0], cuts]),
                          tol=1e-9)[0]
 
 

@@ -470,6 +470,18 @@ def test_opaque_density_matches_power_piece(n):
         variance_spectral(quadratic(), n), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2 ** 20, 2 ** 40, 2 ** 62])
+def test_opaque_bracket_matches_power_piece(n):
+    # G(1/n) of an opaque 2y is (1/n)**2 to rounding, so the bracket equals
+    # the closed form's and holds the variance
+    opaque = sandwich(SpectralMeasure(density=(
+        OpaqueDensity(0.0, PI, lambda y: 2.0 * y),)), n)
+    want = sandwich(quadratic(), n)
+    assert opaque.lower <= opaque.variance <= opaque.upper
+    assert opaque.lower == pytest.approx(want.lower, rel=1e-14)
+    assert opaque.upper == pytest.approx(want.upper, rel=1e-14)
+
+
 def _whole_and_split(whole, below, above):
     """A density on (0, pi] with a break at y = 1, and the same density as
     two smooth pieces split at the break."""
@@ -792,8 +804,13 @@ def test_sandwich_brackets_gallery(gallery_measures):
 
 
 @settings(max_examples=400, deadline=None)
-@given(measures(), st.integers(1, 2 ** 40), st.floats(0.05, 1.0))
+@given(st.one_of(measures(), density_pieces().map(
+           lambda pt: SpectralMeasure(density=(pt[0],)))),
+       st.integers(1, 2 ** 62), st.floats(0.05, 1.0))
 def test_sandwich_brackets_random_measures(m, n, f):
+    # atoms and power pieces from 0, or a single piece of any kind: a table
+    # piece, a power piece with lo > 0 or an opaque twin of a power piece,
+    # whose G must be accurate relative to itself at 1/n
     A = max(min(f * n, 4.0), 1e-3)
     rep = sandwich(m, n, A=A)
     v = variance_spectral(m, n)

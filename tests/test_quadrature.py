@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from specvar.errors import NumericError
-from specvar.quadrature import _CHEB_X, _ROUNDOFF, clenshaw_curtis, integrate
+from specvar.quadrature import (_CHEB_X, _ROUNDOFF, bisect_panels,
+                                clenshaw_curtis, integrate)
 
 
 def test_polynomial_exact():
@@ -31,9 +33,16 @@ def test_oscillatory_with_breakpoints():
     assert val == pytest.approx(2.0 / k, abs=1e-12)
 
 
+def _bisect(f, lo, hi, tol=1e-10, max_panels=200_000):
+    """The value and estimate of the panel set ``bisect_panels`` chooses
+    for f from the single panel [lo, hi]."""
+    return bisect_panels(partial(clenshaw_curtis, f), np.array([lo, hi]),
+                         tol=tol, max_panels=max_panels)[:2]
+
+
 def test_oscillatory_without_breakpoints_still_adapts():
     k = 23
-    val, _ = integrate(lambda y: np.cos(k * y), 0.0, 1.0)
+    val, _ = _bisect(lambda y: np.cos(k * y), 0.0, 1.0)
     assert val == pytest.approx(math.sin(k) / k, abs=1e-10)
 
 
@@ -41,8 +50,25 @@ def test_budget_exhaustion_raises_with_achieved():
     # a needle the panel budget cannot resolve
     f = lambda y: 1.0 / (1e-14 + (y - 0.123456) ** 2)  # noqa: E731
     with pytest.raises(NumericError) as excinfo:
-        integrate(f, 0.0, 1.0, tol=1e-12, max_panels=8)
+        _bisect(f, 0.0, 1.0, tol=1e-12, max_panels=8)
     assert excinfo.value.achieved is not None
+
+
+def test_integrate_is_one_pass():
+    # integrate does not bisect: cos 23y needs panels cut every pi/46
+    k = 23
+    f = lambda y: np.cos(k * y)  # noqa: E731
+    with pytest.raises(NumericError) as excinfo:
+        integrate(f, 0.0, 1.0, tol=1e-12)
+    assert excinfo.value.achieved is not None
+    cuts = np.arange(1, 15) * (math.pi / (2 * k))
+    val, err = integrate(f, 0.0, 1.0, points=cuts, tol=1e-12)
+    assert val == pytest.approx(math.sin(k) / k, abs=1e-12)
+    assert err <= 1e-12
+    # an integrand beyond the float range raises NumericError, not a
+    # RuntimeWarning (which the suite turns into an error)
+    with pytest.raises(NumericError):
+        integrate(np.exp, 0.0, 1000.0, points=np.arange(1.0, 1000.0))
 
 
 def test_empty_interval():
@@ -76,7 +102,7 @@ def test_no_panel_is_evaluated_twice():
         seen.append(np.array(y, copy=True))
         return f(y)
 
-    got = integrate(recording, 0.0, 1.0, tol=1e-13)
+    got = _bisect(recording, 0.0, 1.0, tol=1e-13)
     # adjacent panels share an end point, so a panel is its row of nodes
     panels = np.concatenate(seen).reshape(-1, len(_CHEB_X))
     assert len(seen) > 3  # several rounds of bisection

@@ -361,19 +361,22 @@ def test_robinson_table_cases():
     (lambda y: y ** 2, PI),
     (lambda y: y ** 3, PI ** 2 / 2.0),
     (lambda y: y ** 1.5, 2.0 * math.sqrt(PI)),
+    (lambda y: (np.abs(y - 1.0) + 1.0) * y ** 2,
+     0.5 + (PI - 1.0) ** 2 / 2.0 + PI),
     (lambda y: np.ones_like(y), None),
     (lambda y: y, None),
-], ids=["y^2", "y^3", "y^1.5", "1", "y"])
+], ids=["y^2", "y^3", "y^1.5", "kink", "1", "y"])
 def test_robinson_opaque_piece_from_zero(fn, exact):
     # a panel evaluates its ends, and the integrand reads 0 at y = 0, not
-    # f(0)/0**2: the first panel bisects toward 0 until the integral
-    # converges, or the divergent ones raise
+    # f(0)/0**2: the panels cut at pi 2**-j, j <= 511, leave [0, pi 2**-511]
+    # a negligible share of the convergent integrals and spoil the estimate
+    # of the divergent ones, which raise
     m = SpectralMeasure(density=(OpaqueDensity(0.0, PI, fn),))
     if exact is None:
         with pytest.raises(NumericError):
             robinson_integral(m, 0.0)
     else:
-        assert robinson_integral(m, 0.0) == pytest.approx(exact, rel=1e-9)
+        assert robinson_integral(m, 0.0) == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("exponent, exact", [
@@ -569,6 +572,27 @@ def test_opaque_masses_closed_form():
     got = g_eval(m, x)
     assert np.all(np.abs(got - want) <= 1e-14 * np.minimum(1.0, want))
     assert g_eval(m, 0.0) == 0.0
+
+
+def test_opaque_masses_relative_near_the_origin():
+    # the mass grid's dyadic points toward lo keep G(x) accurate relative to
+    # itself at x = 1/n for every n < 2**63, and below
+    linear = SpectralMeasure(density=(
+        OpaqueDensity(0.0, PI, lambda y: 2.0 * y),))
+    for x in (2.0 ** -62, 2.0 ** -200, 2.0 ** -511):
+        assert g_eval(linear, x) == pytest.approx(x * x, rel=1e-15, abs=0.0)
+    root = SpectralMeasure(density=(OpaqueDensity(0.0, PI, np.sqrt),))
+    for x in (2.0 ** -62, 1e-8, 1e-3, 2.0):
+        assert g_eval(root, x) == pytest.approx(2.0 / 3.0 * x ** 1.5,
+                                                rel=1e-14, abs=0.0)
+    # and toward lo > 0, where the density reads y, not y - lo, so the
+    # rounding of y near lo, an ulp of lo, bounds what G resolves at lo + d
+    # (a panel's end node may also round an ulp below lo)
+    shifted = SpectralMeasure(density=(OpaqueDensity(
+        0.5, PI, lambda y: np.sqrt(np.maximum(y - 0.5, 0.0))),))
+    for d in (2.0 ** -10, 2.0 ** -20, 2.0 ** -40):
+        assert g_eval(shifted, 0.5 + d) == pytest.approx(
+            2.0 / 3.0 * d ** 1.5, rel=np.spacing(0.5) / d, abs=0.0)
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf],
