@@ -7,10 +7,14 @@ its integral at every n < 2**63, at a cost of O(log n), from one panel set
 chosen once from the density alone (``_panel_set``, where a kink or a jump
 is bisected): with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the factor
 ``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points on
-dyadic panels, and ``g cos(ny)`` integrated through the modified moments
-``int T_j(x) exp(i omega x) dx`` (Filon-Clenshaw-Curtis, QUADPACK QAWO's
-method; Piessens et al. 1983, error bounds in Dominguez, Graham &
-Smyshlyaev 2011).  A grid of n (``_variance_rows``, which the CLI's
+dyadic panels.  A row reads two zones of them.  Where ``I_n`` oscillates,
+n b > 1 on a panel with right edge b, ``g cos(ny)`` is integrated through
+the modified moments ``int T_j(x) exp(i omega x) dx`` (Filon-Clenshaw-
+Curtis, QUADPACK QAWO's method; Piessens et al. 1983, error bounds in
+Dominguez, Graham & Smyshlyaev 2011).  Below, in the kernel's main lobe,
+``1 - cos ny`` is its Taylor series, so the row is a short polynomial in
+(n b)**2 over sums ``S_m = int g (y/b)**(2m) dy`` below b that the panel
+set keeps for each b.  A grid of n (``_variance_rows``, which the CLI's
 ``variance`` and ``asymptotics.theorem_check`` call) takes the atoms from one
 sum per run of consecutive n and a piece's moments from one recurrence per
 batch of rows; every row equals ``variance_spectral`` at its n bit for bit.
@@ -39,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import pairwise
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, check_int
-from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _CHEB_X,
-                         _ROUNDOFF, bisect_panels, chebyshev_panels,
+from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _ROUNDOFF,
+                         _panel_nodes, bisect_panels, chebyshev_panels,
                          clenshaw_curtis, fine_fold, interpolant_moments)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_sums, check_lags, g_eval,
@@ -59,15 +63,21 @@ KERNEL_QUAD_MAX_N = 2 ** 14
 # absolute accuracy target of a density piece's integral against I_n
 _TOL = 1e-10
 # a density piece's panels start at _E0: every n < _N_MAX has n _E0 <
-# 2**-65, where I_n = n**2 to rounding, so (0, _E0] contributes n**2 G(_E0)
+# 2**-65, where I_n = n**2 to rounding, so (0, _E0] contributes n**2 G(_E0),
+# which the Taylor sums of _panel_set carry from their seed
 _E0 = math.ldexp(PI, -130)
 _N_MAX = 2.0 ** 63
-# a row's panels with n b below it, where 2 sin(ny/2)**2 = (ny)**2/2 to
-# rounding, add n**2 times a prefix sum of their int g y**2/2
-_HEAD_NB = 2.0 ** -27
+# a row's panels with n b <= 1 take 2 sin(ny/2)**2 = 1 - cos(ny) from its
+# Taylor series to this many terms t_m (ny)**(2m): the first one left out
+# is below 2**-77 times the first
+_TAYLOR_TERMS = 11
+_TAYLOR = np.array([(-1.0) ** (m + 1) / math.factorial(2 * m)
+                    for m in range(1, _TAYLOR_TERMS + 1)])
 # most (row, panel) cells in one batch of rows of _variance_rows: the
 # batch's arrays stay a few MB on a grid of any length
 _BATCH_CELLS = 2 ** 12
+# terms per block of _blocked_cumsum
+_CUMSUM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -132,10 +142,18 @@ def _envelope(n, b):
 @lru_cache(maxsize=64)
 def _panel_set(piece):
     """The panels from which every n reads the piece's Fejer integral: their
-    right edges b, nodes y, the values there of ``g = density / (2
-    sin(y/2)**2)``, centres c, half-widths h, Chebyshev coefficients and
-    ``fine_fold``, ``int g`` and estimates, and the head sums: the mass
-    below _E0 plus ``int g y**2/2`` over the first i panels, i = 0, 1, ..
+    right edges b, centres c, half-widths h, the Chebyshev coefficients of
+    ``g = density / (2 sin(y/2)**2)`` on each, their ``fine_fold``, ``int
+    g`` and estimates, and the series sums ``t_m S_m[k]``, row m - 1.
+
+    ``S_m[k] = int g (y/b_k)**(2m) dy`` below b_k, for m = 1 ..
+    _TAYLOR_TERMS, with ``t_m = (-1)**(m+1) / (2m)!`` the Taylor
+    coefficients of ``1 - cos``; k = 0 stands for b_0 = _E0, where ``g y**2``
+    is twice the density to rounding, so S_1[0] = 2 G(_E0)/_E0**2, and k >=
+    1 for the panels.  One pass builds them, ``S_m[k] = (b_(k-1)/b_k)**(2m)
+    S_m[k-1] + int_(panel k) g (y/b_k)**(2m) dy``: each step scales a
+    positive sum down and adds a positive term, so none overflows or
+    cancels.
 
     The panels lie between the piece's ends, a table's grid points and the
     dyadic points pi 2**-j in [_E0, pi].  A kink or a jump inside one is
@@ -166,38 +184,48 @@ def _panel_set(piece):
         edges = np.array([lo, *sorted(y for y in points if lo < y < hi), hi])
         edges = bisect_panels(rule, edges, tol=0.1 * _TOL,
                               max_panels=_CHEB_MAX_PANELS)[2]
-    c, h, values, coef, err = chebyshev_panels(g, edges[:-1], edges[1:])
-    y = c[:, None] + h[:, None] * _CHEB_X
-    head = [piece.mass_upto(np.array([min(_E0, hi)])),
-            h * (values * (0.5 * y * y) * _CC_NODES).sum(axis=1)]
-    return (edges[1:], y, values, c, h, coef, fine_fold(coef),
-            h * (coef @ _CC), err, np.cumsum(np.concatenate(head)))
+    b = edges[1:]
+    c, h, values, coef, err = chebyshev_panels(g, edges[:-1], b)
+    # int_(panel k) g (y/b_k)**(2m) dy, m = 1 .. _TAYLOR_TERMS, row m - 1
+    twice_m = np.arange(2.0, 2.0 * _TAYLOR_TERMS + 1.0, 2.0)
+    x = _panel_nodes(edges[:-1], b)[2] / b[:, None]
+    parts = h * (values * _CC_NODES * x ** twice_m[:, None, None]).sum(axis=2)
+    s = np.zeros(_TAYLOR_TERMS)
+    s[0] = 2.0 * piece.mass_upto(np.array([min(_E0, hi)]))[0] / _E0 ** 2
+    sums = [s]
+    for ratio, part in zip(np.concatenate([[_E0], b[:-1]]) / b, parts.T):
+        s = ratio ** twice_m * s + part
+        sums.append(s)
+    return (b, c, h, coef, fine_fold(coef), h * (coef @ _CC), err,
+            _TAYLOR[:, None] * np.array(sums).T)
 
 
 def _batch_rows(panels, ns) -> list:
     """``int density I_n`` from a ``_panel_set`` for each n in ns.
 
-    A row takes n**2 times a head sum for its panels with n b < _HEAD_NB, and
-    a cell from each other panel, which depends on its n and panel alone:
-    Clenshaw-Curtis of ``g 2 sin(ny/2)**2`` at the nodes where n b <= 1, where
-    ``1 - cos ny`` would cancel, and ``int g - h Re(exp(i n c) sum_j coef_j
-    mu_j(n h))`` elsewhere (``interpolant_moments``).  The phase n c is a
-    plain float product: its error eps n c multiplies an oscillatory part of
-    size g(c)/n.  NumericError when a row's estimate, the panels' weighted by
-    ``_envelope`` at its n, misses max(_TOL, roundoff of the row).
+    A row takes the panels where ``I_n`` does not oscillate, n b <= 1, from
+    their Taylor series: with k the last of them (k = 0, b_0 = _E0, when
+    there is none), ``2 sin(ny/2)**2 = sum_m t_m (ny)**(2m)`` gives
+    ``sum_m t_m (n b_k)**(2m) S_m[k]``, by Horner's rule.  Each other panel,
+    n b > 1, adds a cell ``int g - h Re(exp(i n c) sum_j coef_j mu_j(n h))``
+    (``interpolant_moments``), which depends on its n and panel alone.  The
+    phase n c is a plain float product: its error eps n c multiplies an
+    oscillatory part of size g(c)/n.  NumericError when a row's estimate,
+    the panels' weighted by ``_envelope`` at its n, misses max(_TOL,
+    roundoff of the row).
     """
-    b, y, values, c, h, coef, fold, flat, err, head = panels
+    b, c, h, coef, fold, flat, err, taylor = panels
     n = np.array(ns, dtype=float)[:, None]
     nb = n * b
+    k = (nb <= 1.0).sum(axis=1)
+    x = (n[:, 0] * np.concatenate([[_E0], b])[k]) ** 2
+    rows = reduce(lambda acc, t: x * (t + acc), taylor[::-1, k], 0.0)
     cells = np.zeros((len(ns), len(b)))
-    r, p = np.nonzero((nb >= _HEAD_NB) & (nb <= 1.0))
-    kernel = 2.0 * np.sin(0.5 * n[r] * y[p]) ** 2
-    cells[r, p] = h[p] * (values[p] * kernel * _CC_NODES).sum(axis=1)
     r, p = np.nonzero(nb > 1.0)
     nr = n[r, 0]
     v = interpolant_moments(nr * h[p], p, coef, fold)
     cells[r, p] = flat[p] - h[p] * (np.exp(1j * (nr * c[p])) * v).real
-    rows = n[:, 0] ** 2 * head[(nb < _HEAD_NB).sum(axis=1)] + cells.sum(axis=1)
+    rows += cells.sum(axis=1)
     achieved = (err * _envelope(n, b)).sum(axis=1)
     missed = np.flatnonzero(achieved > np.maximum(_TOL,
                                                   _ROUNDOFF * np.abs(rows)))
@@ -287,11 +315,12 @@ def variance_covariance(m: SpectralMeasure, n) -> float:
     return total
 
 
-def _blocked_cumsum(x, block: int = 512):
-    """Cumulative sum of x, summed within blocks and then across them: a
-    long run of tiny alternating terms is not added one by one to a large
-    running total, whose rounding would drift."""
-    rows = np.concatenate([x, np.zeros(-len(x) % block)]).reshape(-1, block)
+def _blocked_cumsum(x):
+    """Cumulative sum of x, summed within blocks of _CUMSUM_BLOCK terms and
+    then across them: a long run of tiny alternating terms is not added one
+    by one to a large running total, whose rounding would drift."""
+    pad = np.zeros(-len(x) % _CUMSUM_BLOCK)
+    rows = np.concatenate([x, pad]).reshape(-1, _CUMSUM_BLOCK)
     np.cumsum(rows, axis=1, out=rows)
     rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
     return rows.ravel()[:len(x)]

@@ -61,11 +61,19 @@ _RECURRENCE_MIN_OMEGA = 24.0
 _CHEB_MAX_PANELS = 2 ** 12
 
 
-def _panel_values(f, a, b):
-    """The centres c and half-widths h of the panels [a[i], b[i]], and the
-    values of f at their 25 Chebyshev points ``c + h _CHEB_X``, a row each."""
+def _panel_nodes(a, b):
+    """The centres c and half-widths h of the panels [a[i], b[i]], and their
+    25 Chebyshev points ``c + h _CHEB_X``, a row each, clipped to the panel:
+    c - h and c + h, or an interior point of a panel a few floats wide, can
+    round an ulp outside it."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    y = c[:, None] + h[:, None] * _CHEB_X
+    return c, h, np.clip(c[:, None] + h[:, None] * _CHEB_X, a[:, None],
+                         b[:, None])
+
+
+def _panel_values(f, a, b):
+    """``_panel_nodes`` with the values of f at the points, a row each."""
+    c, h, y = _panel_nodes(a, b)
     return c, h, np.asarray(f(y.ravel()), dtype=float).reshape(y.shape)
 
 
@@ -73,10 +81,10 @@ def chebyshev_panels(f, a, b):
     """Interpolate f at the 25 Chebyshev points of each panel [a[i], b[i]].
 
     Returns the panels' centres c and half-widths h, the values of f at the
-    points ``c + h _CHEB_X`` (one row per panel), their Chebyshev
-    coefficients (``f(c + h x) = sum_j coef_j T_j(x)``) and each panel's
-    error estimate, its Chebyshev tail (|c_23| + |c_24|) h, which estimates
-    ``int |f - interpolant|`` over the panel.
+    points ``c + h _CHEB_X`` of ``_panel_nodes`` (one row per panel), their
+    Chebyshev coefficients (``f(c + h x) = sum_j coef_j T_j(x)``) and each
+    panel's error estimate, its Chebyshev tail (|c_23| + |c_24|) h, which
+    estimates ``int |f - interpolant|`` over the panel.
     """
     c, h, values = _panel_values(f, a, b)
     coef = values @ _DCT.T

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -559,13 +560,17 @@ def test_power_piece_with_exponent_near_minus_0_9(n):
     assert abs(variance_spectral(m, n) - want) <= 1e-14 * want
 
 
-def test_density_rows_exact_across_the_head_cut():
-    # a row's panels with n b below 2**-27 contribute n**2 times a prefix
-    # sum of int g y**2/2: white noise (exactly n) and the quadratic
-    # measure stay within 1e-15 on both sides of every power of two, from
-    # n = 1 to 2**62, and at every n up to 3000
+def test_density_rows_exact_across_the_series_cut():
+    # a row's panels with n b <= 1 come from the Taylor series of 1 - cos
+    # ny, the others from Filon-Clenshaw-Curtis: white noise (exactly n)
+    # and the quadratic measure stay within 1e-15 on both sides of every
+    # power of two, from n = 1 to 2**62, at every n up to 3000, and on
+    # both sides of each dyadic panel's switch, n = floor(2**j/pi) and one
+    # more, j <= 64
     ns = sorted({*range(1, 3001),
-                 *(2 ** k + d for k in range(1, 63) for d in (-1, 0, 1))})
+                 *(2 ** k + d for k in range(1, 63) for d in (-1, 0, 1)),
+                 *(math.floor(Fraction(2 ** j) / Fraction(PI)) + d
+                   for j in range(2, 65) for d in (0, 1))})
     white = _variance_rows(white_noise(), ns)
     quad = _variance_rows(quadratic(), ns)
     for n, w, q in zip(ns, white, quad):
@@ -575,14 +580,32 @@ def test_density_rows_exact_across_the_head_cut():
 
 
 @pytest.mark.parametrize("p", [-0.95, -0.92, -0.9, -0.85, -0.8])
-def test_power_pieces_near_minus_0_9_across_the_head_cut(p):
-    # y**p grows towards the origin, where the head panels lie; the
+def test_power_pieces_near_minus_0_9_across_the_series_cut(p):
+    # y**p grows towards the origin, where the series panels lie; the
     # reference's singular first arc stays smooth for p <= -0.8
     m = SpectralMeasure(density=(PowerDensity(0.0, PI, 1.0, p),))
     ns = [1, 2, 3, 16, 17, 63, 64, 65, 1000, 1023, 1024, 1025, 4096]
     for n, v in zip(ns, _variance_rows(m, ns)):
         want = power_fejer_reference(1.0, p, n)
         assert abs(v - want) <= 1e-14 * want, n
+
+
+@pytest.mark.parametrize("piece, n", [
+    (PowerDensity(2.5, PI, 1.0, 0.3), 1), (PowerDensity(2.5, PI, 1.0, 0.3), 2),
+    (TableDensity((0.5, PI), (0.5, PI)), 2 ** 62)],
+    ids=["power-n1", "power-n2", "table-n2**62"])
+def test_rows_with_no_panel_below_the_series_cut(piece, n):
+    # every panel has n b > 1, so the series reads its sums at b_0 = _E0,
+    # where they are 0 for a piece from lo > _E0.  Small n meets the
+    # covariance route; at n = 2**62 the density y on [0.5, pi] gives
+    # int g = [2 log sin(y/2) - y cot(y/2)] to within g(0.5)/n
+    m = SpectralMeasure(density=(piece,))
+    v = variance_spectral(m, n)
+    if n < 2 ** 14:
+        assert abs(variance_covariance(m, n) - v) <= 1e-12 * v
+    else:
+        want = 0.5 / math.tan(0.25) - 2.0 * math.log(math.sin(0.25))
+        assert v == pytest.approx(want, rel=1e-14)
 
 
 @st.composite

@@ -17,8 +17,8 @@ from specvar import (DomainError, NumericError, OpaqueDensity,
                      autocovariance_batch, counterexample, g_eval,
                      measure_from_dict, measure_from_json, measure_to_dict,
                      measure_to_json, nonergodic, power_law, quadratic,
-                     robinson_integral, variance_spectral, white_noise,
-                     with_origin_atom)
+                     robinson_integral, variance_covariance,
+                     variance_spectral, white_noise, with_origin_atom)
 from specvar.spectral_measure import atom_fejer_sums
 
 PI = math.pi
@@ -587,12 +587,22 @@ def test_opaque_masses_relative_near_the_origin():
                                                 rel=1e-14, abs=0.0)
     # and toward lo > 0, where the density reads y, not y - lo, so the
     # rounding of y near lo, an ulp of lo, bounds what G resolves at lo + d
-    # (a panel's end node may also round an ulp below lo)
     shifted = SpectralMeasure(density=(OpaqueDensity(
-        0.5, PI, lambda y: np.sqrt(np.maximum(y - 0.5, 0.0))),))
+        0.5, PI, lambda y: np.sqrt(y - 0.5)),))
     for d in (2.0 ** -10, 2.0 ** -20, 2.0 ** -40):
         assert g_eval(shifted, 0.5 + d) == pytest.approx(
             2.0 / 3.0 * d ** 1.5, rel=np.spacing(0.5) / d, abs=0.0)
+
+
+def test_opaque_nodes_stay_inside_the_piece():
+    # a panel's points c -+ h can round an ulp below lo = 0.5, where
+    # sqrt(y - 0.5) is nan; every point is clipped to its panel
+    m = SpectralMeasure(density=(
+        OpaqueDensity(0.5, PI, lambda y: np.sqrt(y - 0.5)),))
+    assert m.density[0].mass == pytest.approx(
+        2.0 / 3.0 * (PI - 0.5) ** 1.5, rel=1e-15)
+    v = variance_spectral(m, 100)
+    assert variance_covariance(m, 100) == pytest.approx(v, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf],
