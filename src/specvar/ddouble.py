@@ -167,6 +167,21 @@ def total(x, axis=1):
                      for part in fold(w[i:i + 2], k, w[-3:])])
 
 
+def horner(c, s, work):
+    """``sum_j c[j] s**j`` by Horner's rule, in place: c is a sequence of
+    pairs (hi, lo) that broadcast against s, s a ``presplit`` pair, and
+    ``work`` eight arrays of the result's shape; returns (work[0],
+    work[1]).  Each step splits the partial sum p into work[2:4], takes p s
+    into work[4:8] and adds the next coefficient back into work[0:2]."""
+    p = work[0:2]
+    np.copyto(p[0], c[-1][0])
+    np.copyto(p[1], c[-1][1])
+    for cj in c[-2::-1]:
+        x = mul_presplit((*p, *split(p[0], work[2:4])), s, work[4:8])
+        p = add(x, cj, (*work[0:4], work[6]))
+    return p
+
+
 def cpowers(z, count):
     """``z**0 .. z**(count-1)`` stacked along a new axis 1, and ``z**(2**j)``
     for the least 2**j >= count, from products of squares; each squaring
@@ -207,15 +222,11 @@ def cis(n: int, t):
         q = (2 * num + den * _PIO2) // (2 * den * _PIO2)  # nearest
         rows.append((q % 4, *_pair(num - q * den * _PIO2, den << 256)))
     quad, *r = np.array(rows, dtype=float).reshape(-1, 3).T
-    s = presplit(sqr(r))
-    # Horner in place: p = w[0:2] is split into w[2:4], times s into w[4:8],
-    # and plus the next term back into w[0:2]
-    w = tuple(np.zeros((8, 2, len(quad))))
-    p = w[0:2]
-    for c in _TAYLOR.reshape(15, 2, 2)[::-1]:  # (cos r, sin(r)/r), (hi, lo)
-        x = mul_presplit((*p, *split(p[0], w[2:4])), s, w[4:8])
-        p = add(x, c.T[..., None], (*w[0:4], w[6]))
-    cos, sin = np.stack(p)[:, 0], np.stack(mul(np.stack(p)[:, 1], r))
+    # (cos r, sin(r)/r) as series in r**2, the pairs (hi, lo) of each term
+    # on the first axis
+    terms = _TAYLOR.reshape(15, 2, 2).transpose(0, 2, 1)[..., None]
+    p = np.stack(horner(terms, presplit(sqr(r)), np.empty((8, 2, len(quad)))))
+    cos, sin = p[:, 0], np.stack(mul(p[:, 1], r))
     turn = np.stack([cos, -sin, -cos, sin])  # Re(i**q (cos + i sin)) by q
     q = quad.astype(int)
     return np.concatenate([np.choose(q, turn), np.choose((q + 3) % 4, turn)])

@@ -2,16 +2,20 @@
 
 The spectral route integrates the Fejer kernel ``I_n(y) = sin(ny/2)**2 /
 sin(y/2)**2`` against the folded measure:  ``Var(S_n) = int_[0,pi] I_n dG``.
-Atoms are summed in double-double and rounded once.  A density piece reads
-its integral at every n < 2**63, at a cost of O(log n), from one panel set
-chosen once from the density alone (``_panel_set``, where a kink or a jump
-is bisected): with ``I_n = (1 - cos ny) / (2 sin(y/2)**2)``, the factor
-``g = density / (2 sin(y/2)**2)`` is interpolated at 25 Chebyshev points on
-dyadic panels.  A row reads two zones of them.  Where ``I_n`` oscillates,
-n b > 1 on a panel with right edge b, ``g cos(ny)`` is integrated through
-the modified moments ``int T_j(x) exp(i omega x) dx`` (Filon-Clenshaw-
-Curtis, QUADPACK QAWO's method; Piessens et al. 1983, error bounds in
-Dominguez, Graham & Smyshlyaev 2011).  Below, in the kernel's main lobe,
+Atoms are summed in double-double and rounded once (``atom_fejer_sums``):
+on a run of at least 1024 n, those in the kernel's main lobe, n loc <= 1
+at its last n, as one Taylor series in (n b)**2 per row, and only the
+others atom by atom.
+A density piece reads its integral at every n < 2**63, at a cost of
+O(log n), from one panel set chosen once from the density alone
+(``_panel_set``, where a kink or a jump is bisected): with ``I_n =
+(1 - cos ny) / (2 sin(y/2)**2)``, the factor ``g = density / (2
+sin(y/2)**2)`` is interpolated at 25 Chebyshev points on dyadic panels.
+A row reads two zones of them.  Where ``I_n`` oscillates, n b > 1 on a
+panel with right edge b, ``g cos(ny)`` is integrated through the modified
+moments ``int T_j(x) exp(i omega x) dx`` (Filon-Clenshaw-Curtis, QUADPACK
+QAWO's method; Piessens et al. 1983, error bounds in Dominguez, Graham &
+Smyshlyaev 2011).  Below, in the kernel's main lobe,
 ``1 - cos ny`` is its Taylor series, so the row is a short polynomial in
 (n b)**2 over sums ``S_m = int g (y/b)**(2m) dy`` below b that the panel
 set keeps for each b.  A grid of n (``_variance_rows``, which the CLI's

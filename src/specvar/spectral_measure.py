@@ -477,49 +477,98 @@ def g_eval(m: SpectralMeasure, x):
 # 2**26; a larger n raises DomainError instead of numpy's MemoryError
 MAX_LAGS = 2 ** 28
 _ATOM_CELLS = 1 << 15  # (atoms x n) cells per block: its workspace fits L2
+# An atom with n loc <= _LOBE_CUT for every n of a Fejer sum lies in the
+# kernel's main lobe, where 2 sin(n loc/2)**2 = 1 - cos(n loc) is its Taylor
+# series in (n loc)**2; _LOBE_TERMS terms leave out one below 2**-106 of the
+# first.  Its t_m = (-1)**(m+1) / (2m)! are the even rows of ddouble's.
+# Past the first _LOBE_DD terms, each is below 2**-60 of the first, so
+# float64 carries them to 2**-113 of it, at a tenth of a double-double
+# Horner step's ufunc calls.  The series costs a fixed few hundred ufunc
+# calls per call and per block, about 1.3 ms on a single n, so only a run
+# of at least _LOBE_RUN n takes it; a shorter one keeps every atom in the
+# kernel (in process, the series cost more than the cells it saves below
+# about 1000 n).
+_LOBE_CUT = 1.0
+_LOBE_TERMS = 14
+_LOBE_DD = 9
+_LOBE_RUN = 1024
+_LOBE_T = -dd._TAYLOR[2:2 * _LOBE_TERMS + 1:2]
 
 
-def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
+def _lobe_rows(c, b2, start: int, steps, w):
+    """``n**2 sum_m c[m] (n b)**(2m)`` (m from 0) for the n = start + steps,
+    as an unnormalized pair (``ddouble.add`` takes it as is): c holds the
+    Horner coefficients as pairs, b2 is b**2 ``presplit``, and w is sixteen
+    arrays of steps' shape.  n and n**2 are pairs, exact and to 2**-106 for
+    any n < 2**64; (n b)**2 is n**2 b**2, where b**2 underflows only when
+    every (n b)**2 < 2**-896 is far below a term's resolution."""
+    hi = float(start)
+    n = dd.add((hi, float(start - int(hi))), (steps, 0.0), w[0:5])
+    n2 = dd.sqr(n, (w[12], w[13], *w[2:7]))
+    n2 = (*n2, *dd.split(n2[0], w[14:16]))
+    x = dd.mul_presplit(n2, b2, w[8:12])
+    x = (*x, *dd.split(x[0], w[10:12]))
+    tail = w[0]  # the float64 terms, Horner's first partial sum
+    np.copyto(tail, c[-1, 0])
+    for cj in c[-2:_LOBE_DD - 1:-1]:
+        np.add(np.multiply(tail, x[0], out=tail), cj[0], out=tail)
+    p = dd.horner([*c[:_LOBE_DD], (tail, 0.0)], x, w[0:8])
+    return dd.mul_presplit((*p, *dd.split(p[0], w[2:4])), n2, w[4:8])
+
+
+def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
     """Per n = n0 .. n0+count-1, the atoms' sum of ``Re(weight z**n)`` or,
-    with ``imag``, of ``Im(weight z**n)**2``, each rounded once.
+    with ``imag``, of ``Im(weight z**n)**2``, each rounded once; with
+    ``lobe = (c, b2)`` (``_lobe``), plus the ``_lobe_rows`` of n, added
+    before that rounding.
 
     t holds an angle per atom and z = exp(i t) (a complex stack, ``cis(1,
-    t)``), weight a real pair per atom.  The n lie on a grid n = n0 + a*B + b
-    (b < B, B the least power of two with B*B >= count): the row table holds
-    ``weight z**(n0 + aB)``, ``cis(n0, t)`` times the powers of z**B, and the
-    column table z**b (``cpowers`` both), so no angle n*t is ever rounded.
-    A cell takes only the part it needs of row times column, from two
-    products of pre-split table values and one double-double addition; the
-    atoms are summed pairwise in double-double (``ddouble.fold``).  ``cis``
-    is good to about 2**-104 whatever n0, and the powers add up to count *
-    2**-104 relative, far below a float's resolution for count <= MAX_LAGS.
+    t)``), weight a real pair per atom (there may be none when a lobe is
+    given).  The n lie on a grid n = n0 + a*B + b (b < B, B the least power
+    of two with B*B >= count): the row table holds ``weight z**(n0 + aB)``,
+    ``cis(n0, t)`` times the powers of z**B, and the column table z**b
+    (``cpowers`` both), so no angle n*t is ever rounded.  A cell takes only
+    the part it needs of row times column, from two products of pre-split
+    table values and one double-double addition; the atoms are summed
+    pairwise in double-double (``ddouble.fold``).  ``cis`` is good to about
+    2**-104 whatever n0, and the powers add up to count * 2**-104 relative,
+    far below a float's resolution for count <= MAX_LAGS.
 
     The grid goes in blocks of whole rows or of part of one row: a block's
     run of n is a power of two, so it divides B, of about _ATOM_CELLS /
     atoms n but never fewer than 64 (or the whole grid), so that no ufunc
-    loops over short rows.  Every block writes into one workspace made per
-    call, seven arrays of (atoms + 1) x block cells (the spare row pads the
-    pairwise sum), through ufuncs with ``out``: no block allocates, and at
-    _ATOM_CELLS cells the workspace stays in a core's L2 cache.
+    loops over short rows; its n are consecutive.  Every block writes into
+    workspaces made per call, seven arrays of (atoms + 1) x block cells (the
+    spare row pads the pairwise sum) and, with a lobe, sixteen of one cell
+    per n, through ufuncs with ``out``: no block allocates.  A block counts
+    the lobe's sixteen arrays as 16/7 atoms, so its cells, the lobe's
+    included, stay near _ATOM_CELLS, and seven arrays of them (1.75 MiB) a
+    core's L2 cache, however many atoms lie in the lobe.
     """
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
     A = -(-count // B)
-    cols, zB = dd.cpowers(z, B)
-    rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
-    rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
-    # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block
-    rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
-    if imag:  # Im(r c) = Re r Im c + Im r Re c
-        factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
-    else:     # Re(r c) = Re r Re c - Im r Im c
-        factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
-    (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
-                          for x, y in factors]
-    per = 1 << max(6, (_ATOM_CELLS // atoms).bit_length() - 1)
+    units = 7 * atoms + (16 if lobe is not None else 0)
+    per = 1 << max(6, (7 * _ATOM_CELLS // units).bit_length() - 1)
     rb, cb = (max(1, min(per // B, A)), B) if per >= B else (1, per)
+    if atoms:
+        cols, zB = dd.cpowers(z, B)
+        rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
+        rows = np.stack([*dd.mul(rows[0:2], weight),
+                         *dd.mul(rows[2:4], weight)])
+        # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block
+        rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
+        cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
+        if imag:  # Im(r c) = Re r Im c + Im r Re c
+            factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
+        else:     # Re(r c) = Re r Re c - Im r Im c
+            factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
+        (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
+                              for x, y in factors]
     work = np.empty((7, (atoms + 1) * rb * cb))
+    if lobe is not None:
+        steps = np.arange(rb * cb, dtype=float)
+        lobe_work = np.empty((16, rb * cb))
     grid = np.empty((A, B))
     # numpy copies a factor broadcast along a row through its ufunc buffer;
     # from 128 columns on, the copy costs more than the longer inner loops
@@ -529,19 +578,29 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool):
         for a0 in range(0, A, rb):
             r = min(rb, A - a0)
             w = work[:, :(atoms + 1) * r * cb].reshape(7, atoms + 1, r, cb)
-            c = tuple(w[:, :atoms])
-            r1 = tuple(t[:, a0:a0 + r] for t in x1)
-            r2 = tuple(t[:, a0:a0 + r] for t in x2)
+            if atoms:
+                c = tuple(w[:, :atoms])
+                r1 = tuple(t[:, a0:a0 + r] for t in x1)
+                r2 = tuple(t[:, a0:a0 + r] for t in x2)
             for b0 in range(0, B, cb):
-                v = dd.add(
-                    dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1),
-                                    (c[0], c[1], c[5], c[6])),
-                    dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2),
-                                    (c[2], c[3], c[5], c[6])),
-                    (c[0], c[1], c[4], c[5], c[6]))
-                if imag:
-                    dd.sqr(v, c)
-                hi, lo = dd.fold(w[0:2], atoms, w[2:5])
+                hi = lo = 0.0
+                if atoms:
+                    v = dd.add(
+                        dd.mul_presplit(
+                            r1, tuple(t[..., b0:b0 + cb] for t in y1),
+                            (c[0], c[1], c[5], c[6])),
+                        dd.mul_presplit(
+                            r2, tuple(t[..., b0:b0 + cb] for t in y2),
+                            (c[2], c[3], c[5], c[6])),
+                        (c[0], c[1], c[4], c[5], c[6]))
+                    if imag:
+                        dd.sqr(v, c)
+                    hi, lo = dd.fold(w[0:2], atoms, w[2:5])
+                if lobe is not None:
+                    lw = lobe_work[:, :r * cb].reshape(16, r, cb)
+                    s = _lobe_rows(*lobe, n0 + a0 * B + b0,
+                                   steps[:r * cb].reshape(r, cb), lw)
+                    hi, lo = dd.add((hi, lo), s, (*s, *lw[8:11]))
                 np.add(hi, lo, out=grid[a0:a0 + r, b0:b0 + cb])
     finally:
         np.setbufsize(old)
@@ -576,10 +635,43 @@ def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
                                count, imag=False), k)
 
 
+def _lobe(locs, root_w):
+    """The lobe of ``atom_fejer_sums`` for the atoms at locs, up to b, with
+    the weights root_w (pairs): its Horner coefficients t_m S_m as pairs,
+    m = 1 .. _LOBE_TERMS, and b**2 ``presplit``."""
+    # each atom's (root_w loc)**2 / 2, near 2 mass 2**-2k whatever loc
+    # (nothing underflows at 2**-1022), times (loc/b)**(2j) from products
+    # of squares, rows j: S_(j+1) sums a row of positive pairs
+    b = locs[-1]
+    zero = np.zeros_like(locs)
+    term = dd.sqr(dd.mul(root_w, (locs, zero)))
+    q = dd.sqr(dd.div((locs, zero), (b + zero, zero)))
+    powers = np.stack([np.ones((1, len(locs))), np.zeros((1, len(locs)))])
+    while powers.shape[1] < _LOBE_TERMS:
+        powers = np.concatenate([powers, np.stack(dd.mul(powers, q))], 1)
+        q = dd.sqr(q)
+    sums = dd.total(np.stack(dd.mul(powers[:, :_LOBE_TERMS],
+                                    (0.5 * term[0], 0.5 * term[1]))), 2)
+    return (np.stack(dd.mul(_LOBE_T.T, sums), axis=1),
+            dd.presplit(dd.sqr((b, 0.0))))
+
+
 def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     """``sum mass sin(n loc/2)**2 / sin(loc/2)**2`` over the atoms in (0, pi],
-    for the integers n = n0 .. n0+count-1: the squared imaginary parts of
-    sqrt(w) exp(i loc/2)**n with w = mass / sin(loc/2)**2 (``_atom_sums``).
+    for the integers n = n0 .. n0+count-1, in double-double, rounded once.
+
+    With w = mass / sin(loc/2)**2, an atom's term is w sin(n loc/2)**2 =
+    (w/2) (1 - cos(n loc)).  The atoms with n loc <= _LOBE_CUT at the last
+    n, a prefix of the sorted locations up to b, lie in the kernel's main
+    lobe.  On a run of at least _LOBE_RUN n they enter each row once, as
+    the Taylor series of 1 - cos: n**2 sum_m t_m (n b)**(2m-2) S_m over
+    _LOBE_TERMS terms by Horner's rule, with t_m = (-1)**(m+1) / (2m)! and
+    S_m = sum (w loc**2 / 2) (loc/b)**(2m-2) (``_lobe``, built per call).
+    Only the other atoms run the kernel of ``_atom_sums``, on the squared
+    imaginary parts of sqrt(w) exp(i loc/2)**n, whose sum the series joins
+    before the one rounding.  A shorter run, whose cost is the series' and
+    the kernel's fixed ufunc calls, not its cells, keeps every atom in the
+    kernel.
 
     Every term is positive, so the sum carries about max(2**-100,
     count 2**-104) relative error before its one rounding, whatever n0: it
@@ -595,11 +687,15 @@ def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     # squares below 2**min(e, e_root + bits of n), as |sin(nx) / sin x| <= n
     e_root = np.frexp(root[0])[1]
     e = e_root - np.frexp(h[2])[1] + 1
-    e_cell = np.minimum(e, e_root + (n0 + count - 1).bit_length())
+    n_last = n0 + count - 1
+    e_cell = np.minimum(e, e_root + n_last.bit_length())
     k = _downscale(np.maximum(e, e_cell + _DD_EXP // 2))
     root_w = dd.div(np.ldexp(root, -k), h[2:4])
-    return np.ldexp(_atom_sums(locs / 2.0, h, root_w, n0, count, imag=True),
-                    2 * k)
+    p = (int(np.searchsorted(locs, _LOBE_CUT / n_last, side="right"))
+         if count >= _LOBE_RUN else 0)
+    lobe = _lobe(locs[:p], (root_w[0][:p], root_w[1][:p])) if p else None
+    return np.ldexp(_atom_sums(locs[p:] / 2.0, h[:, p:], tuple(
+        x[p:] for x in root_w), n0, count, imag=True, lobe=lobe), 2 * k)
 
 
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:

@@ -94,14 +94,20 @@ def cis_reference(n: int, x: float):
 
 
 def atomic_variance_exact(m: SpectralMeasure, n: int) -> float:
-    """Var(S_n) of an atomic measure, rounded once: the origin atom's
-    a * n**2 plus each atom's mass (1 - cos(n loc)) / (1 - cos loc), the
-    Fejer kernel at loc, summed as fractions from ``cis_reference``."""
+    """Var(S_n) of an atomic measure, rounded once (inf beyond the float
+    range): the origin atom's a * n**2 plus each atom's mass (sin(n loc/2) /
+    sin(loc/2))**2, the Fejer kernel at loc, summed as fractions from
+    ``cis_reference`` at the exact half angle, where the sines are relative
+    however small loc is."""
     total = Fraction(m.atom_at_zero) * n * n
     for loc, mass in m.atoms:
-        num = 1 - cis_reference(n, loc)[0]
-        total += Fraction(mass) * num / (1 - cis_reference(1, loc)[0])
-    return float(total)
+        half = Fraction(loc) / 2
+        ratio = cis_reference(n, half)[1] / cis_reference(1, half)[1]
+        total += Fraction(mass) * ratio * ratio
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 def _total_reference(x):

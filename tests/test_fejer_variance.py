@@ -192,6 +192,72 @@ def test_atom_sums_correctly_rounded_in_every_octave(name):
             assert variance_spectral(m, n) == atomic_variance_exact(m, n), n
 
 
+def _lobe_switches(m, n_max):
+    """Each atom's n = floor(1/loc) and floor(1/loc) + 1, up to n_max: a
+    run whose last n is the first takes the atom from the Taylor lobe, and
+    one whose last n is the second from the kernel."""
+    ns = set()
+    for loc, _ in m.atoms:
+        n = math.floor(1 / Fraction(loc))
+        ns.update(k for k in (n, n + 1) if 1 <= k <= n_max)
+    return sorted(ns)
+
+
+def _run_to(n):
+    """The n of a run long enough to take the lobe, ending at n (or, for a
+    small n, starting at 1)."""
+    first = max(1, n - sm._LOBE_RUN + 1)
+    return range(first, first + sm._LOBE_RUN)
+
+
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic"])
+def test_atom_rows_correctly_rounded_across_the_lobe_switch(name):
+    # a run of n takes an atom from the Taylor series at n loc <= 1 for its
+    # last n, and from the kernel beyond, as a single-n call always does:
+    # both sides of every atom's switch round the exact sum once, and a
+    # profile, whose lobe ends at its last n, takes the same rows
+    m = ATOMIC[name]
+    for n in _lobe_switches(m, 2 ** 62):
+        want = atomic_variance_exact(m, n)
+        assert variance_spectral(m, n) == want, n
+        if n >= sm._LOBE_RUN:
+            assert _variance_rows(m, _run_to(n))[-1] == want, n
+    prof = variance_profile(m, 2 ** 16)
+    for n in _lobe_switches(m, 2 ** 16):
+        assert prof[n - 1] == variance_spectral(m, n), n
+
+
+_EXTREME_ATOMS = {
+    "least-normal": ((2.0 ** -1022, 1.0),),
+    "1e-300": ((1e-300, 1.0),),
+    "2**-70": ((2.0 ** -70, 1.0),),
+    "huge-masses": ((2.0 ** -1022, 1e300), (1e-300, 1e300),
+                    (2.0 ** -70, 1e300)),
+    "tiny-masses": ((2.0 ** -1022, 1e-300), (1e-300, 1e-300),
+                    (2.0 ** -70, 1e-300)),
+    "mixed-masses": ((2.0 ** -1022, 1e-300), (1e-300, 1.0),
+                     (2.0 ** -70, 1e300), (0.5, 1e-300), (3.0, 1e300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME_ATOMS))
+def test_atom_rows_at_the_extremes_of_the_lobe(name):
+    # the lobe factors n**2 out of its series and scales it as the kernel's
+    # cells, so nothing underflows at loc = 2**-1022 or 1e-300; a row is
+    # finite wherever its exact value is, and inf (numpy warns of the
+    # overflow), never NaN, where 1e300 n**2 lies beyond the float range
+    m = SpectralMeasure(atoms=_EXTREME_ATOMS[name])
+    for n in (1, 5, 1000, 2 ** 53 + 1, 3 ** 38, 2 ** 63 - 1):
+        want = atomic_variance_exact(m, n)
+        ns = _run_to(n)
+        with np.errstate(over="ignore" if math.isinf(want) else "raise"):
+            got = (variance_spectral(m, n),
+                   _variance_rows(m, ns)[ns.index(n)])
+        assert got == (want, want), n
+        if name == "1e-300" and float(n) ** 2 == n * n:
+            assert got[1] == float(n * n), n
+
+
 @pytest.mark.parametrize("name", sorted(ATOMIC))
 def test_atom_routes_agree_exactly(name):
     # both routes round the atom sum once from double-double, so the
