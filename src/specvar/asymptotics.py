@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
-from .fejer_variance import _variance_rows, variance_profile, variance_spectral
+from .fejer_variance import _variance_rows, variance_profile
 from .spectral_measure import SpectralMeasure, g_eval
 from .specfun import sin_sq_moment
 
@@ -106,9 +106,6 @@ class RegularVariationModel:
 
     def g(self, n):
         return np.asarray(n, dtype=float) ** self.gamma * self.L(n)
-
-    def predicted_variance(self, n):
-        return self.K0 * self.g(n)
 
     def predicted_g_small(self, x):
         """Matching small-x model C(gamma) K0 x**(2-gamma) L(1/x)."""
@@ -276,7 +273,8 @@ def dichotomy_check(m: SpectralMeasure, n_grid, tol: float = 1e-2) -> DichotomyR
     n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
-    ratios = [variance_spectral(m, n) / float(n) ** 2 for n in n_grid]
+    ratios = [v / float(n) ** 2
+              for n, v in zip(n_grid, _variance_rows(m, n_grid))]
     limit = ratios[-1]
     return DichotomyReport(
         n=tuple(n_grid), ratios=tuple(ratios), limit_estimate=limit,

@@ -209,16 +209,20 @@ _PIO2 = 0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644
 _TAYLOR = np.array([_pair((-1) ** (j // 2), factorial(j)) for j in range(30)])
 
 
-def cis(n: int, t):
-    """exp(i n t) as a complex stack, for an integer 0 <= n < 2**63 and the
-    floats of a 1-D array t: n t is formed exactly in integers and reduced
-    against ``_PIO2`` to |r| <= pi/4 (Payne and Hanek 1983); cos r and sin r
-    are Taylor sums rotated by i**q (the QD library of Hida, Li and Bailey
-    2001).  Good to about 2**-104 at any n, and relative for small r."""
+def cis(n, t):
+    """exp(i n t) as a complex stack, for the floats of a 1-D array t and an
+    integer 0 <= n < 2**63 or an array of them of t's shape: each n t is
+    formed exactly in integers and reduced against ``_PIO2`` to |r| <= pi/4
+    (Payne and Hanek 1983); cos r and sin r are Taylor sums rotated by i**q
+    (the QD library of Hida, Li and Bailey 2001).  Good to about 2**-104 at
+    any n, and relative for small r.  Every step is elementwise, so a grid
+    of (n, t) cells in one call gives the floats of one call per n, and the
+    fixed cost of the Taylor sums is paid once."""
+    t = np.asarray(t, dtype=float)
     rows = []
-    for x in np.asarray(t, dtype=float).tolist():
+    for m, x in zip(np.broadcast_to(n, t.shape).tolist(), t.tolist()):
         num, den = x.as_integer_ratio()  # den is a power of two
-        num *= n << 256
+        num *= m << 256
         q = (2 * num + den * _PIO2) // (2 * den * _PIO2)  # nearest
         rows.append((q % 4, *_pair(num - q * den * _PIO2, den << 256)))
     quad, *r = np.array(rows, dtype=float).reshape(-1, 3).T

@@ -19,9 +19,12 @@ Smyshlyaev 2011).  Below, in the kernel's main lobe,
 ``1 - cos ny`` is its Taylor series, so the row is a short polynomial in
 (n b)**2 over sums ``S_m = int g (y/b)**(2m) dy`` below b that the panel
 set keeps for each b.  A grid of n (``_variance_rows``, which the CLI's
-``variance`` and ``asymptotics.theorem_check`` call) takes the atoms from one
-sum per run of consecutive n and a piece's moments from one recurrence per
-batch of rows; every row equals ``variance_spectral`` at its n bit for bit.
+``variance`` and ``simulate --check-n`` and ``asymptotics.theorem_check`` and
+``dichotomy_check`` call) takes a piece's moments from one recurrence per
+batch of rows, and the atoms from one sum per long run of consecutive n and
+one pass over the (n, atom) cells of every other n (``atom_fejer_points``),
+the path a single n takes too; every row equals ``variance_spectral`` at
+its n bit for bit.
 The bracket's rows share it the same way: ``_sandwich_rows``, which the CLI's
 ``bounds`` calls once per grid, and ``sandwich``, its one-row case.
 
@@ -57,8 +60,8 @@ from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _ROUNDOFF,
                          _panel_nodes, bisect_panels, chebyshev_panels,
                          clenshaw_curtis, fine_fold, interpolant_moments)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
-                               atom_fejer_sums, check_lags, g_eval,
-                               robinson_integral)
+                               atom_fejer_points, atom_fejer_sums,
+                               check_lags, g_eval, robinson_integral)
 
 # no longer read here; the benchmark workloads (perfbench/workloads.py)
 # still import it
@@ -80,6 +83,12 @@ _TAYLOR = np.array([(-1.0) ** (m + 1) / math.factorial(2 * m)
 # most (row, panel) cells in one batch of rows of _variance_rows: the
 # batch's arrays stay a few MB on a grid of any length
 _BATCH_CELLS = 2 ** 12
+# a run of at least two consecutive n whose (n, atom) cells reach this many
+# takes its atoms from one atom_fejer_sums call, any other n from the grid
+# pass of atom_fejer_points: in process, a run of L n over 8, 39, 60 and
+# 200 atoms cost the same both ways at 300-400 cells (L = 48, 9, 6 and 2),
+# and a single n on 1000 atoms 5 % less in the grid pass
+_RUN_CELLS = 1 << 8
 # terms per block of _blocked_cumsum
 _CUMSUM_BLOCK = 512
 
@@ -251,26 +260,34 @@ def _piece_rows(piece, ns) -> list:
 
 
 def _atom_rows(m: SpectralMeasure, ns):
-    """The atoms' Fejer sums at each n in ns, from one ``atom_fejer_sums``
-    call per run of consecutive n among them."""
+    """The atoms' Fejer sums at each n in ns: one ``atom_fejer_sums`` call
+    per run of consecutive n among them with at least _RUN_CELLS (n, atom)
+    cells, and one grid pass (``atom_fejer_points``) for every other n.  A
+    single n always takes the grid pass, so its row is its single-n call's
+    by construction."""
     if not m.atoms:
         return [0.0] * len(ns)
     grid = sorted(set(ns))
     starts = [i for i, n in enumerate(grid) if i == 0 or n != grid[i - 1] + 1]
-    sums = {}
+    sums, isolated = {}, []
     for lo, hi in pairwise(starts + [len(grid)]):
-        sums.update(zip(grid[lo:hi],
-                        atom_fejer_sums(m, grid[lo], hi - lo).tolist()))
+        if hi - lo > 1 and (hi - lo) * len(m.atoms) >= _RUN_CELLS:
+            sums.update(zip(grid[lo:hi],
+                            atom_fejer_sums(m, grid[lo], hi - lo).tolist()))
+        else:
+            isolated += grid[lo:hi]
+    sums.update(zip(isolated, atom_fejer_points(m, isolated).tolist()))
     return [sums[n] for n in ns]
 
 
 def _variance_rows(m: SpectralMeasure, ns) -> list:
     """``variance_spectral(m, n)`` for each n in ns (any order, repeats
     allowed), bit for bit, with the work shared across the grid: the atoms
-    take one sum per run of consecutive n, and each density piece's rows
-    one moment recurrence per batch of rows, from the piece's one panel
-    set.  The rows go in batches of at most _BATCH_CELLS (row, panel)
-    cells, so the memory stays bounded on a grid of any length."""
+    take one sum per long run of consecutive n and one grid pass for the
+    other n (``_atom_rows``), and each density piece's rows one moment
+    recurrence per batch of rows, from the piece's one panel set.  The
+    rows go in batches of at most _BATCH_CELLS (row, panel) cells, so the
+    memory stays bounded on a grid of any length."""
     ns = [check_int(n, "n", 1) for n in ns]
     rows = [m.atom_at_zero * float(n) ** 2 + atoms
             for n, atoms in zip(ns, _atom_rows(m, ns))]

@@ -452,10 +452,6 @@ class SpectralMeasure:
     def total_mass(self) -> float:
         return float(g_eval(self, PI))
 
-    @property
-    def is_atomic(self) -> bool:
-        return not self.density
-
 
 def g_eval(m: SpectralMeasure, x):
     """Cumulative mass G(x) of [0, x]; x may be a scalar or an array."""
@@ -477,6 +473,10 @@ def g_eval(m: SpectralMeasure, x):
 # 2**26; a larger n raises DomainError instead of numpy's MemoryError
 MAX_LAGS = 2 ** 28
 _ATOM_CELLS = 1 << 15  # (atoms x n) cells per block: its workspace fits L2
+# (atom, n) cells per block of atom_fejer_points: ``cis``'s reduction and
+# series take some 450 bytes a cell, so a block peaks near 4 MB; fewer
+# cells pay the series' fixed ufunc calls more often
+_GRID_CELLS = 1 << 13
 # An atom with n loc <= _LOBE_CUT for every n of a Fejer sum lies in the
 # kernel's main lobe, where 2 sin(n loc/2)**2 = 1 - cos(n loc) is its Taylor
 # series in (n loc)**2; _LOBE_TERMS terms leave out one below 2**-106 of the
@@ -526,7 +526,8 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
     t)``), weight a real pair per atom (there may be none when a lobe is
     given).  The n lie on a grid n = n0 + a*B + b (b < B, B the least power
     of two with B*B >= count): the row table holds ``weight z**(n0 + aB)``,
-    ``cis(n0, t)`` times the powers of z**B, and the column table z**b
+    ``cis(n0, t)`` (z itself at n0 = 1) times the powers of z**B, and the
+    column table z**b
     (``cpowers`` both), so no angle n*t is ever rounded.  A cell takes only
     the part it needs of row times column, from two products of pre-split
     table values and one double-double addition; the atoms are summed
@@ -553,7 +554,8 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
     rb, cb = (max(1, min(per // B, A)), B) if per >= B else (1, per)
     if atoms:
         cols, zB = dd.cpowers(z, B)
-        rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
+        first = z if n0 == 1 else dd.cis(n0, t)  # z is cis(1, t)
+        rows = dd.cmul(first[:, None], dd.cpowers(zB, A)[0])
         rows = np.stack([*dd.mul(rows[0:2], weight),
                          *dd.mul(rows[2:4], weight)])
         # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block
@@ -631,8 +633,10 @@ def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
         return np.zeros(count)
     k = _downscale(np.frexp(masses)[1])
     w = np.ldexp(masses, -k)
-    return np.ldexp(_atom_sums(locs, m._cis, (w, np.zeros_like(w)), k0,
-                               count, imag=False), k)
+    sums = _atom_sums(locs, m._cis, (w, np.zeros_like(w)), k0, count,
+                      imag=False)
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        return np.ldexp(sums, k)
 
 
 def _lobe(locs, root_w):
@@ -656,6 +660,22 @@ def _lobe(locs, root_w):
             dd.presplit(dd.sqr((b, 0.0))))
 
 
+def _fejer_weights(m: SpectralMeasure, bits):
+    """The scale k of ``_downscale`` of the Fejer sums at n of each bit
+    length in bits, and for each k the weights sqrt(mass) 2**-k /
+    sin(loc/2) as pairs (a dict)."""
+    masses = m.atom_arrays()[1]
+    h = m._cis_half
+    root = dd.sqrt((masses, np.zeros_like(masses)))
+    # a weight root / sin(loc/2) lies below 2**e and the value a cell
+    # squares below 2**min(e, e_root + bits of n), as |sin(nx) / sin x| <= n
+    e_root = np.frexp(root[0])[1]
+    e = e_root - np.frexp(h[2])[1] + 1
+    e_cell = np.minimum(e, e_root + np.asarray(bits)[:, None])
+    ks = [_downscale(x) for x in np.maximum(e, e_cell + _DD_EXP // 2)]
+    return ks, {k: dd.div(np.ldexp(root, -k), h[2:4]) for k in set(ks)}
+
+
 def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     """``sum mass sin(n loc/2)**2 / sin(loc/2)**2`` over the atoms in (0, pi],
     for the integers n = n0 .. n0+count-1, in double-double, rounded once.
@@ -671,31 +691,68 @@ def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
     imaginary parts of sqrt(w) exp(i loc/2)**n, whose sum the series joins
     before the one rounding.  A shorter run, whose cost is the series' and
     the kernel's fixed ufunc calls, not its cells, keeps every atom in the
-    kernel.
+    kernel.  A sum beyond the float range is inf.
 
     Every term is positive, so the sum carries about max(2**-100,
     count 2**-104) relative error before its one rounding, whatever n0: it
     is the correctly rounded value unless that lies within this of a tie or
     the sum nearly vanishes.
     """
-    locs, masses = m.atom_arrays()
+    locs = m.atom_arrays()[0]
     if not len(locs):
         return np.zeros(count)
     h = m._cis_half
-    root = dd.sqrt((masses, np.zeros_like(masses)))
-    # a weight root / sin(loc/2) lies below 2**e and the value a cell
-    # squares below 2**min(e, e_root + bits of n), as |sin(nx) / sin x| <= n
-    e_root = np.frexp(root[0])[1]
-    e = e_root - np.frexp(h[2])[1] + 1
     n_last = n0 + count - 1
-    e_cell = np.minimum(e, e_root + n_last.bit_length())
-    k = _downscale(np.maximum(e, e_cell + _DD_EXP // 2))
-    root_w = dd.div(np.ldexp(root, -k), h[2:4])
+    (k,), weights = _fejer_weights(m, [n_last.bit_length()])
+    root_w = weights[k]
     p = (int(np.searchsorted(locs, _LOBE_CUT / n_last, side="right"))
          if count >= _LOBE_RUN else 0)
     lobe = _lobe(locs[:p], (root_w[0][:p], root_w[1][:p])) if p else None
-    return np.ldexp(_atom_sums(locs[p:] / 2.0, h[:, p:], tuple(
-        x[p:] for x in root_w), n0, count, imag=True, lobe=lobe), 2 * k)
+    sums = _atom_sums(locs[p:] / 2.0, h[:, p:], tuple(x[p:] for x in root_w),
+                      n0, count, imag=True, lobe=lobe)
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        return np.ldexp(sums, 2 * k)
+
+
+def atom_fejer_points(m: SpectralMeasure, ns):
+    """``atom_fejer_sums(m, n, 1)`` for each integer n of the 1-D array ns,
+    bit for bit, from one pass over the (n, atom) grid.
+
+    A single n's sum is its atoms' squared imaginary parts of the weight
+    times ``cis(n, loc/2)``, summed pairwise in double-double and rounded
+    once.  Here one ``cis`` call takes every cell of a block, each n keeps
+    its own scale of ``_fejer_weights``, and each n's column is summed by
+    one ``ddouble.fold`` over the atoms: every cell and every column sum is
+    the same float as at that n alone, and only the fixed costs of a call
+    are shared.  The n go in blocks of about _GRID_CELLS cells, so the
+    memory does not grow with ns, and a sum beyond the float range is inf.
+    """
+    locs = m.atom_arrays()[0]
+    ns = np.asarray(ns, dtype=np.int64)
+    if not (len(locs) and len(ns)):
+        return np.zeros(len(ns))
+    atoms, t = len(locs), locs / 2.0
+    # the scale depends on n through its bit length alone
+    lengths, which = np.unique([n.bit_length() for n in ns.tolist()],
+                               return_inverse=True)
+    ks, weights = _fejer_weights(m, lengths)
+    weights = np.stack([np.stack(weights[k]) for k in ks])
+    shifts = 2 * np.array(ks)
+    per = max(1, _GRID_CELLS // atoms)
+    work = np.empty((7, atoms + 1, min(per, len(ns))))
+    out = np.empty(len(ns))
+    for i in range(0, len(ns), per):
+        n, j = ns[i:i + per], which[i:i + per]
+        w = work[..., :len(n)]
+        z = dd.cis(np.broadcast_to(n, (atoms, len(n))).ravel(),
+                   np.repeat(t, len(n)))
+        v = dd.mul(z[2:4].reshape(2, atoms, -1),
+                   weights[j].transpose(1, 2, 0))
+        dd.sqr(v, tuple(x[:atoms] for x in w))
+        hi, lo = dd.fold(w[0:2], atoms, w[2:5])
+        with np.errstate(over="ignore"):  # beyond the float range: inf
+            out[i:i + len(n)] = np.ldexp(hi + lo, shifts[j])
+    return out
 
 
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
@@ -732,7 +789,8 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     per_atom = dd.mul(dd.add((2.0 * w[0], 2.0 * w[1]), (-float(n), 0.0)),
                       (np.ldexp(masses, -k), 0.0))
     hi, lo = dd.total(np.stack(per_atom))
-    return float(np.ldexp(hi + lo, k))
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        return float(np.ldexp(hi + lo, k))
 
 
 def _lags(m: SpectralMeasure, k0: int, count: int):

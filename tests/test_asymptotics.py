@@ -9,9 +9,9 @@ from specvar import (DomainError, RegularVariationModel, ScanReport,
                      SlowlyVarying, c_gamma, c_identity_residual,
                      counterexample, d_gamma, dichotomy_check, g_eval,
                      gamma_fit, growth_bound_report, nonergodic, power_law,
-                     subsequence_scan, theorem_check, white_noise,
-                     with_origin_atom)
-from test_fejer_variance import _sandwich_measures
+                     subsequence_scan, theorem_check, variance_spectral,
+                     white_noise, with_origin_atom)
+from test_fejer_variance import _sandwich_measures, _thousand_atoms
 
 PI = math.pi
 
@@ -216,6 +216,22 @@ def test_dichotomy_counterexample_vanishes():
     rep = dichotomy_check(counterexample(), [2 ** r for r in range(4, 11)])
     assert rep.ratios[-1] < 1e-2
     assert rep.matches_origin_atom
+
+
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic", "origin",
+                                  "thousand"])
+def test_dichotomy_ratios_equal_single_n_calls(name):
+    # one batched call for the whole column: isolated n, a run of
+    # consecutive n and n up to 2**63 - 1, each ratio the single-n value
+    # over n**2 bit for bit
+    m = {"counterexample": counterexample, "nonergodic": nonergodic,
+         "origin": lambda: with_origin_atom(nonergodic(), 0.3),
+         "thousand": _thousand_atoms}[name]()
+    grid = [1, 2, 3, 4, 5, 17, 1000, *range(4096, 4116), 2 ** 31 + 5,
+            2 ** 53 + 1, 3 ** 38, 2 ** 62, 2 ** 63 - 1]
+    rep = dichotomy_check(m, grid)
+    assert rep.ratios == tuple(variance_spectral(m, n) / float(n) ** 2
+                               for n in grid)
 
 
 # --- subsequence_scan --------------------------------------------------------

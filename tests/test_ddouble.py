@@ -109,3 +109,33 @@ def test_cpowers_returns_the_table_and_the_next_square():
         assert _complex_err(q, i, _pair(want[0:2], i),
                             _pair(want[2:4], i)) <= Fraction(1, 10 ** 30)
     assert (table[0, 0] == 1.0).all() and (table[2, 0] == 0.0).all()
+
+
+def _angles():
+    """1200 seeded angles (atoms' half angles on (0, pi/2], up to 256, and
+    2**-1074 to 256 by octave), tiny and subnormal ones, and float
+    multiples of pi/4 and pi/3, where n t lies near a multiple of pi/2."""
+    rng = np.random.default_rng(26)
+    return np.concatenate([
+        rng.uniform(0.0, np.pi / 2, 600), rng.uniform(0.0, 256.0, 200),
+        np.minimum(2.0 ** rng.uniform(-1074.0, 8.0, 400), 255.0),
+        [0.0, 5e-324, 2.0 ** -1023, 2.0 ** -1022, 1e-300, 5e-301,
+         2.0 ** -204, 2.0 ** -203, np.nextafter(2.0 ** -203, 1.0),
+         2.0 ** -60, 1e-9],
+        [k * np.pi / 4 for k in range(1, 325)],
+        [k * np.pi / 3 for k in range(1, 244)]])
+
+
+def test_cis_grid_equals_one_call_per_n():
+    # one call over a grid of (n, t) cells gives every cell the floats of
+    # the call at its n alone, read as int64
+    t = _angles()
+    ns = [0, 1, 2, 1000, 2 ** 31 + 5, 2 ** 53 + 1, 3 ** 38, 2 ** 63 - 1]
+    rng = np.random.default_rng(27)
+    n = rng.integers(0, 2 ** 63 - 1, len(t), endpoint=True)
+    n[::3] = rng.choice(ns, len(n[::3]))
+    got = dd.cis(n, t)
+    for m in np.unique(n).tolist():
+        at = n == m
+        want = dd.cis(m, t[at])
+        assert (got[:, at].view(np.int64) == want.view(np.int64)).all(), m

@@ -404,11 +404,77 @@ def test_huge_atom_weights_give_numbers_not_nan(tmp_path):
     assert variance_covariance(m, 5) == variance_spectral(m, 5)
     assert variance_spectral(m, 5) == pytest.approx(
         1e301 * math.sin(2.5) ** 2 / math.sin(0.5) ** 2, rel=1e-14)
-    # a variance beyond the float range is inf, with numpy's warning
+    # a variance beyond the float range is inf, and no overflow warning
+    # escapes (the tests turn RuntimeWarning into an error)
     m = SpectralMeasure(atoms=((0.1, 1e308),))
     for f in (variance_spectral, variance_covariance):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert f(m, 5) == math.inf
+        assert f(m, 5) == math.inf
+
+
+def test_atom_rows_beyond_the_float_range_are_quiet():
+    # the documented inf of a row, a lag or a covariance sum beyond the
+    # float range comes with no RuntimeWarning on any route, grid pass and
+    # kernel alike; nothing here sets np.errstate
+    m = SpectralMeasure(atoms=((1e-300, 1e300),))
+    ns = [1000, 2 ** 53 + 1, 2 ** 63 - 1]
+    assert _variance_rows(m, ns) == [1e306, math.inf, math.inf]
+    assert variance_spectral(m, 2 ** 63 - 1) == math.inf
+    assert np.isinf(sm.atom_fejer_sums(m, 2 ** 62, 2000)).all()
+    assert np.isinf(sm.atom_fejer_points(m, [2 ** 62, 3 ** 38])).all()
+    m = SpectralMeasure(atoms=((1e-9, 1e308), (2e-9, 1e308)))
+    assert autocovariance(m, 3) == math.inf
+    assert np.isinf(sm.atom_cos_sums(m, 1, 100)).all()
+    assert variance_covariance(m, 5) == math.inf
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, sm._GRID_CELLS])
+def test_grid_pass_equals_single_n_sums(monkeypatch, cells):
+    # each n of the grid pass keeps its own weights' scale (it changes with
+    # the bit length of n on huge weights) and sums its own column, in
+    # blocks of any size: every entry is the single-n atom_fejer_sums
+    monkeypatch.setattr(sm, "_GRID_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    ns = [1, 2, 3, 5, 1000, 2 ** 31 + 5, 2 ** 53 + 1, 3 ** 38, 2 ** 63 - 1,
+          *rng.integers(1, 2 ** 63 - 1, 12).tolist(), 1000]
+    for m in (_random_atomic(cells), ATOMIC["nonergodic"],
+              SpectralMeasure(atoms=_EXTREME_ATOMS["mixed-masses"])):
+        with np.errstate(over="ignore"):  # mixed masses reach 1e300 n**2
+            want = [sm.atom_fejer_sums(m, n, 1)[0] for n in ns]
+        got = sm.atom_fejer_points(m, ns).tolist()
+        assert got == want
+    assert sm.atom_fejer_points(m, []).shape == (0,)
+
+
+def _thousand_atoms():
+    """1000 seeded atoms, masses over 10 decades."""
+    rng = np.random.default_rng(1000)
+    locs = np.unique(rng.uniform(1e-6, PI, 1000))
+    masses = 10.0 ** rng.uniform(-5.0, 5.0, len(locs))
+    m = SpectralMeasure(atoms=tuple(zip(locs.tolist(), masses.tolist())))
+    assert len(m.atoms) == 1000
+    return m
+
+
+def test_isolated_rows_memory_bounded():
+    # isolated n take their atoms from the grid pass in blocks of about
+    # _GRID_CELLS (n, atom) cells, so the peak does not grow with the grid:
+    # 2**7 isolated n on 1000 atoms are 128 k cells, some 50 MB of cis
+    # work at once
+    m = _thousand_atoms()
+    ns = [*range(1, 3 * 2 ** 6, 3),
+          *(int(n) | 1 for n in np.geomspace(2.0 ** 12, 2.0 ** 62, 2 ** 6))]
+    assert len(set(ns)) == len(ns)
+    assert all(b - a > 1 for a, b in zip(ns, ns[1:]))
+    m._cis_half  # the measure's own cached tables are not the rows' cost
+    tracemalloc.start()
+    try:
+        rows = _variance_rows(m, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    for i in (0, 1, 2 ** 6, 2 ** 7 - 1):
+        assert rows[i] == variance_spectral(m, ns[i])
 
 
 def test_grid_tiny_variances_at_float_two_pi_over_three_and_pi():
