@@ -61,7 +61,8 @@ from .quadrature import (_CC, _CC_NODES, _CHEB_MAX_PANELS, _ROUNDOFF,
                          clenshaw_curtis, fine_fold, interpolant_moments)
 from .spectral_measure import (PI, SpectralMeasure, atom_covariance_sums,
                                atom_fejer_points, atom_fejer_sums,
-                               check_lags, g_eval, robinson_integral)
+                               check_lags, g_eval, lag_blocks,
+                               robinson_integral)
 
 # no longer read here; the benchmark workloads (perfbench/workloads.py)
 # still import it
@@ -89,7 +90,9 @@ _BATCH_CELLS = 2 ** 12
 # 200 atoms cost the same both ways at 300-400 cells (L = 48, 9, 6 and 2),
 # and a single n on 1000 atoms 5 % less in the grid pass
 _RUN_CELLS = 1 << 8
-# terms per block of _blocked_cumsum
+# terms per block of _blocked_cumsum; spectral_measure's _LAG_BLOCK is a
+# multiple of it, so these blocks fall at the same lags whatever lag block
+# they come in
 _CUMSUM_BLOCK = 512
 
 
@@ -297,9 +300,13 @@ def _variance_rows(m: SpectralMeasure, ns) -> list:
 
 
 def _piece_variance_covariance(piece, n: int) -> float:
-    k = np.arange(1, n)
-    c = piece.cos_transform(k)
-    return n * piece.mass + 2.0 * float(((n - k) * c).sum())
+    """``n mass + 2 sum_{k<n} (n - k) c_k`` for one density piece: one numpy
+    sum per lag block (``lag_blocks``), the block sums added by
+    ``math.fsum``, so a sum of one block is the numpy sum of all its
+    terms."""
+    parts = [float(((n - k) * piece.cos_transform(k)).sum())
+             for _, k in lag_blocks(1, n - 1)]
+    return n * piece.mass + 2.0 * math.fsum(parts)
 
 
 def variance_spectral(m: SpectralMeasure, n) -> float:
@@ -324,10 +331,12 @@ def variance_covariance(m: SpectralMeasure, n) -> float:
     Every term is a covariance: the origin atom's are constant, so its lags
     sum to ``atom_at_zero * n**2``; the other atoms' lags are summed per atom
     in double-double (``atom_covariance_sums``); each density piece sums its
-    cosine transforms.  A density's sum is ill-conditioned: n r_0 cancels
-    down to Var(S_n) (to about 4 ln n on the quadratic measure), so even
-    with exact c_k its relative error grows like n/ln n times their
-    rounding, and it costs O(n), so n is at most ``MAX_LAGS``.
+    cosine transforms one lag block at a time, so the memory stays bounded
+    whatever n (``_piece_variance_covariance``).  A density's sum is
+    ill-conditioned: n r_0 cancels down to Var(S_n) (to about 4 ln n on the
+    quadratic measure), so even with exact c_k its relative error grows like
+    n/ln n times their rounding, and it costs O(n), so n is at most
+    ``MAX_LAGS``.
     """
     n = check_lags(n, "n")
     total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)
@@ -336,38 +345,55 @@ def variance_covariance(m: SpectralMeasure, n) -> float:
     return total
 
 
-def _blocked_cumsum(x):
-    """Cumulative sum of x, summed within blocks of _CUMSUM_BLOCK terms and
-    then across them: a long run of tiny alternating terms is not added one
-    by one to a large running total, whose rounding would drift."""
-    pad = np.zeros(-len(x) % _CUMSUM_BLOCK)
-    rows = np.concatenate([x, pad]).reshape(-1, _CUMSUM_BLOCK)
+def _blocked_cumsum(x, carry: float):
+    """Cumulative sums of x, one lag block of a longer run, summed within
+    blocks of _CUMSUM_BLOCK terms and then across them: a long run of tiny
+    alternating terms is not added one by one to a large running total,
+    whose rounding would drift.  carry is the running total of the run's
+    earlier blocks of _CUMSUM_BLOCK (-0.0 at its start, which adds nothing
+    to any float); returns the sums and the carry for the next lag block.
+    np.cumsum adds in sequence, so a run taken in lag blocks that are whole
+    multiples of _CUMSUM_BLOCK gives the same floats as taken whole."""
+    rows = np.zeros((-(-len(x) // _CUMSUM_BLOCK), _CUMSUM_BLOCK))
+    rows.ravel()[:len(x)] = x
     np.cumsum(rows, axis=1, out=rows)
-    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
-    return rows.ravel()[:len(x)]
+    carries = np.cumsum(np.concatenate([[carry], rows[:, -1]]))
+    rows += carries[:-1, None]
+    return rows.ravel()[:len(x)], carries[-1]
 
 
 def variance_profile(m: SpectralMeasure, n_max):
-    """Array of Var(S_n) for n = 1 .. n_max in one vectorized pass.
+    """Array of Var(S_n) for n = 1 .. n_max.
 
     Atoms are evaluated against the kernel exactly; the density part uses the
     covariance identity with cumulative sums, which yields the entire profile
-    in O(n_max) after one batch of cosine transforms.  Its conditioning is
-    that of ``variance_covariance``: n r_0 cancels down to Var(S_n), so even
-    with exact c_k the relative error of a density row grows like n/ln n
-    times the c_k's rounding (a few 1e-10 at n = 2**18 on the quadratic
-    measure).  n_max is at most ``MAX_LAGS``.
+    in O(n_max).  The cosine transforms go one lag block at a time
+    (``lag_blocks``), each block's rows straight into the array, with the
+    cumulative sums carried from block to block: the call holds its output
+    and one block's work, and every row is the float a pass over all lags
+    at once gives.  Its conditioning is that of ``variance_covariance``:
+    n r_0 cancels down to Var(S_n), so even with exact c_k the relative
+    error of a density row grows like n/ln n times the c_k's rounding (a
+    few 1e-10 at n = 2**18 on the quadratic measure).  n_max is at most
+    ``MAX_LAGS``.
     """
     n_max = check_lags(n_max, "n_max")
-    n = np.arange(1, n_max + 1, dtype=float)
-    out = m.atom_at_zero * n ** 2 + atom_fejer_sums(m, 1, n_max)
-    k = np.arange(1, n_max)
+    out = atom_fejer_sums(m, 1, n_max)
+    # row n = 1 has no lags: the sums s1 and s2c below are 0 there
+    out[0] += m.atom_at_zero
     for piece in m.density:
-        c = piece.cos_transform(k)
-        # s1[j] = sum_{k<=j} c_k and s2c[j] = sum_{k<=j} k c_k
-        s1 = np.concatenate([[0.0], _blocked_cumsum(c)])
-        s2c = np.concatenate([[0.0], _blocked_cumsum(k * c)])
-        out += n * piece.mass + 2.0 * (n * s1[:n_max] - s2c[:n_max])
+        out[0] += piece.mass
+    carries = [[-0.0, -0.0] for _ in m.density]
+    for a, k in lag_blocks(1, n_max - 1):
+        # row n = k + 1 reads s1 = sum_{j<=k} c_j and s2c = sum_{j<=k} j c_j
+        n = k + 1.0
+        rows = out[1 + a:1 + a + len(k)]
+        rows += m.atom_at_zero * n ** 2
+        for piece, carry in zip(m.density, carries):
+            c = piece.cos_transform(k)
+            s1, carry[0] = _blocked_cumsum(c, carry[0])
+            s2c, carry[1] = _blocked_cumsum(k * c, carry[1])
+            rows += n * piece.mass + 2.0 * (n * s1 - s2c)
     return out
 
 

@@ -468,10 +468,16 @@ def g_eval(m: SpectralMeasure, x):
     return float(out[0]) if scalar else out
 
 
-# most lags, or rows, of a call that builds O(n) arrays (autocovariance_batch,
-# variance_profile): 2 GiB per float64 array, enough for a full profile to
-# 2**26; a larger n raises DomainError instead of numpy's MemoryError
+# most lags, or rows, of a call whose cost is O(n) (autocovariance_batch,
+# variance_profile, variance_covariance).  They walk their lags in blocks of
+# _LAG_BLOCK (``lag_blocks``), so the cap bounds their time and the output of
+# a profile or a batch (2 GiB at 2**28), not a workspace; a larger n raises
+# DomainError before any array is made
 MAX_LAGS = 2 ** 28
+# lags per block of the O(n) routes: a multiple of fejer_variance's
+# _CUMSUM_BLOCK, and long enough that variance_covariance takes every n <=
+# 2**16 + 1 in one block, so its density sum there is one numpy sum
+_LAG_BLOCK = 2 ** 16
 _ATOM_CELLS = 1 << 15  # (atoms x n) cells per block: its workspace fits L2
 # (atom, n) cells per block of atom_fejer_points: ``cis``'s reduction and
 # series take some 450 bytes a cell, so a block peaks near 4 MB; fewer
@@ -516,11 +522,12 @@ def _lobe_rows(c, b2, start: int, steps, w):
     return dd.mul_presplit((*p, *dd.split(p[0], w[2:4])), n2, w[4:8])
 
 
-def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
+def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
+               lobe=None):
     """Per n = n0 .. n0+count-1, the atoms' sum of ``Re(weight z**n)`` or,
-    with ``imag``, of ``Im(weight z**n)**2``, each rounded once; with
-    ``lobe = (c, b2)`` (``_lobe``), plus the ``_lobe_rows`` of n, added
-    before that rounding.
+    with ``imag``, of ``Im(weight z**n)**2``, each rounded once, into the
+    array out of count floats, which it returns; with ``lobe = (c, b2)``
+    (``_lobe``), plus the ``_lobe_rows`` of n, added before that rounding.
 
     t holds an angle per atom and z = exp(i t) (a complex stack, ``cis(1,
     t)``), weight a real pair per atom (there may be none when a lobe is
@@ -538,13 +545,15 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
     The grid goes in blocks of whole rows or of part of one row: a block's
     run of n is a power of two, so it divides B, of about _ATOM_CELLS /
     atoms n but never fewer than 64 (or the whole grid), so that no ufunc
-    loops over short rows; its n are consecutive.  Every block writes into
-    workspaces made per call, seven arrays of (atoms + 1) x block cells (the
-    spare row pads the pairwise sum) and, with a lobe, sixteen of one cell
-    per n, through ufuncs with ``out``: no block allocates.  A block counts
-    the lobe's sixteen arrays as 16/7 atoms, so its cells, the lobe's
-    included, stay near _ATOM_CELLS, and seven arrays of them (1.75 MiB) a
-    core's L2 cache, however many atoms lie in the lobe.
+    loops over short rows; its n are consecutive, so its sums go to one
+    slice of out, and a block wholly past the last n is skipped.  Every
+    block writes into workspaces made per call, seven arrays of (atoms + 1)
+    x block cells (the spare row pads the pairwise sum) and, with a lobe,
+    sixteen of one cell per n, through ufuncs with ``out``: no block
+    allocates.  A block counts the lobe's sixteen arrays as 16/7 atoms, so
+    its cells, the lobe's included, stay near _ATOM_CELLS, and seven arrays
+    of them (1.75 MiB) a core's L2 cache, however many atoms lie in the
+    lobe.
     """
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
@@ -563,15 +572,15 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
         cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
         if imag:  # Im(r c) = Re r Im c + Im r Re c
             factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
-        else:     # Re(r c) = Re r Re c - Im r Im c
-            factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
+        else:     # Re(r c) = Re r Re c - Im r Im c, negated in place
+            np.negative(rows[2:4], out=rows[2:4])
+            factors = (rows[0:2], cols[0:2]), (rows[2:4], cols[2:4])
         (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
                               for x, y in factors]
     work = np.empty((7, (atoms + 1) * rb * cb))
     if lobe is not None:
         steps = np.arange(rb * cb, dtype=float)
         lobe_work = np.empty((16, rb * cb))
-    grid = np.empty((A, B))
     # numpy copies a factor broadcast along a row through its ufunc buffer;
     # from 128 columns on, the copy costs more than the longer inner loops
     # it buys, so such blocks run with the least buffer
@@ -584,7 +593,7 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
                 c = tuple(w[:, :atoms])
                 r1 = tuple(t[:, a0:a0 + r] for t in x1)
                 r2 = tuple(t[:, a0:a0 + r] for t in x2)
-            for b0 in range(0, B, cb):
+            for b0 in range(0, min(B, count - a0 * B), cb):
                 hi = lo = 0.0
                 if atoms:
                     v = dd.add(
@@ -603,10 +612,12 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, lobe=None):
                     s = _lobe_rows(*lobe, n0 + a0 * B + b0,
                                    steps[:r * cb].reshape(r, cb), lw)
                     hi, lo = dd.add((hi, lo), s, (*s, *lw[8:11]))
-                np.add(hi, lo, out=grid[a0:a0 + r, b0:b0 + cb])
+                at = a0 * B + b0
+                np.add(hi, lo, out=hi)
+                out[at:at + r * cb] = hi.ravel()[:count - at]
     finally:
         np.setbufsize(old)
-    return grid.ravel()[:count]
+    return out
 
 
 # The atom sums run on masses or weights times 2**-k and scale the sum back
@@ -624,19 +635,21 @@ def _downscale(exponents) -> int:
     return max(0, int(np.max(exponents)) - _DD_EXP)
 
 
-def atom_cos_sums(m: SpectralMeasure, k0: int, count: int):
+def atom_cos_sums(m: SpectralMeasure, k0: int, count: int, out=None):
     """``sum mass cos(k loc)`` over the atoms in (0, pi], for the integers
-    k = k0 .. k0+count-1: the real parts of mass exp(i loc)**k, summed in
-    double-double (``_atom_sums``)."""
+    k = k0 .. k0+count-1, into out (made when None): the real parts of mass
+    exp(i loc)**k, summed in double-double (``_atom_sums``)."""
     locs, masses = m.atom_arrays()
+    out = np.empty(count) if out is None else out
     if not len(locs):  # spares density measures the double-double work
-        return np.zeros(count)
+        out.fill(0.0)
+        return out
     k = _downscale(np.frexp(masses)[1])
     w = np.ldexp(masses, -k)
-    sums = _atom_sums(locs, m._cis, (w, np.zeros_like(w)), k0, count,
-                      imag=False)
+    _atom_sums(locs, m._cis, (w, np.zeros_like(w)), k0, count, imag=False,
+               out=out)
     with np.errstate(over="ignore"):  # beyond the float range: inf
-        return np.ldexp(sums, k)
+        return np.ldexp(out, k, out=out)
 
 
 def _lobe(locs, root_w):
@@ -709,9 +722,9 @@ def atom_fejer_sums(m: SpectralMeasure, n0: int, count: int):
          if count >= _LOBE_RUN else 0)
     lobe = _lobe(locs[:p], (root_w[0][:p], root_w[1][:p])) if p else None
     sums = _atom_sums(locs[p:] / 2.0, h[:, p:], tuple(x[p:] for x in root_w),
-                      n0, count, imag=True, lobe=lobe)
+                      n0, count, imag=True, out=np.empty(count), lobe=lobe)
     with np.errstate(over="ignore"):  # beyond the float range: inf
-        return np.ldexp(sums, 2 * k)
+        return np.ldexp(sums, 2 * k, out=sums)
 
 
 def atom_fejer_points(m: SpectralMeasure, ns):
@@ -793,14 +806,25 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
         return float(np.ldexp(hi + lo, k))
 
 
-def _lags(m: SpectralMeasure, k0: int, count: int):
-    """r_k for k = k0 .. k0+count-1 (k0 >= 1; the range may be empty): the
-    origin atom, ``atom_cos_sums`` and each piece's ``cos_transform``."""
-    r = m.atom_at_zero + atom_cos_sums(m, k0, count)
-    k = np.arange(k0, k0 + count)
-    for piece in m.density:
-        r += piece.cos_transform(k)
-    return r
+def lag_blocks(k0: int, count: int):
+    """The lags k0 .. k0+count-1 in blocks of at most _LAG_BLOCK, as pairs
+    (offset of the block in the run, int array of its lags): the O(n)
+    routes take their cosine transforms block by block, so none of them
+    holds an array of all the lags."""
+    for a in range(0, count, _LAG_BLOCK):
+        yield a, np.arange(k0 + a, k0 + min(count, a + _LAG_BLOCK))
+
+
+def _lags(m: SpectralMeasure, k0: int, count: int, out=None):
+    """r_k for k = k0 .. k0+count-1 (k0 >= 1; the range may be empty), into
+    out (made when None): ``atom_cos_sums`` plus the origin atom, then each
+    piece's ``cos_transform`` added block by block (``lag_blocks``)."""
+    out = atom_cos_sums(m, k0, count, out)
+    out += m.atom_at_zero
+    for a, k in lag_blocks(k0, count):
+        for piece in m.density:
+            out[a:a + len(k)] += piece.cos_transform(k)
+    return out
 
 
 def autocovariance(m: SpectralMeasure, k: int) -> float:
@@ -838,10 +862,14 @@ def _lag_array(k):
 
 
 def autocovariance_batch(m: SpectralMeasure, n: int):
-    """Array of r_0 .. r_{n-1}: the total mass, then ``_lags`` (vectorized
-    over lags); n is at most ``MAX_LAGS``."""
+    """Array of r_0 .. r_{n-1}: the total mass, then ``_lags`` written into
+    the array, its cosine transforms one lag block at a time, so the call
+    holds little more than its output; n is at most ``MAX_LAGS``."""
     n = check_lags(n, "batch length")
-    return np.concatenate([[g_eval(m, PI)], _lags(m, 1, n - 1)])
+    out = np.empty(n)
+    out[0] = g_eval(m, PI)
+    _lags(m, 1, n - 1, out[1:])
+    return out
 
 
 def robinson_integral(m: SpectralMeasure, a: float = 0.0) -> float:

@@ -93,9 +93,10 @@ CAPPED_ARGS = {
 @pytest.mark.parametrize("n", [MAX_LAGS + 1, 2 ** 62], ids=repr)
 @pytest.mark.parametrize("call", sorted(CAPPED_ARGS))
 def test_o_n_calls_capped_at_max_lags_before_allocation(call, n):
-    # these build O(n) arrays, so above the cap they raise DomainError
-    # naming the argument instead of numpy's MemoryError; the cap still
-    # admits a full nonergodic profile to 2**26
+    # these cost O(n) time, and a profile or a batch an O(n) output (their
+    # lags go in fixed blocks, so no workspace grows with n); above the cap
+    # they raise DomainError naming the argument before any array is made,
+    # and the cap still admits a full nonergodic profile to 2**26
     assert MAX_LAGS >= 2 ** 26
     fn, name = CAPPED_ARGS[call]
     tracemalloc.start()

@@ -358,7 +358,8 @@ def test_atom_kernel_equals_allocating_reference(monkeypatch, atoms, cells):
     # odd counts of atoms, and odd levels above them, pad the pairwise sum
     # with the workspace's spare row; 37 grid rows (4700 = 36 * 128 + 92)
     # end in a partial block of rows, and 128 columns (B > 64) split into
-    # blocks of 64 when a block holds fewer cells than a row
+    # blocks of 64 when a block holds fewer cells than a row, so a last row
+    # of 2 n (4610 = 36 * 128 + 2) skips its second block
     rng = np.random.default_rng(atoms)
     locs = np.unique(rng.uniform(1e-6, PI, atoms))
     masses = 10.0 ** rng.uniform(-5.0, 5.0, len(locs))
@@ -366,7 +367,7 @@ def test_atom_kernel_equals_allocating_reference(monkeypatch, atoms, cells):
     assert len(m.atoms) == atoms
     monkeypatch.setattr(sm, "_ATOM_CELLS", cells)
     n = 270 if atoms == 1000 else 4700
-    for n0, count in ((1, n), (4097, n // 4), (2 ** 40 + 7, 3)):
+    for n0, count in ((1, n), (4097, n // 4), (7, n - 90), (2 ** 40 + 7, 3)):
         for imag, got in ((True, sm.atom_fejer_sums(m, n0, count)),
                           (False, sm.atom_cos_sums(m, n0, count))):
             want = _reference_sums(m, n0, count, imag)
@@ -827,6 +828,121 @@ def test_profile_of_one_row(m):
     prof = variance_profile(m, 1)
     assert prof.shape == (1,)
     assert prof[0] == pytest.approx(variance_spectral(m, 1), rel=1e-13)
+
+
+def _cumsum_reference(x):
+    """The blocked cumulative sum over the whole lag array at once."""
+    pad = np.zeros(-len(x) % fv._CUMSUM_BLOCK)
+    rows = np.concatenate([x, pad]).reshape(-1, fv._CUMSUM_BLOCK)
+    np.cumsum(rows, axis=1, out=rows)
+    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return rows.ravel()[:len(x)]
+
+
+def _profile_reference(m, n_max):
+    """``variance_profile`` from the cosine transforms of every lag at once,
+    in allocating whole-array passes."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    out = m.atom_at_zero * n ** 2 + sm.atom_fejer_sums(m, 1, n_max)
+    k = np.arange(1, n_max)
+    for piece in m.density:
+        c = piece.cos_transform(k)
+        s1 = np.concatenate([[0.0], _cumsum_reference(c)])
+        s2c = np.concatenate([[0.0], _cumsum_reference(k * c)])
+        out += n * piece.mass + 2.0 * (n * s1[:n_max] - s2c[:n_max])
+    return out
+
+
+def _batch_reference(m, n):
+    """``autocovariance_batch`` from every lag at once."""
+    k = np.arange(1, n)
+    r = m.atom_at_zero + sm.atom_cos_sums(m, 1, n - 1)
+    for piece in m.density:
+        r += piece.cos_transform(k)
+    return np.concatenate([[g_eval(m, PI)], r])
+
+
+def _covariance_reference(m, n):
+    """``variance_covariance`` with each piece's terms in one numpy sum."""
+    total = m.atom_at_zero * float(n) ** 2 + sm.atom_covariance_sums(m, n)
+    k = np.arange(1, n)
+    for piece in m.density:
+        total += n * piece.mass + 2.0 * float(
+            ((n - k) * piece.cos_transform(k)).sum())
+    return total
+
+
+def _streamed_measures():
+    return {
+        "quadratic": quadratic(), "whitenoise": white_noise(),
+        **{f"power{g}": power_law(g) for g in (0.25, 0.5, 1.5, 1.75)},
+        "table": _power_and_table(),
+        "power_lo": SpectralMeasure(density=(
+            PowerDensity(0.3, 2.9, 1.3, -0.4),)),
+        "opaque": SpectralMeasure(density=(OpaqueDensity(
+            0.0, PI, lambda y: 1.0 + np.cos(y) ** 2),)),
+        "nonergodic": nonergodic(),
+        "nonergodic+origin": with_origin_atom(nonergodic(), 0.3),
+    }
+
+
+@pytest.mark.parametrize("block", [1024, 1536])
+@pytest.mark.parametrize("name", sorted(_streamed_measures()))
+def test_lag_blocks_equal_allocating_reference(monkeypatch, name, block):
+    # the O(n) routes take their lags in blocks of _LAG_BLOCK: many blocks,
+    # and a padded last one (1536 is three cumulative-sum blocks), give
+    # the same floats as every lag at once, so each cosine transform is the
+    # same float in a block as in the whole call; variance_covariance adds
+    # its block sums by fsum, which only moves its last bits past one block
+    monkeypatch.setattr(sm, "_LAG_BLOCK", block)
+    m = _streamed_measures()[name]
+    for n in (1, 2, 3, 511, 512, 513, block - 1, block, block + 1,
+              block + 2, 3 * block + 513):
+        want = _profile_reference(m, n)
+        assert np.array_equal(variance_profile(m, n).view(np.int64),
+                              want.view(np.int64)), n
+        want = _batch_reference(m, n)
+        assert np.array_equal(autocovariance_batch(m, n).view(np.int64),
+                              want.view(np.int64)), n
+        got, want = variance_covariance(m, n), _covariance_reference(m, n)
+        if n <= block + 1:
+            assert got == want, n
+        else:  # C1's tolerance on a density
+            assert abs(got - want) <= 1e-6 * max(1.0, want), n
+
+
+def _peak_and_result(f, *args):
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, n", [
+    ("quadratic", 2 ** 21), ("power0.5", 2 ** 21), ("table", 2 ** 20),
+    ("nonergodic", 2 ** 18)])
+def test_o_n_routes_stream_their_lags(name, n):
+    # a profile or a batch holds its output and one lag block's work, so it
+    # stays within 3x its output (14-19x when every lag was taken at once);
+    # nonergodic's rows cost their atom sums, about 2.5 us each
+    m = _streamed_measures()[name]
+    for f in (variance_profile, autocovariance_batch):
+        f(m, 300)  # the measure's cached tables are not the call's cost
+        peak, out = _peak_and_result(f, m, n)
+        assert out.shape == (n,)
+        assert peak <= 3 * out.nbytes, (f.__name__, peak)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "power0.5"])
+def test_covariance_route_memory_does_not_grow_with_n(name):
+    # one float from 2**22 lags, one lag block at a time
+    m = _streamed_measures()[name]
+    for n in (2 ** 18, 2 ** 22):
+        peak, v = _peak_and_result(variance_covariance, m, n)
+        assert peak <= 16 * 2 ** 20, (n, peak)
+        assert abs(v - variance_spectral(m, n)) <= 1e-6 * v
 
 
 def _row_measures():
