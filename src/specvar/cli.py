@@ -22,7 +22,7 @@ from .asymptotics import (RegularVariationModel, SlowlyVarying,
                           theorem_check)
 from .errors import NumericError, SpecvarError, ValidationError
 from .fejer_variance import BoundsReport, _sandwich_rows, _variance_rows
-from .simulate import empirical_variance, simulate
+from .simulate import _check_n, _moments, _path_blocks
 from .spectral_measure import measure_from_dict
 
 
@@ -176,33 +176,45 @@ def _cmd_estimate(args, out):
 
 
 def _cmd_simulate(args, out):
+    # the paths come one block at a time: the job keeps each block's S_n
+    # for every check n, P floats each, and never the P x N batch
     m = parse_measure(args.measure)
-    batch = simulate(m, N=args.N, P=args.paths, seed=args.seed)
+    method, min_eig, jitter, blocks = _path_blocks(m, args.N, args.paths,
+                                                   args.seed)
+    ns = parse_n_values(args.check_n) if args.check_n else []
+    for n in ns:
+        _check_n(n, args.N)
+    sums = [[] for _ in ns]
+    with contextlib.ExitStack() as stack:
+        fh = None
+        if args.csv_out:
+            fh = stack.enter_context(
+                open(args.csv_out, "w", encoding="utf-8", newline="\n"))
+            fh.write("path,t,value\n")
+        for p0, rows in blocks:
+            for n, s in zip(ns, sums):
+                s.append(rows[:, :n].sum(axis=1))
+            if fh is not None:
+                for p, row in enumerate(rows, p0):
+                    fh.write("".join(f"{p},{t},{v!r}\n"
+                                     for t, v in enumerate(row.tolist())))
     report = {
-        "N": batch.length,
-        "paths": batch.n_paths,
-        "seed": batch.seed,
-        "method": batch.method,
-        "embedding_min_eigenvalue": batch.embedding_min_eigenvalue,
-        "jitter": batch.jitter,
+        "N": args.N,
+        "paths": args.paths,
+        "seed": args.seed,
+        "method": method,
+        "embedding_min_eigenvalue": min_eig,
+        "jitter": jitter,
         "checks": [],
     }
-    if args.check_n:
-        ns = parse_n_values(args.check_n)
-        empirical = [empirical_variance(batch, n) for n in ns]
+    if ns:
+        empirical = [_moments(np.concatenate(s)) for s in sums]
         for n, (est, se), spectral in zip(ns, empirical,
                                           _variance_rows(m, ns)):
             z = (est - spectral) / se if np.isfinite(se) and se > 0 else None
             report["checks"].append({
                 "n": n, "empirical": est, "standard_error": se,
                 "spectral": spectral, "z": z})
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("path,t,value\n")
-            for p in range(batch.n_paths):
-                row = batch.paths[p]
-                for t in range(batch.length):
-                    fh.write(f"{p},{t},{_fmt(row[t])}\n")
     out.write(json.dumps(report, sort_keys=True) + "\n")
     return 0
 

@@ -28,6 +28,11 @@ zero normals, so a path's content never depends on P or on consumption
 order: a batch of P paths is a prefix of the same batch with more paths.
 Batches are bit-identical for a given numpy version; numpy does not promise
 the same ``Generator`` streams across versions (NEP 19).
+
+``simulate`` returns the whole P x N batch.  The blocks come from
+``_path_blocks``, which reuses one set of block buffers for every block;
+``specvar simulate`` consumes them as they come and holds one block of
+pairs plus P floats per ``--check-n`` value, never the batch.
 """
 
 from __future__ import annotations
@@ -135,10 +140,22 @@ def _level(var: float):
 
 def _harmonic_table(cis, masses, N):
     """(2J, N) rows sqrt(m) cos(t y), then sqrt(m) sin(t y), y < N, from the
-    atoms' phases exp(i t) (a complex stack) and masses."""
-    p, _ = dd.cpowers(cis, N)
-    amp = np.sqrt(masses)[:, None]
-    return np.concatenate([amp * (p[0] + p[1]).T, amp * (p[2] + p[3]).T])
+    atoms' phases exp(i t) (a complex stack) and masses.  The powers are
+    taken a few atoms at a time, their four planes at most _BLOCK_CELLS / 4
+    cells, so building a table churns little memory; every step is
+    elementwise, so the rows do not depend on how the atoms are grouped.
+    The table is Fortran-ordered, like the transposed powers it holds: the
+    BLAS call, and with it the paths' rounding, depends on the order."""
+    J = len(masses)
+    table = np.empty((2 * J, N), order="F")
+    step = max(1, _BLOCK_CELLS // (16 * N))
+    for j in range(0, J, step):
+        s = slice(j, min(J, j + step))
+        p, _ = dd.cpowers(cis[:, s], N)
+        amp = np.sqrt(masses[s])[:, None]
+        table[s] = amp * (p[0] + p[1]).T
+        table[J + s.start:J + s.stop] = amp * (p[2] + p[3]).T
+    return table
 
 
 def _harmonics(m: SpectralMeasure, N, P):
@@ -167,7 +184,7 @@ def _circulant(lam, M: int, N: int):
     def add(z, out):
         zc = z.view(np.complex128)
         zc *= w
-        y = np.fft.fft(zc, axis=1)
+        y = np.fft.fft(zc, axis=1, out=zc)
         pairs = out.reshape(len(y), 2, N)
         pairs[:, 0] += y.real[:, :N]
         pairs[:, 1] += y.imag[:, :N]
@@ -208,10 +225,15 @@ def _density(m: SpectralMeasure, N: int):
     raise NumericError("dense factorization failed even with jitter")
 
 
-def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
-    """Draw P exact sample paths of length N; bit-reproducible in all inputs,
-    and the first paths do not depend on P.  The density's autocovariances
-    come from ``autocovariance_batch`` at its fixed accuracy."""
+def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
+    """``(method, min_eig, jitter, blocks)`` for P paths of length N.
+
+    N and P are checked and the measure's parts built at the call;
+    ``blocks`` then yields ``(first path, rows)`` in path order, rows a
+    (paths, N) view of one block buffer that the next block overwrites.
+    The block buffers are allocated once per call and serve every block,
+    so consuming the blocks holds one block of pairs, not the P x N batch.
+    """
     N = check_int(N, "N", 1)
     P = check_int(P, "P", 1)
     if N > MAX_PATH_LENGTH:
@@ -228,18 +250,52 @@ def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
     # calls, and with them each path's rounding, do not depend on P
     block = max(1, min(_MAX_BLOCK_PAIRS, _BLOCK_CELLS // max(
         [2 * N] + [width for width, _ in parts])))
-    pairs = (P + 1) // 2
-    paths = np.empty((P, N))
-    for q0 in range(0, pairs, block):
-        gens = [_pair_generator(seed, q)
-                for q in range(q0, min(pairs, q0 + block))]
-        out = np.zeros((2 * block, N))
-        for width, add in parts:
-            add(ndtri(np.empty((block, width)), gens), out)
-        rows = min(P - 2 * q0, 2 * block)
-        paths[2 * q0:2 * q0 + rows] = out[:rows]
+
+    def blocks():
+        # freeing and remaking these buffers each block costs page faults
+        # once nothing larger keeps the allocator's pages
+        out = np.empty((2 * block, N))
+        normals = [np.empty((block, width)) for width, _ in parts]
+        pairs = (P + 1) // 2
+        for q0 in range(0, pairs, block):
+            gens = [_pair_generator(seed, q)
+                    for q in range(q0, min(pairs, q0 + block))]
+            out.fill(0.0)
+            for (_, add), z in zip(parts, normals):
+                add(ndtri(z, gens), out)
+            yield 2 * q0, out[:min(P - 2 * q0, 2 * block)]
+    return method, min_eig, jitter, blocks()
+
+
+def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
+    """Draw P exact sample paths of length N; bit-reproducible in all inputs,
+    and the first paths do not depend on P.  The density's autocovariances
+    come from ``autocovariance_batch`` at its fixed accuracy."""
+    method, min_eig, jitter, blocks = _path_blocks(m, N, P, seed)
+    paths = np.empty((int(P), int(N)))  # both checked by _path_blocks
+    for p0, rows in blocks:
+        paths[p0:p0 + len(rows)] = rows
     return PathBatch(paths=paths, seed=int(seed), method=method,
                      embedding_min_eigenvalue=min_eig, jitter=jitter)
+
+
+def _check_n(n, N: int) -> int:
+    """``n`` as an int in [1, N], the lengths a path batch can sum."""
+    n = check_int(n, "n", 1)
+    if n > N:
+        raise DomainError(f"n must lie in [1, {N}], got {n}")
+    return n
+
+
+def _moments(s) -> EmpiricalVariance:
+    """Mean of s**2 over the paths' partial sums s and its standard error,
+    +inf for a single path."""
+    sq = s ** 2
+    estimate = float(sq.mean())
+    if len(s) < 2:
+        return EmpiricalVariance(estimate, math.inf)
+    se = float(sq.std(ddof=1) / math.sqrt(len(s)))
+    return EmpiricalVariance(estimate, se)
 
 
 def empirical_variance(batch: PathBatch, n: int) -> EmpiricalVariance:
@@ -248,14 +304,5 @@ def empirical_variance(batch: PathBatch, n: int) -> EmpiricalVariance:
     Returns the mean of S_n**2 across paths and its standard error; with a
     single path the standard error is reported as +inf.
     """
-    n = check_int(n, "n", 1)
-    if n > batch.length:
-        raise DomainError(
-            f"n must lie in [1, {batch.length}], got {n}")
-    s = batch.paths[:, :n].sum(axis=1)
-    sq = s ** 2
-    estimate = float(sq.mean())
-    if batch.n_paths < 2:
-        return EmpiricalVariance(estimate, math.inf)
-    se = float(sq.std(ddof=1) / math.sqrt(batch.n_paths))
-    return EmpiricalVariance(estimate, se)
+    n = _check_n(n, batch.length)
+    return _moments(batch.paths[:, :n].sum(axis=1))

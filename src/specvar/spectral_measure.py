@@ -102,8 +102,19 @@ class PowerDensity:
 
     def cos_transform(self, k):
         """``int cos(k y) * density(y) dy`` for an array of integer lags k in
-        [1, MAX_LAGS]."""
+        [1, MAX_LAGS].  More than _LAG_BLOCK lags are taken a block at a
+        time, so a call holds little more than its output; every step is
+        elementwise, so a lag is the same float whatever lags come with
+        it."""
         k = _lag_array(k)
+        if k.size <= _LAG_BLOCK:
+            return self._cos_block(k)
+        out = np.empty_like(k)
+        for i0 in range(0, len(k), _LAG_BLOCK):
+            out[i0:i0 + _LAG_BLOCK] = self._cos_block(k[i0:i0 + _LAG_BLOCK])
+        return out
+
+    def _cos_block(self, k):
         p = self.exponent
         hi_m, _ = trig_power_moments(p, *dd.two_prod(k, self.hi))
         if self.lo > 0.0:

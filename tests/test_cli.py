@@ -10,7 +10,9 @@ import pytest
 
 from conftest import run_cli
 from specvar import (ScanReport, SpectralMeasure, TableDensity,
-                     ValidationError, measure_to_json, quadratic)
+                     ValidationError, counterexample, empirical_variance,
+                     measure_to_json, nonergodic, quadratic, simulate,
+                     white_noise, with_origin_atom)
 from specvar.cli import MAX_ROWS, parse_n_values
 
 PI = math.pi
@@ -147,6 +149,80 @@ def test_simulate_json_and_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "path,t,value"
     assert len(lines) == 1 + 5 * 64
+
+
+def _simulate_measures(tmp_path):
+    origin = tmp_path / "nonergodic_origin.json"
+    origin.write_text(measure_to_json(with_origin_atom(nonergodic(), 0.3)))
+    return {"gallery:whitenoise": white_noise(), "gallery:quadratic": quadratic(),
+            "gallery:counterexample": counterexample(),
+            f"file:{origin}": with_origin_atom(nonergodic(), 0.3)}
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 127, 128, 129, 1000])
+def test_simulate_checks_equal_empirical_variance_of_the_batch(tmp_path, P):
+    # the job sums each block of paths as it comes (128 paths a block at
+    # N = 300) and never holds the batch; its estimates are the floats of
+    # empirical_variance on the whole batch, at one path and across blocks
+    N = 300
+    for spec, m in _simulate_measures(tmp_path).items():
+        rc, out, err = run_cli(["simulate", "--measure", spec, "--N", str(N),
+                                "--paths", str(P), "--seed", "11",
+                                "--check-n", f"1,{N}"])
+        assert (rc, err) == (0, ""), spec
+        batch = simulate(m, N, P, 11)
+        for check in json.loads(out)["checks"]:
+            est, se = empirical_variance(batch, check["n"])
+            assert (check["empirical"], check["standard_error"]) == (est, se)
+
+
+def test_simulate_csv_equals_the_batch_paths(tmp_path):
+    # the CSV is written block by block (128 paths a block at N = 64)
+    csv_path = tmp_path / "paths.csv"
+    rc, _, _ = run_cli(["simulate", "--measure", "gallery:counterexample",
+                        "--N", "64", "--paths", "131", "--seed", "5",
+                        "--csv-out", str(csv_path)])
+    assert rc == 0
+    paths = simulate(counterexample(), 64, 131, 5).paths
+    want = "path,t,value\n" + "".join(
+        f"{p},{t},{float(v)!r}\n" for p, row in enumerate(paths)
+        for t, v in enumerate(row))
+    assert csv_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("N, check_n, text", [
+    ("64", "65", "n must lie in [1, 64], got 65"),
+    ("64", "1,x", "bad n list '1,x'"),
+    ("0", "x", "N must be an integer >= 1 and < 2**63, got 0"),
+])
+def test_simulate_bad_check_n_leaves_no_csv(tmp_path, N, check_n, text):
+    # --check-n is checked before the first block is drawn and the CSV
+    # opened, and after N and P
+    csv_path = tmp_path / "paths.csv"
+    rc, out, err = run_cli(["simulate", "--measure", "gallery:quadratic",
+                            "--N", N, "--paths", "5", "--seed", "1",
+                            "--check-n", check_n, "--csv-out", str(csv_path)])
+    assert (rc, out, err) == (1, "", f"specvar: {text}\n")
+    assert not csv_path.exists()
+
+
+def test_simulate_job_memory_does_not_grow_with_paths():
+    # the job holds one block of paths and P floats per check n: 8x the
+    # paths cost only those floats, and the peak stays below an eighth of
+    # the 64 MB batch at P = 8000
+    peaks = {}
+    for P in (1000, 8000):
+        argv = ["simulate", "--measure", "gallery:quadratic", "--N", "1024",
+                "--paths", str(P), "--seed", "1", "--check-n", "1,32,1024"]
+        run_cli(argv)  # the parser and the measure's tables
+        tracemalloc.start()
+        try:
+            assert run_cli(argv)[0] == 0
+            peaks[P] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] <= peaks[1000] + 2 * 3 * 8 * 7000, peaks
+    assert peaks[8000] < 8000 * 1024 * 8 / 8, peaks
 
 
 def test_exit_code_usage_error():

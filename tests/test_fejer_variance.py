@@ -935,6 +935,26 @@ def test_o_n_routes_stream_their_lags(name, n):
         assert peak <= 3 * out.nbytes, (f.__name__, peak)
 
 
+@pytest.mark.parametrize("name", ["power0.5", "quadratic", "power_lo"])
+def test_power_cos_transform_streams_its_lags(name):
+    # a power piece's transform takes its lags _LAG_BLOCK at a time: each
+    # lag is the float of a call on its own block, and 2**20 lags hold
+    # little more than their output (16x it when taken at once)
+    piece = _streamed_measures()[name].density[0]
+    k = np.arange(1.0, 2 ** 20 + 1.0)
+    peak, out = _peak_and_result(piece.cos_transform, k)
+    assert peak <= 3 * out.nbytes, peak
+    block = sm._LAG_BLOCK
+    want = np.concatenate([piece.cos_transform(k[a:a + block])
+                           for a in range(0, len(k), block)])
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    # a lag is the same float whatever lags come with it
+    cut = [0, 1000, block + 3, 3 * block - 7, len(k)]
+    parts = [piece.cos_transform(k[a:b]) for a, b in zip(cut, cut[1:])]
+    assert np.array_equal(np.concatenate(parts).view(np.int64),
+                          out.view(np.int64))
+
+
 @pytest.mark.parametrize("name", ["quadratic", "power0.5"])
 def test_covariance_route_memory_does_not_grow_with_n(name):
     # one float from 2**22 lags, one lag block at a time
