@@ -136,9 +136,8 @@ def cmul(x, y):
 
 
 def cscale(x, s):
-    """Complex stack x times the float64 array s, whose values are exact."""
-    zero = np.zeros_like(s)
-    return np.stack([*mul(x[0:2], (s, zero)), *mul(x[2:4], (s, zero))])
+    """Complex stack x times s, exact float64 values (an array or a number)."""
+    return np.stack([*mul(x[0:2], (s, 0.0)), *mul(x[2:4], (s, 0.0))])
 
 
 def fold(x, k, work):

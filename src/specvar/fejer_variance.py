@@ -30,8 +30,8 @@ The bracket's rows share it the same way: ``_sandwich_rows``, which the CLI's
 
 The covariance route assembles the same quantity from autocovariances,
 ``Var(S_n) = n r_0 + 2 sum_{k<n} (n-k) r_k``, and serves as an independent
-cross-check at every n; on atoms it sums the lags per atom, also in
-double-double, so the two routes return the same float there.
+cross-check at every n up to ``MAX_LAGS``: atoms in O(log n) steps, in
+double-double, so the two routes return the same float there; pieces O(n).
 
 ``sandwich`` evaluates the two-sided bracket
 
@@ -329,14 +329,14 @@ def variance_covariance(m: SpectralMeasure, n) -> float:
     """Var(S_n) via the triangular covariance sum (independent oracle).
 
     Every term is a covariance: the origin atom's are constant, so its lags
-    sum to ``atom_at_zero * n**2``; the other atoms' lags are summed per atom
-    in double-double (``atom_covariance_sums``); each density piece sums its
+    sum to ``atom_at_zero * n**2``; the other atoms' in O(log n) steps in
+    double-double (``atom_covariance_sums``); each density piece sums its
     cosine transforms one lag block at a time, so the memory stays bounded
     whatever n (``_piece_variance_covariance``).  A density's sum is
     ill-conditioned: n r_0 cancels down to Var(S_n) (to about 4 ln n on the
     quadratic measure), so even with exact c_k its relative error grows like
     n/ln n times their rounding, and it costs O(n), so n is at most
-    ``MAX_LAGS``.
+    ``MAX_LAGS`` (on atoms too).
     """
     n = check_lags(n, "n")
     total = m.atom_at_zero * float(n) ** 2 + atom_covariance_sums(m, n)

@@ -779,39 +779,39 @@ def atom_fejer_points(m: SpectralMeasure, ns):
     return out
 
 
+def _cadd(x, y):
+    return np.concatenate([dd.add(x[i:i + 2], y[i:i + 2]) for i in (0, 2)])
+
+
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     """``sum_{|k|<n} (n-|k|) sum mass cos(k loc)`` over the atoms in (0, pi]:
     their share of the triangular covariance sum, rounded once.
 
-    Per atom the lag sum is ``2 Re W - n`` with ``W = sum_{k<n} (n-k) z**k``
-    and z = exp(i loc), taken in double-double on the grid k = a*B + b
-    (b < B, B*B >= n): ``W = sum_a z**(aB) ((n - aB) U - V)`` with
-    ``U = sum_b z**b`` and ``V = sum_b b z**b``, the last row summing only
-    its first L = n - (A-1)B lags.  The powers come from repeated squaring,
-    so no cos(k loc) is ever rounded, and the cost is O(sqrt(n)) per atom.
-    The error before the one rounding is about 2**-100 * n**1.5 * mass, so
-    this equals ``atom_fejer_sums`` bit for bit unless the variance nearly
-    vanishes or lies within that of a tie.
+    Per atom it is ``2 Re (n U - V) - n`` with ``U = sum_{k<n} z**k``, ``V =
+    sum_{k<n} k z**k``, z = exp(i loc), in double-double by doubling (Knuth,
+    TAOCP 4.6.3): from j = 1 (1, 0, z), U, V and P = z**j of the lags below
+    j join a copy, ``U += P U``, ``V += P (V + j U)``, ``P = P**2``, then on
+    a 1 bit of n one lag, ``U += P``, ``V += j P``, ``P = P z``: O(atoms log
+    n) time, O(atoms) memory.  z**k is off by about k 2**-104, a term by at
+    most 2**-104 n**3 mass, so this equals ``atom_fejer_sums`` bit for bit
+    unless the sum nearly vanishes or lies within that of a tie (tested at
+    dyadic n on ``nonergodic``).
     """
     locs, masses = m.atom_arrays()
     if not len(locs):
         return 0.0
-    B = 1 << ((n - 1).bit_length() + 1) // 2
-    A = -(-n // B)
-    L = n - (A - 1) * B
-    zb, zB = dd.cpowers(m._cis, B)
-    za, _ = dd.cpowers(zB, A)
-    bzb = dd.cscale(zb, np.arange(B, dtype=float)[:, None])
-    u = dd.cscale(dd.total(zb)[:, None],
-                  n - B * np.arange(A, dtype=float)[:, None])
-    u[:, -1] = dd.cscale(dd.total(zb[:, :L]), np.float64(L))
-    v = np.repeat(-dd.total(bzb)[:, None], A, axis=1)
-    v[:, -1] = -dd.total(bzb[:, :L])
-    rows = np.concatenate([dd.add(u[i:i + 2], v[i:i + 2]) for i in (0, 2)])
-    w = dd.total(dd.cmul(za, rows))
+    one = np.zeros((4, 3, len(locs)))  # U, V and P of the lag 0: 1, 0, z
+    one[0, 0], one[:, 2] = 1.0, m._cis
+    s, j = one, 1
+    for bit in bin(n)[3:]:
+        for t, i in ((s, j), (one, 1))[:1 + int(bit)]:  # join s, then t
+            v = _cadd(t[:, 1], dd.cscale(t[:, 0], float(j)))
+            x = dd.cmul(s[:, 2:], np.stack([t[:, 0], v, t[:, 2]], axis=1))
+            x[:, :2] = _cadd(s[:, :2], x[:, :2])
+            s, j = x, j + i
+    w = dd.add(dd.mul(s[0:2, 0], (2.0 * n, 0.0)), -2.0 * s[0:2, 1])  # 2 Re W
     k = _downscale(np.frexp(masses)[1] + 2 * n.bit_length())  # mass n**2
-    per_atom = dd.mul(dd.add((2.0 * w[0], 2.0 * w[1]), (-float(n), 0.0)),
-                      (np.ldexp(masses, -k), 0.0))
+    per_atom = dd.mul(dd.add(w, (-float(n), 0.0)), (np.ldexp(masses, -k), 0.0))
     hi, lo = dd.total(np.stack(per_atom))
     with np.errstate(over="ignore"):  # beyond the float range: inf
         return float(np.ldexp(hi + lo, k))

@@ -256,18 +256,32 @@ def test_atom_rows_at_the_extremes_of_the_lobe(name):
         assert got == (want, want), n
         if name == "1e-300" and float(n) ** 2 == n * n:
             assert got[1] == float(n * n), n
+        if n <= sm.MAX_LAGS:
+            # the covariance route too, with no warning of an overflow
+            with np.errstate(over="raise", invalid="raise"):
+                assert variance_covariance(m, n) == want, n
 
 
-@pytest.mark.parametrize("name", sorted(ATOMIC))
+@pytest.mark.parametrize("name", [*sorted(ATOMIC), "random1000"])
 def test_atom_routes_agree_exactly(name):
     # both routes round the atom sum once from double-double, so the
-    # covariance oracle returns the spectral value bit for bit
-    m = ATOMIC[name]
+    # covariance oracle returns the spectral value bit for bit, up to
+    # MAX_LAGS = 2**28 (1000 atoms to 2**18)
+    m = ATOMIC[name] if name in ATOMIC else _random_atomic(2026, size=1000)
     rng = np.random.default_rng(11)
-    ns = sorted({1, 2, 3, 16, 17, 2 ** 14, 2 ** 16 - 1, 2 ** 18,
-                 *rng.integers(1, 2 ** 18, size=20).tolist()})
-    for n in ns:
+    ns = {1, 2, 3, 16, 17, 2 ** 14, 2 ** 16 - 1, 2 ** 18,
+          *rng.integers(1, 2 ** 18, size=20).tolist()}
+    if name in ATOMIC:
+        ns |= {2 ** 22 - 1, 2 ** 22 + 1, 2 ** 28 - 1, 2 ** 28}
+    for n in sorted(ns):
         assert variance_covariance(m, n) == variance_spectral(m, n), n
+    if name == "nonergodic":
+        # a dyadic n annihilates the atoms above its scale, whose lag sums
+        # cancel to nearly nothing: the doubling's error there stays below
+        # the one rounding
+        for n in [2 ** j + d for j in (10, 20, 27) for d in (-1, 0, 1)] + [
+                2 ** 28]:
+            assert variance_covariance(m, n) == atomic_variance_exact(m, n), n
 
 
 @pytest.mark.parametrize("name", sorted(ATOMIC))
@@ -955,14 +969,21 @@ def test_power_cos_transform_streams_its_lags(name):
                           out.view(np.int64))
 
 
-@pytest.mark.parametrize("name", ["quadratic", "power0.5"])
+@pytest.mark.parametrize("name", ["quadratic", "power0.5", "counterexample",
+                                  "random1000"])
 def test_covariance_route_memory_does_not_grow_with_n(name):
-    # one float from 2**22 lags, one lag block at a time
-    m = _streamed_measures()[name]
+    # one float from 2**22 lags: a density's one lag block at a time, the
+    # atoms' by doubling, on a value per atom
+    m = (counterexample() if name == "counterexample" else
+         _random_atomic(2026, size=1000) if name == "random1000" else
+         _streamed_measures()[name])
     for n in (2 ** 18, 2 ** 22):
         peak, v = _peak_and_result(variance_covariance, m, n)
         assert peak <= 16 * 2 ** 20, (n, peak)
-        assert abs(v - variance_spectral(m, n)) <= 1e-6 * v
+        if m.density:
+            assert abs(v - variance_spectral(m, n)) <= 1e-6 * v
+        else:
+            assert v == variance_spectral(m, n), n
 
 
 def _row_measures():
