@@ -94,6 +94,10 @@ _RUN_CELLS = 1 << 8
 # multiple of it, so these blocks fall at the same lags whatever lag block
 # they come in
 _CUMSUM_BLOCK = 512
+# lags per numpy sum of a density piece in variance_covariance: every n <=
+# 2**16 + 1 is one sum.  The lag blocks fill each run's terms, so the route
+# is the same float whatever _LAG_BLOCK is
+_COVARIANCE_RUN = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -301,11 +305,17 @@ def _variance_rows(m: SpectralMeasure, ns) -> list:
 
 def _piece_variance_covariance(piece, n: int) -> float:
     """``n mass + 2 sum_{k<n} (n - k) c_k`` for one density piece: one numpy
-    sum per lag block (``lag_blocks``), the block sums added by
-    ``math.fsum``, so a sum of one block is the numpy sum of all its
-    terms."""
-    parts = [float(((n - k) * piece.cos_transform(k)).sum())
-             for _, k in lag_blocks(1, n - 1)]
+    sum per run of _COVARIANCE_RUN lags, its terms filled into one buffer
+    lag block by lag block (``lag_blocks``), the run sums added by
+    ``math.fsum``; so a sum of one run is the numpy sum of all its terms,
+    and the call holds that buffer and one lag block's work."""
+    terms = np.empty(min(n - 1, _COVARIANCE_RUN))
+    parts = []
+    for r in range(1, n, _COVARIANCE_RUN):
+        run = terms[:min(n - r, _COVARIANCE_RUN)]
+        for a, k in lag_blocks(r, len(run)):
+            np.multiply(n - k, piece.cos_transform(k), out=run[a:a + len(k)])
+        parts.append(float(run.sum()))
     return n * piece.mass + 2.0 * math.fsum(parts)
 
 
@@ -367,15 +377,15 @@ def variance_profile(m: SpectralMeasure, n_max):
 
     Atoms are evaluated against the kernel exactly; the density part uses the
     covariance identity with cumulative sums, which yields the entire profile
-    in O(n_max).  The cosine transforms go one lag block at a time
-    (``lag_blocks``), each block's rows straight into the array, with the
-    cumulative sums carried from block to block: the call holds its output
-    and one block's work, and every row is the float a pass over all lags
-    at once gives.  Its conditioning is that of ``variance_covariance``:
-    n r_0 cancels down to Var(S_n), so even with exact c_k the relative
-    error of a density row grows like n/ln n times the c_k's rounding (a
-    few 1e-10 at n = 2**18 on the quadratic measure).  n_max is at most
-    ``MAX_LAGS``.
+    in O(n_max).  The cosine transforms go one lag block of _LAG_BLOCK =
+    2**13 lags at a time (``lag_blocks``), each block's rows straight into
+    the array, with the cumulative sums carried from block to block: the
+    call holds its output and one block's work (a few hundred KB), and
+    every row is the float a pass over all lags at once gives.  Its
+    conditioning is that of ``variance_covariance``: n r_0 cancels down to
+    Var(S_n), so even with exact c_k the relative error of a density row
+    grows like n/ln n times the c_k's rounding (a few 1e-10 at n = 2**18 on
+    the quadratic measure).  n_max is at most ``MAX_LAGS``.
     """
     n_max = check_lags(n_max, "n_max")
     out = atom_fejer_sums(m, 1, n_max)

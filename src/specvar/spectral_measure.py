@@ -103,9 +103,9 @@ class PowerDensity:
     def cos_transform(self, k):
         """``int cos(k y) * density(y) dy`` for an array of integer lags k in
         [1, MAX_LAGS].  More than _LAG_BLOCK lags are taken a block at a
-        time, so a call holds little more than its output; every step is
-        elementwise, so a lag is the same float whatever lags come with
-        it."""
+        time, so a call holds its output and one block's temporaries; every
+        step is elementwise, so a lag is the same float whatever lags come
+        with it."""
         k = _lag_array(k)
         if k.size <= _LAG_BLOCK:
             return self._cos_block(k)
@@ -165,6 +165,12 @@ class PowerDensity:
             return math.exp(log_r) if log_r < _LOG_FLOAT_MAX else math.inf
 
 
+# (lag, segment) cells per block of a table piece's cosine transforms: a
+# table of up to four segments takes a whole lag block at once, and each of
+# a block's temporaries stays 256 KB whatever the segment count
+_SEGMENT_CELLS = 1 << 15
+
+
 @dataclass(frozen=True)
 class TableDensity:
     """Piecewise-linear density through (ys, vals); support (ys[0], ys[-1]]."""
@@ -215,22 +221,30 @@ class TableDensity:
         return float(self.mass_upto(self.ys[-1]))
 
     def cos_transform(self, k):
-        # exact per linear segment:
-        # int (a + s*y) cos(ky) dy = [f(y) sin(ky)/k] + s (cos(kb)-cos(ka))/k^2
+        """``int cos(k y) * density(y) dy`` for an array of integer lags k in
+        [1, MAX_LAGS], exact per linear segment:
+        ``int (a + s y) cos(k y) dy = [f(y) sin(k y)/k] + s [cos(k y)]/k**2``.
+
+        The lags go in blocks of at most _SEGMENT_CELLS (lag, segment)
+        cells, so a table of many segments holds no more than a few
+        segments do.  A lag sums its segments along a contiguous row, so it
+        is the same float whatever lags come with it.
+        """
         k = _lag_array(k)
         ys, vals = self._arrays()
-        out = np.zeros_like(k)
+        out = np.empty_like(k)
         a, b = ys[:-1], ys[1:]
         fa, fb = vals[:-1], vals[1:]
         s = (fb - fa) / (b - a)
-        for i0 in range(0, len(k), 8192):
-            kk = k[i0:i0 + 8192, None]
+        step = max(1, _SEGMENT_CELLS // len(s))
+        for i0 in range(0, len(k), step):
+            kk = k[i0:i0 + step, None]
             # sin and cos of the exact angles k*y, as in trig_power_moments
             sb, cb = sin_cos(*dd.two_prod(kk, b[None, :]))
             sa, ca = sin_cos(*dd.two_prod(kk, a[None, :]))
             term = (fb[None, :] * sb - fa[None, :] * sa) / kk
             term += s[None, :] * (cb - ca) / kk ** 2
-            out[i0:i0 + 8192] = term.sum(axis=1)
+            out[i0:i0 + step] = term.sum(axis=1)
         return out
 
     def formula(self, y):
@@ -485,10 +499,13 @@ def g_eval(m: SpectralMeasure, x):
 # a profile or a batch (2 GiB at 2**28), not a workspace; a larger n raises
 # DomainError before any array is made
 MAX_LAGS = 2 ** 28
-# lags per block of the O(n) routes: a multiple of fejer_variance's
-# _CUMSUM_BLOCK, and long enough that variance_covariance takes every n <=
-# 2**16 + 1 in one block, so its density sum there is one numpy sum
-_LAG_BLOCK = 2 ** 16
+# lags per block of the O(n) routes and of a power piece's transform: a
+# multiple of fejer_variance's _CUMSUM_BLOCK, and short enough that a
+# block's temporaries (about 16 arrays of 64 KB in a power piece's
+# transform) stay in cache and well under a profile's output.  No float
+# depends on it: variance_covariance groups its sums by fejer_variance's
+# _COVARIANCE_RUN, not by this block
+_LAG_BLOCK = 2 ** 13
 _ATOM_CELLS = 1 << 15  # (atoms x n) cells per block: its workspace fits L2
 # (atom, n) cells per block of atom_fejer_points: ``cis``'s reduction and
 # series take some 450 bytes a cell, so a block peaks near 4 MB; fewer
@@ -820,8 +837,8 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
 def lag_blocks(k0: int, count: int):
     """The lags k0 .. k0+count-1 in blocks of at most _LAG_BLOCK, as pairs
     (offset of the block in the run, int array of its lags): the O(n)
-    routes take their cosine transforms block by block, so none of them
-    holds an array of all the lags."""
+    routes take their cosine transforms block by block, so each holds one
+    block's work at a time, not an array of all the lags."""
     for a in range(0, count, _LAG_BLOCK):
         yield a, np.arange(k0 + a, k0 + min(count, a + _LAG_BLOCK))
 
@@ -874,8 +891,9 @@ def _lag_array(k):
 
 def autocovariance_batch(m: SpectralMeasure, n: int):
     """Array of r_0 .. r_{n-1}: the total mass, then ``_lags`` written into
-    the array, its cosine transforms one lag block at a time, so the call
-    holds little more than its output; n is at most ``MAX_LAGS``."""
+    the array, its cosine transforms one lag block of _LAG_BLOCK lags at a
+    time, so the call holds its output and one block's work (a few hundred
+    KB); n is at most ``MAX_LAGS``."""
     n = check_lags(n, "batch length")
     out = np.empty(n)
     out[0] = g_eval(m, PI)

@@ -906,8 +906,8 @@ def test_lag_blocks_equal_allocating_reference(monkeypatch, name, block):
     # the O(n) routes take their lags in blocks of _LAG_BLOCK: many blocks,
     # and a padded last one (1536 is three cumulative-sum blocks), give
     # the same floats as every lag at once, so each cosine transform is the
-    # same float in a block as in the whole call; variance_covariance adds
-    # its block sums by fsum, which only moves its last bits past one block
+    # same float in a block as in the whole call; variance_covariance fills
+    # one run of _COVARIANCE_RUN terms from the blocks, one numpy sum
     monkeypatch.setattr(sm, "_LAG_BLOCK", block)
     m = _streamed_measures()[name]
     for n in (1, 2, 3, 511, 512, 513, block - 1, block, block + 1,
@@ -918,11 +918,25 @@ def test_lag_blocks_equal_allocating_reference(monkeypatch, name, block):
         want = _batch_reference(m, n)
         assert np.array_equal(autocovariance_batch(m, n).view(np.int64),
                               want.view(np.int64)), n
-        got, want = variance_covariance(m, n), _covariance_reference(m, n)
-        if n <= block + 1:
-            assert got == want, n
-        else:  # C1's tolerance on a density
-            assert abs(got - want) <= 1e-6 * max(1.0, want), n
+        assert variance_covariance(m, n) == _covariance_reference(m, n), n
+
+
+@pytest.mark.parametrize("name", ["power0.5", "quadratic", "table",
+                                  "power_lo"])
+def test_covariance_route_does_not_depend_on_the_lag_block(monkeypatch,
+                                                           name):
+    # a density's covariance sum is one numpy sum per run of 2**16 lags,
+    # whatever block its transforms come in, so n past one run, or past a
+    # block that does not divide the run (1536), gives the same float
+    m = _streamed_measures()[name]
+    ns = (8193, 8194, 2 ** 16 + 1, 2 ** 16 + 2, 100003, 2 ** 18 + 7)
+    got = {}
+    for block in (1024, 1536, 2 ** 13, 2 ** 16):
+        monkeypatch.setattr(sm, "_LAG_BLOCK", block)
+        got[block] = np.array([variance_covariance(m, n) for n in ns])
+    want = got.pop(2 ** 13).view(np.int64)
+    for block, values in got.items():
+        assert np.array_equal(values.view(np.int64), want), block
 
 
 def _peak_and_result(f, *args):
@@ -947,6 +961,39 @@ def test_o_n_routes_stream_their_lags(name, n):
         peak, out = _peak_and_result(f, m, n)
         assert out.shape == (n,)
         assert peak <= 3 * out.nbytes, (f.__name__, peak)
+
+
+@pytest.mark.parametrize("name, bound, covariance_mib", [
+    ("quadratic", 2, 3), ("power0.5", 2, 3), ("table", 3, 4)])
+def test_o_n_routes_hold_one_small_block(name, bound, covariance_mib):
+    # at 2**18 one lag block of 2**16 lags outweighed the output (a profile
+    # or a batch held 5-6.3x it, the covariance sum 9.1 MB); a block of
+    # 2**13 lags leaves the output, one run of covariance terms and a few
+    # hundred KB per piece
+    m, n = _streamed_measures()[name], 2 ** 18
+    for f in (variance_profile, autocovariance_batch):
+        f(m, 300)  # the measure's cached tables are not the call's cost
+        peak, out = _peak_and_result(f, m, n)
+        assert out.shape == (n,)
+        assert peak <= bound * out.nbytes, (f.__name__, peak)
+    variance_covariance(m, 300)
+    peak, _ = _peak_and_result(variance_covariance, m, n)
+    assert peak <= covariance_mib * 2 ** 20, peak
+
+
+def test_table_cos_transform_bounds_its_cells():
+    # a table piece takes its lags a few at a time when it has many
+    # segments: 1000 segments over 8192 lags held 563 MB in one block of
+    # 8192 lags; each lag is the float of a call on that lag alone
+    rng = np.random.default_rng(30)
+    ys = np.sort(rng.uniform(0.0, PI, 1001))
+    piece = TableDensity(tuple(ys), tuple(rng.uniform(0.0, 2.0, 1001)))
+    k = np.arange(1.0, 8193.0)
+    peak, out = _peak_and_result(piece.cos_transform, k)
+    assert peak <= 8 * 2 ** 20, peak
+    want = np.concatenate([piece.cos_transform(k[i:i + 1])
+                           for i in range(len(k))])
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["power0.5", "quadratic", "power_lo"])
