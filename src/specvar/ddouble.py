@@ -13,7 +13,7 @@ enough wherever the terms share a sign or their magnitudes are known.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -27,7 +27,11 @@ _plus, _minus, _times = np.add, np.subtract, np.multiply
 # array, as an operator would) or an array of the result's full shape, which
 # a caller can pass again and again, so that a loop allocates nothing.
 # Unless a docstring says otherwise, the arrays of ``out`` must not overlap
-# the operands.
+# the operands.  A complex formula stacks its independent real operations
+# (cmul's four products, the two parts of a sum or a scaling) along a new
+# first axis, so that one call takes them all: each element still sees the
+# same operations in the same order, and a short array pays the fixed cost
+# of a call once, not two or four times.
 
 def split(x, out=(None, None)):
     """Veltkamp: x = hi + lo, each half with at most 26 significant bits;
@@ -127,17 +131,63 @@ def sqrt(x):
     return _renorm(s, ((x[0] - p) - e + x[1]) / (2.0 * s))
 
 
-def cmul(x, y):
-    """Product of two complex stacks."""
-    xr, xi, yr, yi = x[0:2], x[2:4], y[0:2], y[2:4]
-    re = add(mul(xr, yr), mul(xi, (-yi[0], -yi[1])))
-    im = add(mul(xr, yi), mul(xi, yr))
-    return np.stack([*re, *im])
+# cells of a complex product's broadcast shape (past its four planes) that
+# one batched pass takes: the pass's workspace, twelve arrays of four planes,
+# is 1.5 MiB, inside a core's L2 cache, and a product's transient memory
+# stays that whatever its size
+_CMUL_CELLS = 1 << 12
+
+
+def cmul(x, y, out=None):
+    """Product of two complex stacks, which broadcast against each other,
+    into out (a fresh array when None), which it returns.  The four real
+    products xr yr, xi (-yi), xr yi and xi yr run as one stacked ``mul``,
+    and the two sums as one ``add``: every element sees the operations of
+    four ``mul`` and two ``add`` calls, in their order.  The product goes in
+    passes of whole runs of axis 1, at most _CMUL_CELLS cells each, through
+    a workspace made per call; the passes go from the last run to the first,
+    and each reads its operands before it writes, so out may be x's own
+    array shifted to later positions of axis 1 (``cpowers`` grows its table
+    so)."""
+    x, y = np.broadcast_arrays(x, y)
+    if out is None:
+        out = np.empty(x.shape)
+    rows, shape = x.shape[1], x.shape[2:]
+    cells = prod(shape)
+    per = max(1, min(rows, _CMUL_CELLS // max(1, cells)))
+    work = np.empty(48 * per * cells)
+    for r0 in reversed(range(0, rows, per)):
+        r = min(per, rows - r0)
+        at = slice(r0, r0 + r)
+        w = work[:48 * r * cells].reshape((12, 4, r) + shape)
+        # the four factor pairs of x and of y, hi and lo words apart
+        for i, (v, planes) in enumerate([
+                (x, (0, 2, 0, 2)), (x, (1, 3, 1, 3)),
+                (y, (0, 2, 2, 0)), (y, (1, 3, 3, 1))]):
+            np.take(v[:, at], planes, axis=0, out=w[i], mode="clip")
+        np.negative(w[2:4, 1], out=w[2:4, 1])  # -yi
+        p = mul_presplit((w[0], w[1], *split(w[0], w[4:6])),
+                         (w[2], w[3], *split(w[2], w[6:8])), w[8:12])
+        p = _renorm(*p, w[0:2])
+        add((p[0][0::2], p[1][0::2]), (p[0][1::2], p[1][1::2]),
+            (out[0::2, at], out[1::2, at], *w[2:5, :2]))
+    return out
+
+
+def _planes(hi, lo):
+    """The complex stack of the pairs (hi[0], lo[0]) and (hi[1], lo[1])."""
+    return np.stack([hi, lo], axis=1).reshape((4,) + hi.shape[1:])
 
 
 def cscale(x, s):
-    """Complex stack x times s, exact float64 values (an array or a number)."""
-    return np.stack([*mul(x[0:2], (s, 0.0)), *mul(x[2:4], (s, 0.0))])
+    """Complex stack x times s, exact float64 values (an array or a number),
+    as one ``mul`` on the stacked real and imaginary parts."""
+    return _planes(*mul((x[0::2], x[1::2]), (s, 0.0)))
+
+
+def cadd(x, y):
+    """x + y for two complex stacks, as one ``add`` on the stacked parts."""
+    return _planes(*add((x[0::2], x[1::2]), (y[0::2], y[1::2])))
 
 
 def fold(x, k, work):
@@ -185,14 +235,18 @@ def cpowers(z, count):
     """``z**0 .. z**(count-1)`` stacked along a new axis 1, and ``z**(2**j)``
     for the least 2**j >= count, from products of squares; each squaring
     doubles the phase error it is given, so z**k is off by up to about
-    k * 2**-104 relative (``cis`` gives one power to 2**-104 at any k)."""
-    p = np.zeros((4, 1) + z.shape[1:])
-    p[0] = 1.0
-    q = z
-    while p.shape[1] < count:
-        p = np.concatenate([p, cmul(p, q[:, None])], axis=1)
-        q = cmul(q, q)
-    return p[:, :count], q
+    k * 2**-104 relative (``cis`` gives one power to 2**-104 at any k).
+    The powers go into one table of 2**j + 1 rows: with z**0 .. z**(k-1)
+    and the square z**k in rows 0 .. k, one ``cmul`` of those rows by z**k
+    writes the next k powers and the next square into rows k .. 2k.  The
+    square comes back as a copy, so it does not keep the table alive."""
+    p = np.empty((4, (1 << (count - 1).bit_length()) + 1) + z.shape[1:])
+    p[:, 0], p[0, 0], p[:, 1] = 0.0, 1.0, z
+    k = 1
+    while k < count:
+        cmul(p[:, :k + 1], p[:, k:k + 1], p[:, k:2 * k + 1])
+        k *= 2
+    return p[:, :count], p[:, k].copy()
 
 
 def _pair(p: int, q: int):

@@ -37,15 +37,17 @@ class NumericError(SpecvarError, RuntimeError):
         super().__init__(message)
 
 
-def check_int(value, what: str, minimum: int) -> int:
+def check_int(value, what: str, minimum) -> int:
     """``value`` as an int with minimum <= value < 2**63, else DomainError
     naming ``what`` (also for NaN, +-inf and non-integral or non-numeric
-    values).  The bound keeps every count, n and lag an int64."""
+    values).  The bound keeps every count, n and lag an int64.  A minimum
+    of None admits every integer: a seed, which is taken mod 2**64."""
     try:
-        ok = value == int(value) and minimum <= int(value) < 2 ** 63
+        ok = value == int(value) and (
+            minimum is None or minimum <= int(value) < 2 ** 63)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"{what} must be an integer >= {minimum} and "
-                          f"< 2**63, got {value!r}")
+        bounds = "" if minimum is None else f" >= {minimum} and < 2**63"
+        raise DomainError(f"{what} must be an integer{bounds}, got {value!r}")
     return int(value)

@@ -101,7 +101,7 @@ def ndtri(out, gens):
 
 
 def _pair_generator(seed: int, q: int) -> np.random.Generator:
-    entropy = np.random.SeedSequence(int(seed) % 2 ** 64, spawn_key=(q,))
+    entropy = np.random.SeedSequence(seed % 2 ** 64, spawn_key=(q,))
     return np.random.Generator(np.random.SFC64(entropy))
 
 
@@ -228,7 +228,8 @@ def _density(m: SpectralMeasure, N: int):
 def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
     """``(method, min_eig, jitter, blocks)`` for P paths of length N.
 
-    N and P are checked and the measure's parts built at the call;
+    N, P and the seed (any integer) are checked and the measure's parts
+    built at the call;
     ``blocks`` then yields ``(first path, rows)`` in path order, rows a
     (paths, N) view of one block buffer that the next block overwrites.
     The block buffers are allocated once per call and serve every block,
@@ -236,6 +237,7 @@ def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
     """
     N = check_int(N, "N", 1)
     P = check_int(P, "P", 1)
+    seed = check_int(seed, "seed", None)
     if N > MAX_PATH_LENGTH:
         raise DomainError(f"N must be <= {MAX_PATH_LENGTH}, got {N}")
 
@@ -272,7 +274,7 @@ def simulate(m: SpectralMeasure, N: int, P: int, seed: int) -> PathBatch:
     and the first paths do not depend on P.  The density's autocovariances
     come from ``autocovariance_batch`` at its fixed accuracy."""
     method, min_eig, jitter, blocks = _path_blocks(m, N, P, seed)
-    paths = np.empty((int(P), int(N)))  # both checked by _path_blocks
+    paths = np.empty((int(P), int(N)))  # all three checked by _path_blocks
     for p0, rows in blocks:
         paths[p0:p0 + len(rows)] = rows
     return PathBatch(paths=paths, seed=int(seed), method=method,

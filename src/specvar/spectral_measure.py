@@ -796,10 +796,6 @@ def atom_fejer_points(m: SpectralMeasure, ns):
     return out
 
 
-def _cadd(x, y):
-    return np.concatenate([dd.add(x[i:i + 2], y[i:i + 2]) for i in (0, 2)])
-
-
 def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     """``sum_{|k|<n} (n-|k|) sum mass cos(k loc)`` over the atoms in (0, pi]:
     their share of the triangular covariance sum, rounded once.
@@ -809,10 +805,12 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     TAOCP 4.6.3): from j = 1 (1, 0, z), U, V and P = z**j of the lags below
     j join a copy, ``U += P U``, ``V += P (V + j U)``, ``P = P**2``, then on
     a 1 bit of n one lag, ``U += P``, ``V += j P``, ``P = P z``: O(atoms log
-    n) time, O(atoms) memory.  z**k is off by about k 2**-104, a term by at
-    most 2**-104 n**3 mass, so this equals ``atom_fejer_sums`` bit for bit
-    unless the sum nearly vanishes or lies within that of a tie (tested at
-    dyadic n on ``nonergodic``).
+    n) time, O(atoms) memory.  A join is one ``cscale``, two ``cadd`` and
+    one ``cmul``, which takes the three products by P at once; each is one
+    batched pass of ufunc calls over the atoms.  z**k is off by about
+    k 2**-104, a term by at most 2**-104 n**3 mass, so this equals
+    ``atom_fejer_sums`` bit for bit unless the sum nearly vanishes or lies
+    within that of a tie (tested at dyadic n on ``nonergodic``).
     """
     locs, masses = m.atom_arrays()
     if not len(locs):
@@ -822,9 +820,9 @@ def atom_covariance_sums(m: SpectralMeasure, n: int) -> float:
     s, j = one, 1
     for bit in bin(n)[3:]:
         for t, i in ((s, j), (one, 1))[:1 + int(bit)]:  # join s, then t
-            v = _cadd(t[:, 1], dd.cscale(t[:, 0], float(j)))
+            v = dd.cadd(t[:, 1], dd.cscale(t[:, 0], float(j)))
             x = dd.cmul(s[:, 2:], np.stack([t[:, 0], v, t[:, 2]], axis=1))
-            x[:, :2] = _cadd(s[:, :2], x[:, :2])
+            x[:, :2] = dd.cadd(s[:, :2], x[:, :2])
             s, j = x, j + i
     w = dd.add(dd.mul(s[0:2, 0], (2.0 * n, 0.0)), -2.0 * s[0:2, 1])  # 2 Re W
     k = _downscale(np.frexp(masses)[1] + 2 * n.bit_length())  # mass n**2

@@ -121,6 +121,28 @@ def _total_reference(x):
     return x[:, 0]
 
 
+def cmul_reference(x, y):
+    """``ddouble.cmul`` as it was before it batched its products: four
+    ``mul`` calls and two ``add`` calls."""
+    xr, xi, yr, yi = x[0:2], x[2:4], y[0:2], y[2:4]
+    re = dd.add(dd.mul(xr, yr), dd.mul(xi, (-yi[0], -yi[1])))
+    im = dd.add(dd.mul(xr, yi), dd.mul(xi, yr))
+    return np.stack([*re, *im])
+
+
+def cpowers_reference(z, count: int):
+    """``ddouble.cpowers`` as it was before it filled one table: each
+    doubling concatenates the table with its product by the square, then
+    squares the square, by ``cmul_reference``."""
+    p = np.zeros((4, 1) + z.shape[1:])
+    p[0] = 1.0
+    q = z
+    while p.shape[1] < count:
+        p = np.concatenate([p, cmul_reference(p, q[:, None])], axis=1)
+        q = cmul_reference(q, q)
+    return p[:, :count], q
+
+
 def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
     """``spectral_measure._atom_sums`` as it was before its blocks ran in
     place: the same grid, tables and formulas, with every operation
@@ -128,8 +150,8 @@ def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
     A = -(-count // B)
-    cols, zB = dd.cpowers(z, B)
-    rows = dd.cmul(dd.cis(n0, t)[:, None], dd.cpowers(zB, A)[0])
+    cols, zB = cpowers_reference(z, B)
+    rows = cmul_reference(dd.cis(n0, t)[:, None], cpowers_reference(zB, A)[0])
     rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
     rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
     cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])

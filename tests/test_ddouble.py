@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import cis_reference, machin_pi
+from conftest import (cis_reference, cmul_reference, cpowers_reference,
+                      machin_pi)
 from specvar import ddouble as dd
 
 
@@ -139,3 +140,76 @@ def test_cis_grid_equals_one_call_per_n():
         at = n == m
         want = dd.cis(m, t[at])
         assert (got[:, at].view(np.int64) == want.view(np.int64)).all(), m
+
+
+def _complex_operands(rng, shape, top=900):
+    """Complex stacks of the given shape (past the four planes): normalized
+    pairs whose high words run from 2**-1022 to 2**top, about one in eight
+    of them zero."""
+    shape = (2,) + shape
+    hi = (rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+          * 2.0 ** rng.integers(-1022, top, shape, endpoint=True))
+    hi[rng.random(hi.shape) < 0.125] = 0.0
+    lo = hi * rng.uniform(-2.0 ** -53, 2.0 ** -53, hi.shape)
+    return np.stack([hi[0], lo[0], hi[1], lo[1]])
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
+def _cscale_reference(x, s):
+    return np.stack([*dd.mul(x[0:2], (s, 0.0)), *dd.mul(x[2:4], (s, 0.0))])
+
+
+def _cadd_reference(x, y):
+    return np.concatenate([dd.add(x[i:i + 2], y[i:i + 2]) for i in (0, 2)])
+
+
+def test_batched_complex_products_equal_the_four_product_formula():
+    # every element sees the operations of the unbatched formulas in their
+    # order, read as int64; the shapes broadcast as the atom sums' do, and
+    # the larger ones take several passes of dd._CMUL_CELLS cells
+    rng = np.random.default_rng(31)
+    budget = dd._CMUL_CELLS
+    shapes = [((a,), (a,)) for a in (1, 7, budget + 5)]
+    shapes += [((1, a), (k, a))
+               for a, k in ((39, 3), (39, 300), (2, budget + 1))]
+    shapes += [((3, a), (1, a)) for a in (5, budget + 3)]
+    for (sx, sy), (tx, ty) in zip(shapes * 2, [(900, 0)] * 8 + [(0, 900)] * 8):
+        # one factor of each product is at most 2**1, so the product and
+        # its Veltkamp halves stay finite
+        x = _complex_operands(rng, sx, top=tx)
+        y = _complex_operands(rng, sy, top=ty)
+        want = cmul_reference(x, y)
+        assert _same(dd.cmul(x, y), want), (sx, sy)
+        assert _same(dd.cmul(x, y, np.empty(want.shape)), want), (sx, sy)
+        wide = np.broadcast_to(x, want.shape)
+        assert _same(dd.cadd(wide, want), _cadd_reference(wide, want))
+        s = rng.uniform(-4.0, 4.0, sy) * 2.0 ** rng.integers(-40, 40, sy)
+        assert _same(dd.cscale(y, s), _cscale_reference(y, s))
+        assert _same(dd.cscale(y, 3.0), _cscale_reference(y, 3.0))
+    x = _complex_operands(rng, (50,))
+    assert _same(dd.cscale(x, 2.0 ** -900), _cscale_reference(x, 2.0 ** -900))
+    # out may be x's own array shifted to later positions of axis 1, here
+    # across three passes
+    x = _complex_operands(rng, (budget // 4, 8), top=0)
+    y = _complex_operands(rng, (1, 8), top=0)
+    want = cmul_reference(x[:, :1000], y)
+    dd.cmul(x[:, :1000], y, x[:, 7:1007])
+    assert _same(x[:, 7:1007], want)
+    # powers of points on the unit circle (some tiny angles), at a few
+    # atoms and at enough that a doubling takes several passes
+    t = np.concatenate([rng.uniform(0.0, np.pi, 5), [1e-300, 0.0]])
+    z = dd.cis(1, t)
+    for count in [*range(1, 71), 4097]:
+        table, square = dd.cpowers(z, count)
+        want_table, want_square = cpowers_reference(z, count)
+        assert _same(table, want_table) and _same(square, want_square), count
+    z = np.concatenate([dd.cis(1, rng.uniform(0.0, np.pi, budget // 8)),
+                        _complex_operands(rng, (4,), top=0) * 0.5], axis=1)
+    for count in (1, 2, 13, 64, 65):
+        table, square = dd.cpowers(z, count)
+        want_table, want_square = cpowers_reference(z, count)
+        assert _same(table, want_table) and _same(square, want_square), count

@@ -460,6 +460,89 @@ def test_grid_pass_equals_single_n_sums(monkeypatch, cells):
     assert sm.atom_fejer_points(m, []).shape == (0,)
 
 
+def _two_hundred_atoms():
+    rng = np.random.default_rng(31)
+    locs = np.unique(rng.uniform(1e-3, PI, 200))
+    masses = rng.uniform(0.1, 1.0, len(locs)) / len(locs)
+    return SpectralMeasure(atoms=tuple(zip(locs.tolist(), masses.tolist())))
+
+
+# (route, measure, n or (length, index), float.hex of the value), recorded
+# before the complex double-double products ran batched; the double-double
+# steps are IEEE operations elementwise, so the values do not depend on the
+# platform.  "fejer" is atom_fejer_points, except on "origin", whose origin
+# atom it leaves out: there it is variance_spectral.
+RECORDED_FLOATS = [
+    ("covariance", "counterexample", 1, "0x1.0000000000000p+0"),
+    ("covariance", "counterexample", 7, "0x1.d34e3fa8de22ep+4"),
+    ("covariance", "counterexample", 1025, "0x1.30b0be484e57cp+12"),
+    ("covariance", "counterexample", 262141, "0x1.304154b822141p+20"),
+    ("covariance", "counterexample", 268435456, "0x1.30427ff6a21fap+30"),
+    ("covariance", "nonergodic", 1, "0x1.5555555555555p-4"),
+    ("covariance", "nonergodic", 7, "0x1.dda5b7ff392dcp-3"),
+    ("covariance", "nonergodic", 1025, "0x1.058d9b946e2a3p-2"),
+    ("covariance", "nonergodic", 262141, "0x1.798cdddd0f91ep-2"),
+    ("covariance", "nonergodic", 268435456, "0x1.603466cfb3cc1p-3"),
+    ("covariance", "origin", 1, "0x1.8888888888888p-2"),
+    ("covariance", "origin", 7, "0x1.dddcfd46634b1p+3"),
+    ("covariance", "origin", 1025, "0x1.33ccf058d9b94p+18"),
+    ("covariance", "origin", 262141, "0x1.333166672acc0p+34"),
+    ("covariance", "origin", 268435456, "0x1.3333333333333p+54"),
+    ("covariance", "many", 1, "0x1.0f6c49f146f11p-1"),
+    ("covariance", "many", 7, "0x1.0f91ec69fddd1p+2"),
+    ("covariance", "many", 1025, "0x1.0a975ac233cb4p+6"),
+    ("covariance", "many", 262141, "0x1.d288d3b0f5956p+4"),
+    ("covariance", "many", 268435456, "0x1.212b877f28342p+6"),
+    ("profile", "counterexample", (5000, 0), "0x1.0000000000000p+0"),
+    ("profile", "counterexample", (5000, 6), "0x1.d34e3fa8de22ep+4"),
+    ("profile", "counterexample", (5000, 1024), "0x1.30b0be484e57cp+12"),
+    ("profile", "counterexample", (5000, 4999), "0x1.66921f9cf92fbp+14"),
+    ("profile", "nonergodic", (65536, 0), "0x1.5555555555555p-4"),
+    ("profile", "nonergodic", (65536, 1023), "0x1.6034759518da7p-3"),
+    ("profile", "nonergodic", (65536, 40000), "0x1.7b440c75d8dd1p-1"),
+    ("profile", "nonergodic", (65536, 65535), "0x1.6034697b201dfp-3"),
+    ("profile", "origin", (1500, 0), "0x1.8888888888888p-2"),
+    ("profile", "origin", (1500, 1499), "0x1.4997145ad95c7p+19"),
+    ("profile", "many", (3000, 9), "0x1.a9e80e144e593p+2"),
+    ("profile", "many", (3000, 2999), "0x1.158e28a5b0ea5p+6"),
+    ("batch", "counterexample", (4097, 1), "0x1.dc1c759188b22p-1"),
+    ("batch", "counterexample", (4097, 4096), "0x1.2985271bd7455p-1"),
+    ("batch", "many", (9000, 2), "0x1.4a507bcbc4ddap-6"),
+    ("batch", "many", (9000, 8999), "-0x1.8ac5f8cf31908p-10"),
+    ("fejer", "counterexample", 1099511627779, "0x1.30427c09f76abp+42"),
+    ("fejer", "counterexample", 4611686018427387904, "0x1.6e2a3fbc1bac7p+62"),
+    ("fejer", "nonergodic", 1099511627779, "0x1.92e6fb999b164p-3"),
+    ("fejer", "nonergodic", 4611686018427387904, "0x1.1ba1c6a8a9e87p-1"),
+    ("fejer", "origin", 1099511627779, "0x1.333333333a666p+78"),
+    ("fejer", "origin", 4611686018427387904, "0x1.3333333333333p+122"),
+    ("fejer", "many", 1099511627779, "0x1.02b2018c5c98cp+5"),
+    ("fejer", "many", 4611686018427387904, "0x1.bf830b1ae6da4p+4"),
+]
+
+
+def test_atom_routes_match_recorded_floats():
+    ms = {"counterexample": counterexample(), "nonergodic": nonergodic(),
+          "origin": with_origin_atom(nonergodic(), 0.3),
+          "many": _two_hundred_atoms()}
+    got = {}
+    for route, name, arg, want in RECORDED_FLOATS:
+        m = ms[name]
+        if route == "covariance":
+            value = variance_covariance(m, arg)
+        elif route == "fejer" and name == "origin":
+            value = variance_spectral(m, arg)
+        elif route == "fejer":
+            value = sm.atom_fejer_points(m, [arg])[0]
+        else:
+            key = (route, name, arg[0])
+            if key not in got:
+                f = {"profile": variance_profile,
+                     "batch": autocovariance_batch}[route]
+                got[key] = f(m, arg[0])
+            value = got[key][arg[1]]
+        assert float(value).hex() == want, (route, name, arg)
+
+
 def _thousand_atoms():
     """1000 seeded atoms, masses over 10 decades."""
     rng = np.random.default_rng(1000)

@@ -214,6 +214,29 @@ def test_simulate_domain():
         simulate(white_noise(), N=8, P=0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [1.5, -0.5, math.nan, math.inf, -math.inf,
+                                  "7", None], ids=repr)
+def test_simulate_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 once ran, and reported, seed 1; nan raised a bare ValueError and
+    # inf an OverflowError
+    with pytest.raises(DomainError, match="seed"):
+        simulate(white_noise(), N=8, P=2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, -2 ** 70, 2 ** 63, 2 ** 64 + 5],
+                         ids=repr)
+def test_every_integer_seed_keeps_its_stream(seed):
+    # the streams are keyed by seed mod 2**64, whatever the integer's type
+    m = with_origin_atom(nonergodic(), 0.5)
+    batch = simulate(m, N=32, P=3, seed=seed)
+    assert batch.seed == seed and type(batch.seed) is int
+    want = simulate(m, N=32, P=3, seed=seed % 2 ** 64).paths
+    assert (batch.paths == want).all()
+    if -2 ** 63 <= seed < 2 ** 63:
+        for same in (np.int64(seed), float(seed)):
+            assert (simulate(m, N=32, P=3, seed=same).paths == want).all()
+
+
 def test_indefinite_embedding_large_n_raises():
     # the flat density has an indefinite embedding at N = 8192 (min
     # eigenvalue -0.47 r0); beyond the dense fallback limit this must
