@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_int
+from .errors import DomainError, ValidationError, check_float, check_int
 from .fejer_variance import _variance_rows, variance_profile
 from .spectral_measure import SpectralMeasure, g_eval
 from .specfun import sin_sq_moment
@@ -68,6 +68,7 @@ class SlowlyVarying:
     def __post_init__(self):
         if self.kind not in ("constant", "log_power"):
             raise DomainError(f"unknown slowly varying kind {self.kind!r}")
+        check_float(self.exponent, "exponent")
 
     @classmethod
     def constant(cls) -> "SlowlyVarying":
@@ -99,9 +100,9 @@ class RegularVariationModel:
     L: SlowlyVarying = field(default_factory=SlowlyVarying.constant)
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 2.0:
+        if not 0.0 < check_float(self.gamma, "gamma") < 2.0:
             raise DomainError(f"gamma must lie strictly in (0, 2), got {self.gamma}")
-        if not self.K0 > 0.0:
+        if not check_float(self.K0, "K0") > 0.0:
             raise DomainError(f"K0 must be positive, got {self.K0}")
 
     def g(self, n):
@@ -184,6 +185,7 @@ def theorem_check(m: SpectralMeasure, model: RegularVariationModel, n_grid,
     n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
+    tol = check_float(tol, "tol", 0.0)
     xs = [1.0 / n for n in n_grid]
     rows = []
     for n, var, x, gx in zip(n_grid, _variance_rows(m, n_grid), xs,
@@ -233,13 +235,16 @@ def growth_bound_report(m: SpectralMeasure, gamma: float, L: SlowlyVarying,
     ns = [check_int(n, "subsequence entry", 1) for n in subsequence]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("subsequence must be increasing positive integers")
+    gamma = check_float(gamma, "gamma")
+    kappa_warn = check_float(kappa_warn, "kappa_warn")
+    fill_limit = check_int(fill_limit, "fill_limit", 1)
     if ns[-1] > fill_limit:
         raise DomainError(f"subsequence exceeds fill limit {fill_limit}")
     kappa = max(b / a for a, b in zip(ns, ns[1:]))
 
     profile = variance_profile(m, ns[-1])
     n_all = np.arange(ns[0], ns[-1] + 1)
-    g_all = n_all ** float(gamma) * L(n_all)
+    g_all = n_all ** gamma * L(n_all)
     fill_ratios = profile[ns[0] - 1:] / g_all
 
     idx = np.array(ns) - 1
@@ -273,6 +278,7 @@ def dichotomy_check(m: SpectralMeasure, n_grid, tol: float = 1e-2) -> DichotomyR
     n_grid = [check_int(n, "n_grid entry", 1) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise DomainError("n_grid must be nonempty and strictly increasing")
+    tol = check_float(tol, "tol", 0.0)
     ratios = [v / float(n) ** 2
               for n, v in zip(n_grid, _variance_rows(m, n_grid))]
     limit = ratios[-1]

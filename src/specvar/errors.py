@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the integer- and
+float-argument checks."""
+
+import math
 
 
 class SpecvarError(Exception):
@@ -51,3 +54,18 @@ def check_int(value, what: str, minimum) -> int:
         bounds = "" if minimum is None else f" >= {minimum} and < 2**63"
         raise DomainError(f"{what} must be an integer{bounds}, got {value!r}")
     return int(value)
+
+
+def check_float(value, what: str, minimum=None) -> float:
+    """``value`` as a finite float, at least minimum when one is given, else
+    DomainError naming ``what`` (also for NaN, +-inf and non-numeric
+    values)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (minimum is None or x >= minimum)):
+        bounds = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{what} must be a finite number{bounds}, "
+                          f"got {value!r}")
+    return x

@@ -518,14 +518,19 @@ _GRID_CELLS = 1 << 13
 # Past the first _LOBE_DD terms, each is below 2**-60 of the first, so
 # float64 carries them to 2**-113 of it, at a tenth of a double-double
 # Horner step's ufunc calls.  The series costs a fixed few hundred ufunc
-# calls per call and per block, about 1.3 ms on a single n, so only a run
-# of at least _LOBE_RUN n takes it; a shorter one keeps every atom in the
-# kernel (in process, the series cost more than the cells it saves below
-# about 1000 n).
+# calls to build per call (``_lobe``) and as many per run of its rows, about
+# 0.3 ms each on a 2-core x86_64 host, so only a run of at least _LOBE_RUN n
+# takes it; a shorter one keeps every atom in the kernel (in process, the
+# series cost more than the cells it saves below about 1000 n).
 _LOBE_CUT = 1.0
 _LOBE_TERMS = 14
 _LOBE_DD = 9
 _LOBE_RUN = 1024
+# n per run of the lobe's rows in _atom_sums, a power of two: a row costs
+# about 150 ns in runs of 2**13 n against 270 ns in runs of 1024 (same
+# host), and the sixteen arrays of a run (1 MiB) take no more memory than
+# the kernel's blocks, whose workspace they share
+_LOBE_ROWS = 1 << 13
 _LOBE_T = -dd._TAYLOR[2:2 * _LOBE_TERMS + 1:2]
 
 
@@ -572,22 +577,29 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
 
     The grid goes in blocks of whole rows or of part of one row: a block's
     run of n is a power of two, so it divides B, of about _ATOM_CELLS /
-    atoms n but never fewer than 64 (or the whole grid), so that no ufunc
-    loops over short rows; its n are consecutive, so its sums go to one
-    slice of out, and a block wholly past the last n is skipped.  Every
-    block writes into workspaces made per call, seven arrays of (atoms + 1)
-    x block cells (the spare row pads the pairwise sum) and, with a lobe,
-    sixteen of one cell per n, through ufuncs with ``out``: no block
-    allocates.  A block counts the lobe's sixteen arrays as 16/7 atoms, so
-    its cells, the lobe's included, stay near _ATOM_CELLS, and seven arrays
-    of them (1.75 MiB) a core's L2 cache, however many atoms lie in the
-    lobe.
+    (atoms + 1) n but never fewer than 64 (or the whole grid), so that no
+    ufunc loops over short rows; its n are consecutive, so its sums go to
+    one slice of out, and a block wholly past the last n is skipped.  Every
+    block writes into one workspace made per call, seven arrays of (atoms +
+    1) x block cells (the spare row pads the pairwise sum), through ufuncs
+    with ``out``: no block allocates, and the workspace (1.75 MiB below
+    512 atoms) fits a core's L2 cache.
+
+    The lobe's rows come once per run of _LOBE_ROWS n (one block when a
+    block is longer, every block when they span fewer n; with no atom in
+    the kernel a block is a run), so the series' fixed ufunc calls are paid
+    once per run, not once per block.  Runs and blocks start at multiples
+    of the block's power-of-two length, so a run starts with a block: its
+    sixteen arrays use the workspace before that block's kernel work does,
+    its rows (an unnormalized pair) are kept apart, and each block adds its
+    slice.  A row's n is the exact double-double of the integer n however
+    the grid is split, so every row is the same float for any run.
     """
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
     A = -(-count // B)
-    units = 7 * atoms + (16 if lobe is not None else 0)
-    per = 1 << max(6, (7 * _ATOM_CELLS // units).bit_length() - 1)
+    cells = _ATOM_CELLS // (atoms + 1) if atoms else _LOBE_ROWS
+    per = 1 << max(6, cells.bit_length() - 1)
     rb, cb = (max(1, min(per // B, A)), B) if per >= B else (1, per)
     if atoms:
         cols, zB = dd.cpowers(z, B)
@@ -605,10 +617,15 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
             factors = (rows[0:2], cols[0:2]), (rows[2:4], cols[2:4])
         (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
                               for x, y in factors]
-    work = np.empty((7, (atoms + 1) * rb * cb))
+    size = 7 * (atoms + 1) * rb * cb
     if lobe is not None:
-        steps = np.arange(rb * cb, dtype=float)
-        lobe_work = np.empty((16, rb * cb))
+        # the n of every block, end to end: whole rows, or whole column blocks
+        span = A * B if cb == B else -(-count // cb) * cb
+        run = min(max(_LOBE_ROWS, rb * cb), span)
+        steps = np.arange(run, dtype=float)
+        kept = np.empty((2, run))
+        size = max(size, 16 * run)
+    work = np.empty(size)
     # numpy copies a factor broadcast along a row through its ufunc buffer;
     # from 128 columns on, the copy costs more than the longer inner loops
     # it buys, so such blocks run with the least buffer
@@ -616,12 +633,18 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
     try:
         for a0 in range(0, A, rb):
             r = min(rb, A - a0)
-            w = work[:, :(atoms + 1) * r * cb].reshape(7, atoms + 1, r, cb)
+            w = work[:7 * (atoms + 1) * r * cb].reshape(7, atoms + 1, r, cb)
             if atoms:
                 c = tuple(w[:, :atoms])
                 r1 = tuple(t[:, a0:a0 + r] for t in x1)
                 r2 = tuple(t[:, a0:a0 + r] for t in x2)
             for b0 in range(0, min(B, count - a0 * B), cb):
+                at = a0 * B + b0
+                if lobe is not None and at % run == 0:
+                    k = min(run, span - at)
+                    kept[0, :k], kept[1, :k] = _lobe_rows(
+                        *lobe, n0 + at, steps[:k],
+                        work[:16 * k].reshape(16, k))
                 hi = lo = 0.0
                 if atoms:
                     v = dd.add(
@@ -636,11 +659,9 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
                         dd.sqr(v, c)
                     hi, lo = dd.fold(w[0:2], atoms, w[2:5])
                 if lobe is not None:
-                    lw = lobe_work[:, :r * cb].reshape(16, r, cb)
-                    s = _lobe_rows(*lobe, n0 + a0 * B + b0,
-                                   steps[:r * cb].reshape(r, cb), lw)
-                    hi, lo = dd.add((hi, lo), s, (*s, *lw[8:11]))
-                at = a0 * B + b0
+                    s = tuple(x[at % run:at % run + r * cb].reshape(r, cb)
+                              for x in kept)
+                    hi, lo = dd.add((hi, lo), s, (*s, *w[2:5, 0]))
                 np.add(hi, lo, out=hi)
                 out[at:at + r * cb] = hi.ravel()[:count - at]
     finally:

@@ -143,37 +143,55 @@ def cpowers_reference(z, count: int):
     return p[:, :count], q
 
 
-def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool):
+def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool,
+                        lobe=None):
     """``spectral_measure._atom_sums`` as it was before its blocks ran in
     place: the same grid, tables and formulas, with every operation
-    allocating its result and at most 2**16 cells to a block."""
+    allocating its result and at most 2**16 cells to a block.  With ``lobe
+    = (c, b2)`` each block adds its own ``_lobe_rows``, made on fresh arrays
+    for the block's n alone, before the one rounding, as every block did
+    before the lobe's rows were made once per run of n."""
+    from specvar.spectral_measure import _lobe_rows
+
     atoms = z.shape[1]
     B = 1 << ((count - 1).bit_length() + 1) // 2
     A = -(-count // B)
-    cols, zB = cpowers_reference(z, B)
-    rows = cmul_reference(dd.cis(n0, t)[:, None], cpowers_reference(zB, A)[0])
-    rows = np.stack([*dd.mul(rows[0:2], weight), *dd.mul(rows[2:4], weight)])
-    rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
-    if imag:
-        factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
-    else:
-        factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
-    (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
-                          for x, y in factors]
-    per = max(1, (1 << 16) // atoms)
+    if atoms:
+        cols, zB = cpowers_reference(z, B)
+        rows = cmul_reference(dd.cis(n0, t)[:, None],
+                              cpowers_reference(zB, A)[0])
+        rows = np.stack([*dd.mul(rows[0:2], weight),
+                         *dd.mul(rows[2:4], weight)])
+        rows = np.ascontiguousarray(rows.transpose(0, 2, 1)[..., None])
+        cols = np.ascontiguousarray(cols.transpose(0, 2, 1)[:, :, None])
+        if imag:
+            factors = (rows[0:2], cols[2:4]), (rows[2:4], cols[0:2])
+        else:
+            factors = (rows[0:2], cols[0:2]), (-rows[2:4], cols[2:4])
+        (x1, y1), (x2, y2) = [(dd.presplit(x), dd.presplit(y))
+                              for x, y in factors]
+    per = max(1, (1 << 16) // max(1, atoms))
     rb, cb = (per // B, B) if per >= B else (1, per)
     grid = np.empty((A, B))
     for a0 in range(0, A, rb):
-        r1 = tuple(t[:, a0:a0 + rb] for t in x1)
-        r2 = tuple(t[:, a0:a0 + rb] for t in x2)
+        r = min(rb, A - a0)
         for b0 in range(0, B, cb):
-            v = dd.add(
-                dd.mul_presplit(r1, tuple(t[..., b0:b0 + cb] for t in y1)),
-                dd.mul_presplit(r2, tuple(t[..., b0:b0 + cb] for t in y2)))
-            if imag:
-                v = dd.sqr(v)
-            hi, lo = _total_reference(np.stack(v))
+            hi = lo = 0.0
+            if atoms:
+                r1 = tuple(t[:, a0:a0 + rb] for t in x1)
+                r2 = tuple(t[:, a0:a0 + rb] for t in x2)
+                v = dd.add(
+                    dd.mul_presplit(r1,
+                                    tuple(t[..., b0:b0 + cb] for t in y1)),
+                    dd.mul_presplit(r2,
+                                    tuple(t[..., b0:b0 + cb] for t in y2)))
+                if imag:
+                    v = dd.sqr(v)
+                hi, lo = _total_reference(np.stack(v))
+            if lobe is not None:
+                steps = np.arange(r * cb, dtype=float).reshape(r, cb)
+                hi, lo = dd.add((hi, lo), _lobe_rows(
+                    *lobe, n0 + a0 * B + b0, steps, np.empty((16, r, cb))))
             grid[a0:a0 + rb, b0:b0 + cb] = hi + lo
     return grid.ravel()[:count]
 

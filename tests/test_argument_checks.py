@@ -151,3 +151,49 @@ def test_cos_transform_rejects_lags_below_one_or_not_integers(piece, k):
 def test_nan_point_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+FLOAT_ARGS = {
+    "growth_bound_report gamma": lambda v: growth_bound_report(
+        _M, v, SlowlyVarying.constant(), [2, 4, 8]),
+    "growth_bound_report kappa_warn": lambda v: growth_bound_report(
+        _M, 1.0, SlowlyVarying.constant(), [2, 4, 8], kappa_warn=v),
+    "RegularVariationModel K0": lambda v: RegularVariationModel(0.5, K0=v),
+    "RegularVariationModel gamma": lambda v: RegularVariationModel(v, K0=1.0),
+    "SlowlyVarying.log_power": lambda v: SlowlyVarying.log_power(v),
+    "SlowlyVarying exponent": lambda v: SlowlyVarying("log_power", v),
+    "theorem_check tol": lambda v: theorem_check(
+        _M, RegularVariationModel(gamma=1.0, K0=1.0), [2, 4, 8], tol=v),
+    "dichotomy_check tol": lambda v: dichotomy_check(_M, [2, 4, 8], tol=v),
+}
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=repr)
+@pytest.mark.parametrize("call", sorted(FLOAT_ARGS))
+def test_float_argument_rejected(call, bad):
+    # NaN used to flow into a NaN sup or a NaN model, +inf into a 0.0 ratio
+    # or an infinite K0, and a NaN tol into a report that never converges
+    with pytest.raises(DomainError, match="must be a finite number"):
+        FLOAT_ARGS[call](bad)
+
+
+@pytest.mark.parametrize("call", ["theorem_check tol", "dichotomy_check tol"])
+def test_negative_tol_rejected(call):
+    with pytest.raises(DomainError, match=r"^tol must be a finite number >= 0"):
+        FLOAT_ARGS[call](-1.0)
+
+
+@pytest.mark.parametrize("bad", [100.5, NAN, 0], ids=repr)
+def test_growth_bound_fill_limit_is_an_integer(bad):
+    with pytest.raises(DomainError, match="^fill_limit must be an integer"):
+        growth_bound_report(_M, 1.0, SlowlyVarying.constant(), [2, 4, 8],
+                            fill_limit=bad)
+
+
+@pytest.mark.parametrize("gamma", [0, 0.0, 1, 2.0])
+def test_growth_bound_finite_gamma_still_valid(gamma):
+    # the boundary indices 0 and 2 stay valid diagnostics here (the
+    # benchmark passes 0.0, 1.0 and 2.0)
+    rep = growth_bound_report(_M, gamma, SlowlyVarying.log_power(0.5),
+                              [2, 4, 8], kappa_warn=2.0, fill_limit=8)
+    assert rep.kappa_bounded and math.isfinite(rep.filled_sup)

@@ -356,14 +356,20 @@ def test_grid_cos_sums_equal_scalar_lags(seed):
 
 def _reference_sums(m, n0, count, imag):
     """``atom_fejer_sums`` (imag) or ``atom_cos_sums`` of m from the
-    allocating reference kernel, with the same weights."""
+    allocating reference kernel, with the same weights and, for a Fejer
+    sum, the same atoms in the lobe."""
     locs, masses = m.atom_arrays()
     if not imag:
         return atom_sums_reference(locs, m._cis, (masses, 0.0 * masses), n0,
                                    count, imag)
     h = m._cis_half
     w = dd.div(dd.sqrt((masses, 0.0 * masses)), h[2:4])
-    return atom_sums_reference(locs / 2.0, h, w, n0, count, imag)
+    p = (int(np.searchsorted(locs, sm._LOBE_CUT / (n0 + count - 1),
+                             side="right"))
+         if count >= sm._LOBE_RUN else 0)
+    lobe = sm._lobe(locs[:p], (w[0][:p], w[1][:p])) if p else None
+    return atom_sums_reference(locs[p:] / 2.0, h[:, p:],
+                               (w[0][p:], w[1][p:]), n0, count, imag, lobe)
 
 
 @pytest.mark.parametrize("cells", [1, 100, 2 ** 20, sm._ATOM_CELLS])
@@ -398,6 +404,38 @@ def test_profile_and_batch_equal_allocating_reference(name):
     assert np.array_equal(
         autocovariance_batch(m, 2 ** 14)[1:],
         m.atom_at_zero + _reference_sums(m, 1, 2 ** 14 - 1, False))
+
+
+_LOBE_MEASURES = {
+    **ATOMIC,
+    # every atom in the lobe at every n below, so no atom runs the kernel
+    "lobe only": SpectralMeasure(atoms=((1e-20, 1.0), (2e-20, 0.5))),
+}
+
+
+@pytest.mark.parametrize("n0", [1, 4097, 2 ** 40 + 7, 2 ** 62 - 2 ** 14])
+@pytest.mark.parametrize("name", sorted(_LOBE_MEASURES))
+def test_lobe_runs_do_not_change_a_float(monkeypatch, name, n0):
+    # the lobe's rows are made once per run of _LOBE_ROWS n (one block when
+    # a block is longer) and each block adds its slice: every row is the
+    # float of a series made per block, on grids whose last run ends inside
+    # a block (8191, 8193 and 3 * 2**13 + 5 n) and whose n pairs carry a
+    # low word (n >= 2**53)
+    m = _LOBE_MEASURES[name]
+    for count in (1024, 8191, 8193, 3 * 2 ** 13 + 5):
+        want = _reference_sums(m, n0, count, True)
+        n = np.arange(1, count + 1, dtype=float)
+        profile = (m.atom_at_zero * n ** 2 + want).view(np.int64)
+        want = want.view(np.int64)
+        for rows in (1, 2 ** 12, 2 ** 13, 2 ** 16):
+            for cells in (100, 2 ** 15):
+                monkeypatch.setattr(sm, "_LOBE_ROWS", rows)
+                monkeypatch.setattr(sm, "_ATOM_CELLS", cells)
+                got = sm.atom_fejer_sums(m, n0, count).view(np.int64)
+                assert np.array_equal(got, want), (count, rows, cells)
+                if n0 == 1:
+                    got = variance_profile(m, count).view(np.int64)
+                    assert np.array_equal(got, profile), (count, rows, cells)
 
 
 def test_huge_atom_weights_give_numbers_not_nan(tmp_path):
