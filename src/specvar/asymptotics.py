@@ -68,7 +68,8 @@ class SlowlyVarying:
     def __post_init__(self):
         if self.kind not in ("constant", "log_power"):
             raise DomainError(f"unknown slowly varying kind {self.kind!r}")
-        check_float(self.exponent, "exponent")
+        object.__setattr__(self, "exponent",
+                           check_float(self.exponent, "exponent"))
 
     @classmethod
     def constant(cls) -> "SlowlyVarying":
@@ -100,10 +101,14 @@ class RegularVariationModel:
     L: SlowlyVarying = field(default_factory=SlowlyVarying.constant)
 
     def __post_init__(self):
-        if not 0.0 < check_float(self.gamma, "gamma") < 2.0:
+        gamma = check_float(self.gamma, "gamma")
+        if not 0.0 < gamma < 2.0:
             raise DomainError(f"gamma must lie strictly in (0, 2), got {self.gamma}")
-        if not check_float(self.K0, "K0") > 0.0:
+        K0 = check_float(self.K0, "K0")
+        if not K0 > 0.0:
             raise DomainError(f"K0 must be positive, got {self.K0}")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "K0", K0)
 
     def g(self, n):
         return np.asarray(n, dtype=float) ** self.gamma * self.L(n)

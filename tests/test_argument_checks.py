@@ -197,3 +197,16 @@ def test_growth_bound_finite_gamma_still_valid(gamma):
     rep = growth_bound_report(_M, gamma, SlowlyVarying.log_power(0.5),
                               [2, 4, 8], kappa_warn=2.0, fill_limit=8)
     assert rep.kappa_bounded and math.isfinite(rep.filled_sup)
+
+
+def test_growth_models_store_their_checked_floats():
+    # a numeric string passes check_float; the model must keep the float,
+    # not the string, or g() and predicted_g_small fail later in numpy
+    model = RegularVariationModel("0.5", K0="2")
+    assert (model.gamma, model.K0) == (0.5, 2.0)
+    assert type(model.gamma) is float and type(model.K0) is float
+    assert model.g(4) == 4.0 ** 0.5
+    assert math.isfinite(model.predicted_g_small(0.25))
+    L = SlowlyVarying("log_power", "2")
+    assert type(L.exponent) is float and L(1.0) == math.log(math.e + 1.0) ** 2
+    assert SlowlyVarying.log_power(2) == L

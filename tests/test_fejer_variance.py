@@ -354,22 +354,26 @@ def test_grid_cos_sums_equal_scalar_lags(seed):
         assert c[i] == autocovariance(m, k0 + i), k0 + i
 
 
-def _reference_sums(m, n0, count, imag):
+def _reference_sums(m, n0, count, imag, lobe=False):
     """``atom_fejer_sums`` (imag) or ``atom_cos_sums`` of m from the
-    allocating reference kernel, with the same weights and, for a Fejer
-    sum, the same atoms in the lobe."""
+    allocating reference kernel, with the same weights.  Every atom runs the
+    kernel, so the reference knows nothing of the Taylor lobe; with ``lobe``
+    a Fejer sum puts the same atoms in the lobe as the library does, and
+    each reference block makes its own lobe rows."""
     locs, masses = m.atom_arrays()
     if not imag:
         return atom_sums_reference(locs, m._cis, (masses, 0.0 * masses), n0,
                                    count, imag)
     h = m._cis_half
     w = dd.div(dd.sqrt((masses, 0.0 * masses)), h[2:4])
+    if not lobe:
+        return atom_sums_reference(locs / 2.0, h, w, n0, count, imag)
     p = (int(np.searchsorted(locs, sm._LOBE_CUT / (n0 + count - 1),
                              side="right"))
          if count >= sm._LOBE_RUN else 0)
-    lobe = sm._lobe(locs[:p], (w[0][:p], w[1][:p])) if p else None
+    series = sm._lobe(locs[:p], (w[0][:p], w[1][:p])) if p else None
     return atom_sums_reference(locs[p:] / 2.0, h[:, p:],
-                               (w[0][p:], w[1][p:]), n0, count, imag, lobe)
+                               (w[0][p:], w[1][p:]), n0, count, imag, series)
 
 
 @pytest.mark.parametrize("cells", [1, 100, 2 ** 20, sm._ATOM_CELLS])
@@ -420,10 +424,14 @@ def test_lobe_runs_do_not_change_a_float(monkeypatch, name, n0):
     # a block is longer) and each block adds its slice: every row is the
     # float of a series made per block, on grids whose last run ends inside
     # a block (8191, 8193 and 3 * 2**13 + 5 n) and whose n pairs carry a
-    # low word (n >= 2**53)
+    # low word (n >= 2**53).  The per-block series itself is checked
+    # against the all-kernel reference, which has no Taylor series, so a
+    # wrong coefficient or step in the series fails here too
     m = _LOBE_MEASURES[name]
     for count in (1024, 8191, 8193, 3 * 2 ** 13 + 5):
-        want = _reference_sums(m, n0, count, True)
+        want = _reference_sums(m, n0, count, True, lobe=True)
+        assert np.array_equal(want.view(np.int64), _reference_sums(
+            m, n0, count, True).view(np.int64)), count
         n = np.arange(1, count + 1, dtype=float)
         profile = (m.atom_at_zero * n ** 2 + want).view(np.int64)
         want = want.view(np.int64)
