@@ -236,11 +236,12 @@ class GrowthBoundReport:
 def growth_bound_report(m: SpectralMeasure, gamma: float, L: SlowlyVarying,
                         subsequence, kappa_warn: float = 16.0,
                         fill_limit: int = 2 ** 20) -> GrowthBoundReport:
-    """Finite-sample sup/inf ratios of Var and G against n**gamma L(n)."""
+    """Finite-sample sup/inf ratios of Var and G against n**gamma L(n),
+    gamma in [0, 2] as ``subsequence_scan`` takes it."""
     ns = [check_int(n, "subsequence entry", 1) for n in subsequence]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("subsequence must be increasing positive integers")
-    gamma = check_float(gamma, "gamma")
+    gamma = check_float(gamma, "gamma", 0.0, 2.0)
     kappa_warn = check_float(kappa_warn, "kappa_warn")
     fill_limit = check_int(fill_limit, "fill_limit", 1)
     if ns[-1] > fill_limit:

@@ -249,6 +249,24 @@ def cpowers(z, count):
     return p[:, :count], p[:, k].copy()
 
 
+def grid_shape(count: int):
+    """``(B, A)`` of the grid n = a*B + b (b < B, a < A) that covers
+    n < count: B the least power of two with B*B >= count, A = ceil(count /
+    B)."""
+    B = 1 << ((count - 1).bit_length() + 1) // 2
+    return B, -(-count // B)
+
+
+def power_grid(z, count: int):
+    """``(cols, rows)``: z**b for b < B and (z**B)**a for a < A on the grid
+    of ``grid_shape(count)`` (``cpowers`` both), so that z**(aB + b) is row
+    a times column b.  The two tables hold about 2 sqrt(count) powers per
+    entry of z, where ``cpowers(z, count)`` holds count."""
+    B, A = grid_shape(count)
+    cols, zB = cpowers(z, B)
+    return cols, cpowers(zB, A)[0]
+
+
 def _pair(p: int, q: int):
     """p/q as a pair (Python rounds a quotient of ints correctly)."""
     hi = p / q

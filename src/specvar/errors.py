@@ -56,16 +56,18 @@ def check_int(value, what: str, minimum) -> int:
     return int(value)
 
 
-def check_float(value, what: str, minimum=None) -> float:
-    """``value`` as a finite float, at least minimum when one is given, else
-    DomainError naming ``what`` (also for NaN, +-inf and non-numeric
-    values)."""
+def check_float(value, what: str, minimum=None, maximum=None) -> float:
+    """``value`` as a finite float, at least minimum and at most maximum
+    when they are given, else DomainError naming ``what`` (also for NaN,
+    +-inf and non-numeric values)."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not (math.isfinite(x) and (minimum is None or x >= minimum)):
-        bounds = "" if minimum is None else f" >= {minimum}"
+    if not (math.isfinite(x) and (minimum is None or x >= minimum)
+            and (maximum is None or x <= maximum)):
+        ends = ((">=", minimum), ("<=", maximum))
+        bounds = " and".join(f" {op} {b}" for op, b in ends if b is not None)
         raise DomainError(f"{what} must be a finite number{bounds}, "
                           f"got {value!r}")
     return x

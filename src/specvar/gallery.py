@@ -11,8 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .spectral_measure import PI, PowerDensity, SpectralMeasure
+
+
+def _k_max(value) -> int:
+    """A truncation index k_max >= 8 (``check_int``); a string naming an
+    integer, as the CLI passes it, counts as that integer."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # check_int names the string
+    return check_int(value, "k_max", 8)
 
 
 def counterexample(k_max: int = 60) -> SpectralMeasure:
@@ -23,9 +34,7 @@ def counterexample(k_max: int = 60) -> SpectralMeasure:
     converges.  This is the canonical witness that convergence along the
     dyadic subsequence does not transfer to the full sequence.
     """
-    k_max = int(k_max)
-    if k_max < 8:
-        raise DomainError(f"k_max must be >= 8, got {k_max}")
+    k_max = _k_max(k_max)
     ks = np.arange(k_max, 0, -1)  # ascending locations
     locs = 2.0 ** (-ks.astype(float))
     atoms = tuple((float(l), float(l)) for l in locs)
@@ -79,9 +88,7 @@ def nonergodic(k_max: int = 40) -> SpectralMeasure:
     vanishes for k <= log2 n), which caps Var(S_{2^j}); generic n resonate
     with about log2(n) atoms at once.
     """
-    k_max = int(k_max)
-    if k_max < 8:
-        raise DomainError(f"k_max must be >= 8, got {k_max}")
+    k_max = _k_max(k_max)
     ks = np.arange(k_max, 1, -1)  # k = k_max .. 2, ascending locations
     locs = 2.0 * PI * 2.0 ** (-ks.astype(float))
     masses = 4.0 ** (-ks.astype(float))

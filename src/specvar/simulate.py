@@ -7,9 +7,9 @@ independent, so their sum has the measure's covariance.
   ``atom_at_zero`` per path, added to every coordinate.
 * An atom of mass m at t in (0, pi] is the random harmonic
   ``sqrt(m) (A cos(t y) + B sin(t y))`` with A, B standard normal.  cos(t y)
-  and sin(t y) are the parts of exp(i t)**y from ``ddouble.cpowers`` on the
-  measure's cached phases, the powers the atomic autocovariances use, so no
-  angle t*y is rounded.
+  and sin(t y) are the parts of exp(i t)**y, row times column of the power
+  grid of ``ddouble.power_grid`` on the measure's cached phases, the grid
+  the atomic autocovariances use, so no angle t*y is rounded.
 * The density pieces are drawn by circulant embedding of length M, the
   smallest even M >= 2(N-1) with no prime factor above 5 (Wood & Chan 1994),
   when the embedding spectrum is nonnegative.  The real and imaginary parts
@@ -32,7 +32,13 @@ the same ``Generator`` streams across versions (NEP 19).
 ``simulate`` returns the whole P x N batch.  The blocks come from
 ``_path_blocks``, which reuses one set of block buffers for every block;
 ``specvar simulate`` consumes them as they come and holds one block of
-pairs plus P floats per ``--check-n`` value, never the batch.
+pairs plus P floats per ``--check-n`` value, never the batch.  A block's
+pairs are as many as keep each of its temporaries (out rows, normals, FFT
+rows, matrix product) within _PATH_CELLS, 1 MiB: 8 pairs at N = 4096 on a
+density, 16 on atoms alone.  Any block size gives the same paths on the
+circulant route, whose FFT runs per row; a matrix product's rounding (the
+harmonic and dense routes) may depend on its row count, which is why the
+blocks have one shape for every P.
 """
 
 from __future__ import annotations
@@ -52,10 +58,15 @@ MAX_PATH_LENGTH = 2 ** 16
 DENSE_FALLBACK_MAX_N = 4096
 # embedding eigenvalues in [-1e-10 * r0, 0) are treated as rounding of zero
 EMBEDDING_EIG_TOL = 1e-10
-# float64 cells of one block's temporaries (normals, FFT rows, atom tables),
-# and a cap on the pairs per block, which bounds the padding a small P pays
-_BLOCK_CELLS = 1 << 20
+# float64 cells (1 MiB) that each of a block's temporaries may hold: its out
+# rows, each part's normals, the FFT rows and a matrix product; and a cap on
+# the pairs per block, which bounds the padding a small P pays
+_PATH_CELLS = 1 << 17
 _MAX_BLOCK_PAIRS = 64
+# a harmonic part takes _ATOM_SPLIT_CELLS // (4 N) atoms (64 at N = 4096).
+# That is all this constant sizes: the split is the inner dimension of the
+# part's matrix product, and so it fixes each path's rounding
+_ATOM_SPLIT_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,31 +151,38 @@ def _level(var: float):
 
 def _harmonic_table(cis, masses, N):
     """(2J, N) rows sqrt(m) cos(t y), then sqrt(m) sin(t y), y < N, from the
-    atoms' phases exp(i t) (a complex stack) and masses.  The powers are
-    taken a few atoms at a time, their four planes at most _BLOCK_CELLS / 4
-    cells, so building a table churns little memory; every step is
-    elementwise, so the rows do not depend on how the atoms are grouped.
-    The table is Fortran-ordered, like the transposed powers it holds: the
-    BLAS call, and with it the paths' rounding, depends on the order."""
+    atoms' phases exp(i t) (a complex stack) and masses.  The powers of
+    z = exp(i t) come on the grid y = aB + b of ``ddouble.power_grid``, the
+    one the atomic autocovariances use: each grid row a takes one ``cmul``
+    of (z**B)**a by the columns z**b into a (4, B, J) workspace, written
+    straight into the table, so building a table holds a few sqrt(N)
+    powers per atom besides it.  The table is Fortran-ordered: the BLAS
+    call, and with it the paths' rounding, depends on the order."""
     J = len(masses)
     table = np.empty((2 * J, N), order="F")
-    step = max(1, _BLOCK_CELLS // (16 * N))
-    for j in range(0, J, step):
-        s = slice(j, min(J, j + step))
-        p, _ = dd.cpowers(cis[:, s], N)
-        amp = np.sqrt(masses[s])[:, None]
-        table[s] = amp * (p[0] + p[1]).T
-        table[J + s.start:J + s.stop] = amp * (p[2] + p[3]).T
+    cols, rows = dd.power_grid(cis, N)
+    B = cols.shape[1]
+    amp = np.sqrt(masses)
+    work = np.empty_like(cols)
+    for a in range(rows.shape[1]):
+        b = min(B, N - a * B)  # the last grid row may be cut short
+        p = dd.cmul(cols[:, :b], rows[:, a:a + 1], work[:, :b])
+        y = table.T[a * B:a * B + b]
+        np.multiply(amp, p[0] + p[1], out=y[:, :J])
+        np.multiply(amp, p[2] + p[3], out=y[:, J:])
     return table
 
 
 def _harmonics(m: SpectralMeasure, N, P):
-    """One part per block of atoms.  The tables are built once when they
-    fit in one block or hold no more cells than the P paths; otherwise each
-    is rebuilt for each block of pairs, so memory stays O(P N) for any atom
-    count."""
+    """One part per block of atoms, and the cells each temporary of a block
+    of pairs may hold.  The tables are built once when they fit in one part
+    or hold no more cells than the P paths; otherwise each is rebuilt for
+    each block of pairs, so memory stays O(P N) for any atom count, and a
+    block's temporaries may then hold as many cells as the table it
+    rebuilds: on an atomic measure at N = 4096 that is 64 pairs, one table
+    build per 128 paths, where _PATH_CELLS alone would give 16."""
     _, masses = m.atom_arrays()
-    size = max(1, _BLOCK_CELLS // (4 * N))
+    size = max(1, _ATOM_SPLIT_CELLS // (4 * N))
     keep = len(masses) <= max(size, P // 2)
 
     def part(s):
@@ -175,7 +193,8 @@ def _harmonics(m: SpectralMeasure, N, P):
             table = kept if kept is not None else _harmonic_table(cis, mass, N)
             out += z.reshape(len(out), -1) @ table
         return 4 * len(mass), add
-    return [part(slice(j, j + size)) for j in range(0, len(masses), size)]
+    parts = [part(slice(j, j + size)) for j in range(0, len(masses), size)]
+    return parts, _PATH_CELLS if keep else max(_PATH_CELLS, 2 * size * N)
 
 
 def _circulant(lam, M: int, N: int):
@@ -234,6 +253,10 @@ def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
     (paths, N) view of one block buffer that the next block overwrites.
     The block buffers are allocated once per call and serve every block,
     so consuming the blocks holds one block of pairs, not the P x N batch.
+    A block takes as many pairs, at most _MAX_BLOCK_PAIRS, as keep each of
+    its temporaries within the cells ``_harmonics`` allows: a pair's out
+    rows and matrix product take 2N cells, and each part's normals and FFT
+    row take its width.
     """
     N = check_int(N, "N", 1)
     P = check_int(P, "P", 1)
@@ -242,7 +265,8 @@ def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
         raise DomainError(f"N must be <= {MAX_PATH_LENGTH}, got {N}")
 
     parts = [_level(m.atom_at_zero)] if m.atom_at_zero > 0.0 else []
-    parts += _harmonics(m, N, P)
+    harmonics, cells = _harmonics(m, N, P)
+    parts += harmonics
     method, min_eig, jitter = "harmonic", None, 0.0
     if m.density:
         part, method, min_eig, jitter = _density(m, N)
@@ -250,7 +274,7 @@ def _path_blocks(m: SpectralMeasure, N: int, P: int, seed: int):
 
     # every block has the same shape whatever P is, so the BLAS and FFT
     # calls, and with them each path's rounding, do not depend on P
-    block = max(1, min(_MAX_BLOCK_PAIRS, _BLOCK_CELLS // max(
+    block = max(1, min(_MAX_BLOCK_PAIRS, cells // max(
         [2 * N] + [width for width, _ in parts])))
 
     def blocks():

@@ -567,13 +567,13 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
     given).  The n lie on a grid n = n0 + a*B + b (b < B, B the least power
     of two with B*B >= count): the row table holds ``weight z**(n0 + aB)``,
     ``cis(n0, t)`` (z itself at n0 = 1) times the powers of z**B, and the
-    column table z**b
-    (``cpowers`` both), so no angle n*t is ever rounded.  A cell takes only
-    the part it needs of row times column, from two products of pre-split
-    table values and one double-double addition; the atoms are summed
-    pairwise in double-double (``ddouble.fold``).  ``cis`` is good to about
-    2**-104 whatever n0, and the powers add up to count * 2**-104 relative,
-    far below a float's resolution for count <= MAX_LAGS.
+    column table z**b (``ddouble.power_grid``), so no angle n*t is ever
+    rounded.  A cell takes only the part it needs of row times column, from
+    two products of pre-split table values and one double-double addition;
+    the atoms are summed pairwise in double-double (``ddouble.fold``).
+    ``cis`` is good to about 2**-104 whatever n0, and the powers add up to
+    count * 2**-104 relative, far below a float's resolution for count <=
+    MAX_LAGS.
 
     The grid goes in blocks of whole rows or of part of one row: a block's
     run of n is a power of two, so it divides B, of about _ATOM_CELLS /
@@ -596,15 +596,14 @@ def _atom_sums(t, z, weight, n0: int, count: int, imag: bool, out,
     the grid is split, so every row is the same float for any run.
     """
     atoms = z.shape[1]
-    B = 1 << ((count - 1).bit_length() + 1) // 2
-    A = -(-count // B)
+    B, A = dd.grid_shape(count)
     cells = _ATOM_CELLS // (atoms + 1) if atoms else _LOBE_ROWS
     per = 1 << max(6, cells.bit_length() - 1)
     rb, cb = (max(1, min(per // B, A)), B) if per >= B else (1, per)
     if atoms:
-        cols, zB = dd.cpowers(z, B)
+        cols, rows = dd.power_grid(z, count)
         first = z if n0 == 1 else dd.cis(n0, t)  # z is cis(1, t)
-        rows = dd.cmul(first[:, None], dd.cpowers(zB, A)[0])
+        rows = dd.cmul(first[:, None], rows)
         rows = np.stack([*dd.mul(rows[0:2], weight),
                          *dd.mul(rows[2:4], weight)])
         # (atoms, rows, 1) and (atoms, 1, columns): cells broadcast to a block

@@ -196,6 +196,23 @@ def atom_sums_reference(t, z, weight, n0: int, count: int, imag: bool,
     return grid.ravel()[:count]
 
 
+def harmonic_table_reference(cis, masses, N: int):
+    """``simulate._harmonic_table`` as it was before it took its powers on
+    the grid of ``ddouble.power_grid``: each run of up to 2**16 // N atoms
+    takes z**0 .. z**(N-1) from one doubling chain (``ddouble.cpowers``), and
+    its rows are the transposed chain times sqrt(mass)."""
+    J = len(masses)
+    table = np.empty((2 * J, N), order="F")
+    step = max(1, (1 << 16) // N)
+    for j in range(0, J, step):
+        s = slice(j, min(J, j + step))
+        p, _ = dd.cpowers(cis[:, s], N)
+        amp = np.sqrt(masses[s])[:, None]
+        table[s] = amp * (p[0] + p[1]).T
+        table[J + s.start:J + s.stop] = amp * (p[2] + p[3]).T
+    return table
+
+
 def cheb_moments_reference(omega):
     """``quadrature._cheb_moments`` as it was before its recurrence ran on
     real rows: the forward recurrence in complex numbers, for omega >= 24."""

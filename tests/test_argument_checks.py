@@ -12,12 +12,13 @@ import pytest
 
 from specvar import (DomainError, OpaqueDensity, RegularVariationModel,
                      SlowlyVarying, TableDensity, autocovariance,
-                     autocovariance_batch, dichotomy_check,
+                     autocovariance_batch, counterexample, dichotomy_check,
                      empirical_variance, fejer_kernel, g_eval, gamma_fit,
                      growth_bound_report, nonergodic, power_law, quadratic,
                      sandwich, simulate, subsequence_scan, theorem_check,
                      variance_covariance, variance_profile, variance_spectral,
                      white_noise)
+from specvar.gallery import build
 from specvar.spectral_measure import MAX_LAGS
 
 NAN, INF, PI = math.nan, math.inf, math.pi
@@ -210,3 +211,32 @@ def test_growth_models_store_their_checked_floats():
     L = SlowlyVarying("log_power", "2")
     assert type(L.exponent) is float and L(1.0) == math.log(math.e + 1.0) ** 2
     assert SlowlyVarying.log_power(2) == L
+
+
+@pytest.mark.parametrize("gamma", [-5.0, -1e-300, 2.0000000000000004, 7.0],
+                         ids=repr)
+def test_growth_bound_gamma_outside_0_2_rejected(gamma):
+    # gamma = -5 once returned subseq_sup of about 1.09e6
+    with pytest.raises(DomainError, match=r"^gamma must be a finite number "
+                                          r">= 0\.0 and <= 2\.0, got"):
+        growth_bound_report(_M, gamma, SlowlyVarying.constant(), [2, 4, 8])
+
+
+@pytest.mark.parametrize("family", [counterexample, nonergodic],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [8.5, 40.7, NAN, INF, -INF, 7, "12.5", "x",
+                                 None], ids=repr)
+def test_k_max_is_an_integer_of_at_least_8(family, bad):
+    # 8.5 once built 8 atoms and 40.7 a k_max of 40; NaN raised a bare
+    # ValueError and inf an OverflowError
+    with pytest.raises(DomainError, match="^k_max must be an integer"):
+        family(bad)
+
+
+@pytest.mark.parametrize("name", ["counterexample", "nonergodic"])
+def test_k_max_as_an_integer_string_still_builds(name):
+    # the CLI passes gallery:<name>:k_max=12 on as a string
+    for k_max in ("12", 12, 12.0, np.int64(12)):
+        m = build(name, k_max=k_max)
+        assert m.meta["k_max"] == 12 and type(m.meta["k_max"]) is int
+    assert build(name, k_max="12").atoms == build(name, k_max=12).atoms

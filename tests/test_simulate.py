@@ -1,14 +1,20 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import harmonic_table_reference
 from specvar import (DomainError, NumericError, SpectralMeasure,
                      TableDensity, autocovariance, counterexample,
                      empirical_variance, nonergodic, power_law, quadratic,
                      simulate, variance_spectral, white_noise,
                      with_origin_atom)
-from specvar.simulate import _embedding_length, _pair_generator, ndtri
+from specvar.simulate import (_embedding_length, _harmonic_table,
+                              _pair_generator, ndtri)
+
+# the package's name simulate is the function; this is its module
+simulate_module = importlib.import_module("specvar.simulate")
 
 PI = math.pi
 # flat density on (0, 0.3]: its circulant embedding is indefinite at every N
@@ -250,3 +256,49 @@ def test_path_length_one():
     batch = simulate(m, N=1, P=200, seed=12)
     assert batch.paths.shape == (200, 1)
     assert abs(batch.paths.var() - 1.0) <= 0.3
+
+
+_RNG = np.random.default_rng(300)
+TABLE_MEASURES = {
+    "counterexample": counterexample(),
+    "nonergodic": nonergodic(),
+    "counterexample(20)": counterexample(20),
+    "300 random atoms": SpectralMeasure(atoms=tuple(
+        (float(t), float(m)) for t, m in zip(
+            np.sort(_RNG.uniform(1e-3, PI, 300)),
+            _RNG.uniform(0.1, 1.0, 300)))),
+    "atoms 1e-9 .. 1e-20": SpectralMeasure(atoms=tuple(
+        (10.0 ** -k, 2.0 ** -k) for k in range(20, 8, -1))),
+    "atom at pi": SpectralMeasure(atoms=((PI, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 37, 512, 1000, 4096, 4097])
+@pytest.mark.parametrize("name", sorted(TABLE_MEASURES))
+def test_harmonic_table_equals_the_doubling_chain(name, N):
+    # the grid's powers are row times column products, the chain's products
+    # of squares; each is rounded to a float only in the table, and there
+    # every entry (its sign of zero too) is the chain's
+    m = TABLE_MEASURES[name]
+    _, masses = m.atom_arrays()
+    table = _harmonic_table(m._cis, masses, N)
+    want = harmonic_table_reference(m._cis, masses, N)
+    assert table.flags.f_contiguous and table.shape == want.shape
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [white_noise(), quadratic(), power_law(1.5),
+                               with_origin_atom(power_law(0.5), 0.3)],
+                         ids=["whitenoise", "quadratic", "power1.5", "origin"])
+def test_circulant_paths_do_not_depend_on_the_block_budget(m, monkeypatch):
+    # an FFT row is one pair's, and every other step is elementwise, so
+    # blocks of 1 (2**12 cells), 8 (2**17) and 64 pairs (2**20) agree; the
+    # harmonic and dense parts' matrix products are left to the BLAS
+    paths = {}
+    for cells in (1 << 12, 1 << 17, 1 << 20):
+        monkeypatch.setattr(simulate_module, "_PATH_CELLS", cells)
+        batch = simulate(m, N=4000, P=67, seed=2 ** 70 + 3)
+        assert batch.method == "circulant"
+        paths[cells] = batch.paths.view(np.int64)
+    assert np.array_equal(paths[1 << 12], paths[1 << 20])
+    assert np.array_equal(paths[1 << 17], paths[1 << 20])
