@@ -31,24 +31,21 @@ from .specfun import sin_sq_moment
 
 def c_gamma(gamma: float) -> float:
     """Tauberian constant C(gamma) for gamma in (0, 2)."""
-    gamma = float(gamma)
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
+    gamma = check_float(gamma, "gamma", above=0.0, below=2.0)
     return (math.gamma(1.0 + gamma) * math.sin(gamma * math.pi / 2.0)
             / (math.pi * (2.0 - gamma)))
 
 
 def d_gamma(gamma: float) -> float:
     """Companion constant D(gamma) = Gamma(gamma) 2**(2-gamma) sin(gamma pi/2) / pi."""
-    gamma = float(gamma)
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
+    gamma = check_float(gamma, "gamma", above=0.0, below=2.0)
     return (math.gamma(gamma) * 2.0 ** (2.0 - gamma)
             * math.sin(gamma * math.pi / 2.0) / math.pi)
 
 
 def c_identity_residual(gamma: float) -> float:
     """|1/C(gamma) - 2**(2-gamma) (2-gamma) * int_0^inf sin^2(y)/y^(1+gamma) dy|."""
+    gamma = check_float(gamma, "gamma", above=0.0, below=2.0)
     quad = 2.0 ** (2.0 - gamma) * (2.0 - gamma) * sin_sq_moment(gamma)
     return abs(1.0 / c_gamma(gamma) - quad)
 
@@ -57,7 +54,8 @@ def c_identity_residual(gamma: float) -> float:
 class SlowlyVarying:
     """Slowly varying factor: a constant or a power of the logarithm.
 
-    ``constant`` evaluates to 1; ``log_power(a)`` to ``log(e + x)**a``.
+    ``constant`` evaluates to 1 (its exponent must be 0); ``log_power(a)``
+    to ``log(e + x)**a``.
     These two families cover every diagnostic in the package; exotic slowly
     varying functions (liminf 0 / limsup infinity) are out of scope.
     """
@@ -70,6 +68,9 @@ class SlowlyVarying:
             raise DomainError(f"unknown slowly varying kind {self.kind!r}")
         object.__setattr__(self, "exponent",
                            check_float(self.exponent, "exponent"))
+        if self.kind == "constant" and self.exponent != 0.0:
+            raise DomainError(f"exponent must be 0.0 for kind 'constant', "
+                              f"got {self.exponent}")
 
     @classmethod
     def constant(cls) -> "SlowlyVarying":
@@ -77,7 +78,7 @@ class SlowlyVarying:
 
     @classmethod
     def log_power(cls, a: float) -> "SlowlyVarying":
-        return cls("log_power", float(a))
+        return cls("log_power", a)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -101,14 +102,9 @@ class RegularVariationModel:
     L: SlowlyVarying = field(default_factory=SlowlyVarying.constant)
 
     def __post_init__(self):
-        gamma = check_float(self.gamma, "gamma")
-        if not 0.0 < gamma < 2.0:
-            raise DomainError(f"gamma must lie strictly in (0, 2), got {self.gamma}")
-        K0 = check_float(self.K0, "K0")
-        if not K0 > 0.0:
-            raise DomainError(f"K0 must be positive, got {self.K0}")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "K0", K0)
+        object.__setattr__(self, "gamma", check_float(
+            self.gamma, "gamma", above=0.0, below=2.0))
+        object.__setattr__(self, "K0", check_float(self.K0, "K0", above=0.0))
 
     def g(self, n):
         return np.asarray(n, dtype=float) ** self.gamma * self.L(n)
@@ -319,9 +315,7 @@ def subsequence_scan(m: SpectralMeasure, gamma: float, r0: int, r1: int,
     ``gamma`` may be any value in [0, 2]; 0 selects raw (unnormalized)
     variances, which is the natural scale for boundedness questions.
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 2.0:
-        raise DomainError(f"gamma must lie in [0, 2], got {gamma}")
+    gamma = check_float(gamma, "gamma", 0.0, 2.0)
     r0, r1 = check_int(r0, "r0", 0), check_int(r1, "r1", 0)
     if not r0 < r1:
         raise DomainError("need 0 <= r0 < r1")
@@ -357,13 +351,13 @@ def gamma_fit(points) -> FitResult:
     positive variances; returns the slope as gamma_hat, exp(intercept) as
     K0_hat and the RMS log residual.
     """
-    pts = [(check_int(n, "gamma_fit n", 1), float(v)) for n, v in points]
+    pts = [(check_int(n, "gamma_fit n", 1),
+            check_float(v, "gamma_fit variance", above=0.0))
+           for n, v in points]
     if len(pts) < 3:
         raise DomainError("gamma_fit needs at least 3 points")
     if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
         raise DomainError("gamma_fit points must have strictly increasing n")
-    if not all(0.0 < v < math.inf for _, v in pts):  # also rejects NaN
-        raise DomainError("gamma_fit variances must be finite and positive")
     lx = np.log([n for n, _ in pts])
     ly = np.log([v for _, v in pts])
     vx = lx - lx.mean()

@@ -46,6 +46,14 @@ def _check_rows(count: int, text: str) -> None:
             f"{text!r} asks for {count} rows; at most {MAX_ROWS} are allowed")
 
 
+def _parse(kind, token: str, message: str):
+    """``kind(token)`` (int or float), else ValidationError(message)."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValidationError(message) from None
+
+
 def parse_n_values(text: str):
     """Parse ``1,2,4`` lists, ``a:b[:step]`` inclusive ranges and
     ``dyadic:r0:r1`` shorthand for 2**r0 .. 2**r1 (r1 <= 62), at most
@@ -56,7 +64,8 @@ def parse_n_values(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"bad dyadic range {text!r} (use dyadic:r0:r1)")
-        r0, r1 = int(parts[1]), int(parts[2])
+        r0, r1 = (_parse(int, p, f"bad dyadic range {text!r}")
+                  for p in parts[1:])
         if r0 > r1 or r0 < 0:
             raise ValidationError(f"bad dyadic range {text!r}")
         _check_rows(r1 - r0 + 1, text)
@@ -67,16 +76,14 @@ def parse_n_values(text: str):
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValidationError(f"bad range {text!r} (use a:b or a:b:step)")
-        a, b = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        a, b, step = (_parse(int, p, f"bad range {text!r}")
+                      for p in (parts + ["1"])[:3])  # step 1 by default
         if step < 1 or b < a:
             raise ValidationError(f"bad range {text!r}")
         _check_rows((b - a) // step + 1, text)
         return list(range(a, b + 1, step))
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValidationError(f"bad n list {text!r}")
+    values = [_parse(int, tok, f"bad n list {text!r}")
+              for tok in text.split(",") if tok.strip()]
     if not values or any(v < 1 for v in values):
         raise ValidationError(f"n values must be positive integers, got {text!r}")
     _check_rows(len(values), text)
@@ -114,10 +121,11 @@ def parse_measure(spec: str):
 def _parse_slowly_varying(text: str) -> SlowlyVarying:
     if text == "const":
         return SlowlyVarying.constant()
+    bad = f"bad slowly varying spec {text!r} (use const or logpow:<a>)"
     if text.startswith("logpow:"):
-        return SlowlyVarying.log_power(float(text.split(":", 1)[1]))
-    raise ValidationError(f"bad slowly varying spec {text!r} "
-                          "(use const or logpow:<a>)")
+        a = _parse(float, text.split(":", 1)[1], bad)
+        return SlowlyVarying.log_power(a)
+    raise ValidationError(bad)
 
 
 def _cmd_variance(args, out):
@@ -148,7 +156,8 @@ def _cmd_scan(args, out):
 
 
 def _cmd_constants(args, out):
-    gammas = [float(tok) for tok in args.gamma.split(",") if tok.strip()]
+    gammas = [_parse(float, tok, f"bad gamma list {args.gamma!r}")
+              for tok in args.gamma.split(",") if tok.strip()]
     if not gammas:
         raise ValidationError("no gamma values given")
     rows = [(c_gamma(g), d_gamma(g), c_identity_residual(g)) for g in gammas]
@@ -165,10 +174,12 @@ def _cmd_estimate(args, out):
         raise ValidationError(f"{args.input}: expected header 'n,variance'")
     points = []
     for ln in lines[1:]:
+        bad = f"{args.input}: bad row {ln!r}"
         cells = ln.split(",")
         if len(cells) != 2:
-            raise ValidationError(f"{args.input}: bad row {ln!r}")
-        points.append((int(cells[0]), float(cells[1])))
+            raise ValidationError(bad)
+        points.append((_parse(int, cells[0], bad),
+                       _parse(float, cells[1], bad)))
     fit = gamma_fit(points)
     out.write(json.dumps({"K0_hat": fit.K0_hat, "gamma_hat": fit.gamma_hat,
                           "residual": fit.residual}, sort_keys=True) + "\n")

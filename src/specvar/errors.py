@@ -56,17 +56,21 @@ def check_int(value, what: str, minimum) -> int:
     return int(value)
 
 
-def check_float(value, what: str, minimum=None, maximum=None) -> float:
-    """``value`` as a finite float, at least minimum and at most maximum
-    when they are given, else DomainError naming ``what`` (also for NaN,
-    +-inf and non-numeric values)."""
+def check_float(value, what: str, minimum=None, maximum=None, *,
+                above=None, below=None) -> float:
+    """``value`` as a finite float, at least ``minimum``, at most
+    ``maximum``, strictly above ``above`` and strictly below ``below``
+    where they are given, else DomainError naming ``what`` and every end
+    (also for NaN, +-inf and non-numeric values)."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and (minimum is None or x >= minimum)
-            and (maximum is None or x <= maximum)):
-        ends = ((">=", minimum), ("<=", maximum))
+            and (above is None or x > above)
+            and (maximum is None or x <= maximum)
+            and (below is None or x < below)):
+        ends = ((">=", minimum), (">", above), ("<=", maximum), ("<", below))
         bounds = " and".join(f" {op} {b}" for op, b in ends if b is not None)
         raise DomainError(f"{what} must be a finite number{bounds}, "
                           f"got {value!r}")

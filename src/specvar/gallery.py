@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_float, check_int
 from .spectral_measure import PI, PowerDensity, SpectralMeasure
 
 
@@ -50,12 +50,8 @@ def power_law(gamma: float, scale: float = 1.0) -> SpectralMeasure:
     Realized by the density ``scale (2-gamma) y**(1-gamma)`` on (0, pi], so
     Var(S_n)/n**gamma approaches scale / C(gamma).
     """
-    gamma = float(gamma)
-    scale = float(scale)
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
-    if not scale > 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    gamma = check_float(gamma, "gamma", above=0.0, below=2.0)
+    scale = check_float(scale, "scale", above=0.0)
     piece = PowerDensity(lo=0.0, hi=PI, coef=scale * (2.0 - gamma),
                          exponent=1.0 - gamma)
     return SpectralMeasure(
@@ -105,9 +101,7 @@ def with_origin_atom(base: SpectralMeasure, a: float) -> SpectralMeasure:
     An origin atom contributes a * n**2 to Var(S_n): the ergodic-mean
     degeneracy in its sharpest form.
     """
-    a = float(a)
-    if not a > 0.0:
-        raise DomainError(f"origin atom mass must be positive, got {a}")
+    a = check_float(a, "origin atom mass", above=0.0)
     meta = dict(base.meta)
     meta["origin_atom_added"] = meta.get("origin_atom_added", 0.0) + a
     return SpectralMeasure(atom_at_zero=base.atom_at_zero + a,

@@ -27,7 +27,10 @@ Tsang 2000).  Pairs are processed in blocks of a fixed shape, padded with
 zero normals, so a path's content never depends on P or on consumption
 order: a batch of P paths is a prefix of the same batch with more paths.
 Batches are bit-identical for a given numpy version; numpy does not promise
-the same ``Generator`` streams across versions (NEP 19).
+the same ``Generator`` streams across versions (NEP 19).  The dense Cholesky
+route is bit-identical only at a fixed BLAS thread count as well: LAPACK's
+factor of the same Toeplitz matrix is not the same array at one and at two
+OpenBLAS threads, and so the paths differ too.
 
 ``simulate`` returns the whole P x N batch.  The blocks come from
 ``_path_blocks``, which reuses one set of block buffers for every block;

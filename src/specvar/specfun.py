@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_float
 from .quadrature import integrate
 
 # below this the base moments are computed by quadrature, above by the
@@ -127,9 +127,7 @@ def trig_power_moments(p: float, x, x_lo=0.0):
     above, the base moments at mu = p - ceil(p) are raised to p by parts,
     which would cancel at small x.
     """
-    p = float(p)
-    if not p > -1.0:
-        raise DomainError(f"moment exponent must exceed -1, got {p}")
+    p = check_float(p, "moment exponent", above=-1.0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise DomainError("moment endpoint must be nonnegative")
@@ -181,9 +179,7 @@ def sin_sq_moment(gamma: float) -> float:
     sum is within 4e-16 relative of the closed form -2**(gamma-1)
     Gamma(-gamma) cos(pi gamma/2), which it never uses.
     """
-    gamma = float(gamma)
-    if not 0.0 < gamma < 2.0:
-        raise DomainError(f"gamma must lie in (0, 2), got {gamma}")
+    gamma = check_float(gamma, "gamma", above=0.0, below=2.0)
     series = math.fsum(_SIGN * 2.0 ** (_M2 + 1.0) * _INV_FACT[2::2]
                        / (_M2 + 2.0 - gamma))
     q = -1.0 - gamma

@@ -31,7 +31,8 @@ from typing import Callable, Union
 import numpy as np
 
 from . import ddouble as dd
-from .errors import DomainError, SerializationError, ValidationError, check_int
+from .errors import (DomainError, SerializationError, ValidationError,
+                     check_float, check_int)
 from .quadrature import (_CHEB_MAX_PANELS, bisect_panels,
                          chebyshev_panels, clenshaw_curtis, fine_fold,
                          integrate, interpolant_moments)
@@ -40,13 +41,6 @@ from .specfun import sin_cos, trig_power_moments
 PI = math.pi
 _LOC_MIN = 2.0 ** -1022
 _PI_SLACK = 1e-12  # how far beyond float pi interval bounds may stray
-
-
-def _finite(x, what: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{what} must be finite, got {x}")
-    return x
 
 
 def _clamp_pi(x: float, what: str) -> float:
@@ -73,18 +67,17 @@ class PowerDensity:
     exponent: float
 
     def __post_init__(self):
-        for name in ("lo", "hi", "coef", "exponent"):
-            object.__setattr__(self, name, _finite(getattr(self, name),
-                                                   f"power density {name}"))
-        object.__setattr__(self, "hi", _clamp_pi(self.hi, "density hi"))
+        object.__setattr__(self, "lo",
+                           check_float(self.lo, "power density lo"))
+        object.__setattr__(self, "hi", _clamp_pi(
+            check_float(self.hi, "power density hi"), "density hi"))
+        object.__setattr__(self, "coef",
+                           check_float(self.coef, "power density coef", 0.0))
+        object.__setattr__(self, "exponent", check_float(
+            self.exponent, "power density exponent", above=-1.0))
         if not 0.0 <= self.lo < self.hi:
             raise DomainError(
                 f"power density needs 0 <= lo < hi <= pi, got ({self.lo}, {self.hi})")
-        if not self.coef >= 0.0:
-            raise DomainError(f"power density coefficient must be >= 0, got {self.coef}")
-        if not self.exponent > -1.0:
-            raise DomainError(
-                f"power density exponent must exceed -1, got {self.exponent}")
 
     def mass_upto(self, x):
         """Integral of the density over (lo, min(x, hi)]; vectorized in x.
@@ -179,8 +172,9 @@ class TableDensity:
     vals: tuple
 
     def __post_init__(self):
-        ys = tuple(_finite(v, "table density grid point") for v in self.ys)
-        vals = tuple(_finite(v, "table density value") for v in self.vals)
+        ys = tuple(check_float(v, "table density grid point") for v in self.ys)
+        vals = tuple(check_float(v, "table density value", 0.0)
+                     for v in self.vals)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "vals", vals)
         if len(ys) < 2 or len(ys) != len(vals):
@@ -191,8 +185,6 @@ class TableDensity:
             raise DomainError("table density grid must start at >= 0")
         if ys[-1] > PI + _PI_SLACK:
             raise DomainError("table density grid must end at <= pi")
-        if any(v < 0.0 for v in vals):
-            raise DomainError("table density values must be nonnegative")
 
     @property
     def lo(self) -> float:
@@ -307,8 +299,10 @@ class OpaqueDensity:
     fn: Callable
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", _clamp_pi(float(self.hi), "density hi"))
+        object.__setattr__(self, "lo",
+                           check_float(self.lo, "opaque density lo"))
+        object.__setattr__(self, "hi", _clamp_pi(
+            check_float(self.hi, "opaque density hi"), "density hi"))
         if not 0.0 <= self.lo < self.hi:
             raise DomainError(
                 f"opaque density needs 0 <= lo < hi <= pi, got ({self.lo}, {self.hi})")
@@ -428,22 +422,18 @@ class SpectralMeasure:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        a0 = float(self.atom_at_zero)
-        if not (math.isfinite(a0) and a0 >= 0.0):
-            raise DomainError(f"atom_at_zero must be finite and >= 0, got {a0}")
-        object.__setattr__(self, "atom_at_zero", a0)
+        object.__setattr__(self, "atom_at_zero", check_float(
+            self.atom_at_zero, "atom_at_zero", 0.0))
 
         atoms = tuple((
-            _clamp_pi(float(loc), "atom location"), float(mass))
+            _clamp_pi(check_float(loc, "atom location", above=0.0),
+                      "atom location"),
+            check_float(mass, "atom mass", above=0.0))
             for loc, mass in self.atoms)
-        for loc, mass in atoms:
-            if not loc > 0.0:
-                raise DomainError(f"atom location must lie in (0, pi], got {loc}")
+        for loc, _ in atoms:
             if loc < _LOC_MIN:  # the atom sums' phase loc/2 would round
                 raise DomainError(f"atom location must be at least 2**-1022 "
                                   f"(the least normal float), got {loc}")
-            if not (math.isfinite(mass) and mass > 0.0):
-                raise DomainError(f"atom mass must be finite and > 0, got {mass}")
         locs = [loc for loc, _ in atoms]
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise DomainError("atom locations must be strictly increasing")
@@ -927,10 +917,7 @@ def robinson_integral(m: SpectralMeasure, a: float = 0.0) -> float:
     sup_n Var(S_n); any origin atom makes it +inf.  ``sandwich`` takes its
     upper bound from R(A/n), which counts only atoms above A/n.
     """
-    a = float(a)
-    if not 0.0 <= a <= PI:  # also rejects NaN
-        raise DomainError(f"robinson_integral lower limit must lie in "
-                          f"[0, pi], got {a}")
+    a = check_float(a, "robinson_integral lower limit", 0.0, PI)
     if a == 0.0 and m.atom_at_zero > 0.0:
         return math.inf
     locs, masses = m.atom_arrays()
@@ -966,16 +953,14 @@ def measure_to_dict(m: SpectralMeasure) -> dict:
             "density": density}
 
 
-def _expect_number(obj, path, minimum=None, strict=False):
+def _expect_number(obj, path, **ends):
+    # a JSON number through check_float and its ends; ValidationError at path
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError("expected a number", path)
-    v = float(obj)
-    if not math.isfinite(v):
-        raise ValidationError("expected a finite number", path)
-    if minimum is not None and (v <= minimum if strict else v < minimum):
-        op = ">" if strict else ">="
-        raise ValidationError(f"expected a number {op} {minimum}", path)
-    return v
+    try:
+        return check_float(obj, "value", **ends)
+    except DomainError as exc:
+        raise ValidationError(str(exc), path) from None
 
 
 def _check_keys(obj, allowed, path):
@@ -989,7 +974,8 @@ def _check_keys(obj, allowed, path):
 def measure_from_dict(d: dict) -> SpectralMeasure:
     """Build a measure from schema-shaped data, validating with key paths."""
     _check_keys(d, {"atom_at_zero", "atoms", "density"}, "")
-    atom0 = _expect_number(d.get("atom_at_zero", 0.0), "atom_at_zero", 0.0)
+    atom0 = _expect_number(d.get("atom_at_zero", 0.0), "atom_at_zero",
+                           minimum=0.0)
 
     atoms = []
     raw_atoms = d.get("atoms", [])
@@ -1000,10 +986,10 @@ def measure_from_dict(d: dict) -> SpectralMeasure:
         _check_keys(entry, {"y", "mass"}, path)
         if "y" not in entry or "mass" not in entry:
             raise ValidationError("entry needs keys y and mass", path)
-        y = _expect_number(entry["y"], f"{path}.y", 0.0, strict=True)
+        y = _expect_number(entry["y"], f"{path}.y", above=0.0)
         if y > PI + _PI_SLACK:
             raise ValidationError("atom location exceeds pi", f"{path}.y")
-        mass = _expect_number(entry["mass"], f"{path}.mass", 0.0, strict=True)
+        mass = _expect_number(entry["mass"], f"{path}.mass", above=0.0)
         atoms.append((min(y, PI), mass))
     atoms.sort()
     for (y1, _), (y2, _) in zip(atoms, atoms[1:]):
@@ -1021,14 +1007,14 @@ def measure_from_dict(d: dict) -> SpectralMeasure:
         kind = entry["type"]
         if kind == "power":
             _check_keys(entry, {"type", "coef", "exp", "lo", "hi"}, path)
-            coef = _expect_number(entry.get("coef", 0.0), f"{path}.coef", 0.0)
-            exp = _expect_number(entry.get("exp"), f"{path}.exp")
-            lo = _expect_number(entry.get("lo", 0.0), f"{path}.lo", 0.0)
+            coef = _expect_number(entry.get("coef", 0.0), f"{path}.coef",
+                                  minimum=0.0)
+            exp = _expect_number(entry.get("exp"), f"{path}.exp", above=-1.0)
+            lo = _expect_number(entry.get("lo", 0.0), f"{path}.lo",
+                                minimum=0.0)
             hi = _expect_number(entry.get("hi", PI), f"{path}.hi")
             if hi > PI + _PI_SLACK:
                 raise ValidationError("interval end exceeds pi", f"{path}.hi")
-            if not exp > -1.0:
-                raise ValidationError("exponent must exceed -1", f"{path}.exp")
             try:
                 pieces.append(PowerDensity(lo=lo, hi=min(hi, PI), coef=coef,
                                            exponent=exp))
@@ -1041,7 +1027,7 @@ def measure_from_dict(d: dict) -> SpectralMeasure:
             if not isinstance(ys, list) or not isinstance(vals, list):
                 raise ValidationError("table needs ys and vals lists", path)
             ys = [_expect_number(v, f"{path}.ys[{j}]") for j, v in enumerate(ys)]
-            vals = [_expect_number(v, f"{path}.vals[{j}]", 0.0)
+            vals = [_expect_number(v, f"{path}.vals[{j}]", minimum=0.0)
                     for j, v in enumerate(vals)]
             try:
                 pieces.append(TableDensity(ys=tuple(ys), vals=tuple(vals)))

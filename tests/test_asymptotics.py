@@ -90,6 +90,16 @@ def test_slowly_varying_unknown_kind():
         SlowlyVarying("polynomial")
 
 
+@pytest.mark.parametrize("exponent", [2.5, -1.0, 1e-300], ids=repr)
+def test_constant_slowly_varying_takes_no_exponent(exponent):
+    # SlowlyVarying("constant", 2.5) once evaluated to 1, ignoring its
+    # exponent, and still compared unequal to SlowlyVarying.constant()
+    with pytest.raises(DomainError, match="^exponent must be 0.0 for kind "
+                                          "'constant'"):
+        SlowlyVarying("constant", exponent)
+    assert SlowlyVarying("constant", 0) == SlowlyVarying.constant()
+
+
 def test_model_domain():
     with pytest.raises(DomainError):
         RegularVariationModel(gamma=0.0, K0=1.0)

@@ -404,6 +404,35 @@ def test_bad_input_file_exits_1_with_empty_stdout(tmp_path, command, text):
     assert rc == 1 and out == "" and err.startswith("specvar: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (_variance_n("1:x"), "bad range '1:x'"),
+    (_variance_n("x:5"), "bad range 'x:5'"),
+    (_variance_n("1:5:z"), "bad range '1:5:z'"),
+    (_variance_n("dyadic:a:3"), "bad dyadic range 'dyadic:a:3'"),
+    (_variance_n("dyadic:1:b"), "bad dyadic range 'dyadic:1:b'"),
+    (_scan_l("logpow:x"), "bad slowly varying spec 'logpow:x'"),
+    (["constants", "--gamma", "x"], "bad gamma list 'x'"),
+    (["constants", "--gamma", "0.5,1,y"], "bad gamma list '0.5,1,y'"),
+    (["estimate", "--input", "{csv}"], "bad row '2,x'"),
+    (["estimate", "--input", "{csv}"], "bad row '2.5,4.0'"),
+    (["variance", "--measure", "gallery:power:gamma=x", "--n", "1"],
+     "gamma must be a finite number > 0.0 and < 2.0, got 'x'"),
+], ids=["range-end", "range-start", "range-step", "dyadic-r0", "dyadic-r1",
+        "logpow", "gamma", "gamma-list", "estimate-variance",
+        "estimate-n", "gallery-param"])
+def test_parse_error_names_the_offending_spec(tmp_path, argv, message):
+    # these printed Python's own "invalid literal for int() with base 10"
+    # or "could not convert string to float" text
+    csv_path = tmp_path / "points.csv"
+    bad_row = message.split("'")[1]
+    csv_path.write_text(f"n,variance\n1,1.0\n{bad_row}\n8,3.0\n")
+    argv = [str(csv_path) if a == "{csv}" else a for a in argv]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("specvar: ") and message in err
+    assert "literal" not in err and "convert" not in err
+
+
 _SCIPY_FREE_JOBS = [
     [job, "--measure", measure, *rest]
     for measure, gamma in (("gallery:power:gamma=1.5", "1.5"),

@@ -124,6 +124,17 @@ def test_trig_moments_domain():
         trig_power_moments(0.5, np.array([-2.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_exponents_must_be_finite(bad):
+    # trig_power_moments(inf, ...) raised OverflowError from math.ceil
+    with pytest.raises(DomainError, match="^moment exponent must be a finite "
+                                          r"number > -1\.0"):
+        trig_power_moments(bad, np.array([1.0]))
+    with pytest.raises(DomainError, match=r"^gamma must be a finite number "
+                                          r"> 0\.0 and < 2\.0"):
+        sin_sq_moment(bad)
+
+
 # the moments by the hypergeometric closed forms x**(p+1)/(p+1) 1F2((p+1)/2;
 # 1/2, (p+3)/2; -x**2/4) and x**(p+2)/(p+2) 1F2((p+2)/2; 3/2, (p+4)/2;
 # -x**2/4), by mpmath at 40 digits; 1 + 2**-52 is the first float above the
